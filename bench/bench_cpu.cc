@@ -1,7 +1,8 @@
 // Google-benchmark CPU suite: CPU-level performance of the building
-// blocks (segment tree, plane sweep, external sort, buffer pool, grid
-// index). These are engineering benchmarks, not paper figures; the paper's
-// metric (block I/O) is covered by the bench_fig* binaries.
+// blocks (segment tree, plane sweep, CRC32C, record codec, external sort,
+// buffer pool, grid index). These are engineering benchmarks, not paper
+// figures; the paper's metric (block I/O) is covered by the bench_fig*
+// binaries.
 #include <benchmark/benchmark.h>
 
 #include "circle/grid_index.h"
@@ -13,6 +14,7 @@
 #include "io/external_sort.h"
 #include "io/record_io.h"
 #include "util/check.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace maxrs {
@@ -65,6 +67,55 @@ void BM_PlaneSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaneSweep)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<char> block(4096);
+  Rng rng(7);
+  for (char& c : block) c = static_cast<char>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(block.data(), block.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * block.size());
+}
+BENCHMARK(BM_Crc32c);
+
+// Exactly `blocks` full 4 KB data blocks of pieces (a record file adds one
+// header block).
+std::vector<PieceRecord> BlocksOfPieces(size_t blocks) {
+  const size_t n = blocks * (4096 / sizeof(PieceRecord));
+  Rng rng(8);
+  std::vector<PieceRecord> pieces(n);
+  for (auto& p : pieces) {
+    p = TransformObject({rng.Uniform(0, 1e6), rng.Uniform(0, 1e6), 1.0},
+                        1000, 1000);
+  }
+  return pieces;
+}
+
+void BM_RecordEncode(benchmark::State& state) {
+  const auto pieces = BlocksOfPieces(static_cast<size_t>(state.range(0)));
+  auto env = NewMemEnv(4096);
+  for (auto _ : state) {
+    MAXRS_CHECK_OK(WriteRecordFile(*env, "pieces", pieces));
+  }
+  state.SetBytesProcessed(state.iterations() * pieces.size() *
+                          sizeof(PieceRecord));
+}
+BENCHMARK(BM_RecordEncode)->Arg(1)->Arg(256);
+
+void BM_RecordDecode(benchmark::State& state) {
+  const auto pieces = BlocksOfPieces(static_cast<size_t>(state.range(0)));
+  auto env = NewMemEnv(4096);
+  MAXRS_CHECK_OK(WriteRecordFile(*env, "pieces", pieces));
+  for (auto _ : state) {
+    auto read = ReadRecordFile<PieceRecord>(*env, "pieces");
+    MAXRS_CHECK(read.ok());
+    benchmark::DoNotOptimize(read.value().data());
+  }
+  state.SetBytesProcessed(state.iterations() * pieces.size() *
+                          sizeof(PieceRecord));
+}
+BENCHMARK(BM_RecordDecode)->Arg(1)->Arg(256);
 
 void BM_ExactMaxRSInMemory(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -11,9 +11,12 @@ namespace {
 
 struct Event {
   double y;
-  double x_lo;
+  double x_lo;  // x_lo and x_hi only order the events (see the sort below).
   double x_hi;
   double w;  // +w at bottom edge, -w at top edge.
+  // The piece's elementary intervals [first, last] (inclusive).
+  uint32_t first;
+  uint32_t last;
 };
 
 }  // namespace
@@ -40,15 +43,17 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
   const size_t num_elem = xs.size() - 1;  // elementary intervals [xs[t], xs[t+1])
 
   auto index_of = [&xs](double x) {
-    return static_cast<size_t>(
+    return static_cast<uint32_t>(
         std::lower_bound(xs.begin(), xs.end(), x) - xs.begin());
   };
 
   std::vector<Event> events;
   events.reserve(2 * pieces.size());
   for (const PieceRecord& p : pieces) {
-    events.push_back({p.y_lo, p.x_lo, p.x_hi, p.w});
-    events.push_back({p.y_hi, p.x_lo, p.x_hi, -p.w});
+    const uint32_t first = index_of(p.x_lo);
+    const uint32_t last = index_of(p.x_hi) - 1;
+    events.push_back({p.y_lo, p.x_lo, p.x_hi, p.w, first, last});
+    events.push_back({p.y_hi, p.x_lo, p.x_hi, -p.w, first, last});
   }
   // Total order (not just by y): events tied on y are applied to the tree
   // in one canonical sequence, which makes the emitted tuples a pure
@@ -67,6 +72,7 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
     return DoubleOrderKey(a.w) < DoubleOrderKey(b.w);
   });
 
+  out.reserve(events.size());  // at most one tuple per event
   SegmentTree tree(num_elem);
   size_t i = 0;
   while (i < events.size()) {
@@ -74,10 +80,7 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
     // Apply every event at this h-line: with half-open [y_lo, y_hi) extents,
     // both openings and closings at y take effect for the stratum [y, next).
     while (i < events.size() && events[i].y == y) {
-      const Event& e = events[i];
-      const size_t first = index_of(e.x_lo);
-      const size_t last = index_of(e.x_hi) - 1;  // inclusive elementary index
-      tree.RangeAdd(first, last, e.w);
+      tree.RangeAdd(events[i].first, events[i].last, events[i].w);
       ++i;
     }
     const MaxRun run = objective == SweepObjective::kMaximize

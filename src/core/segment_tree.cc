@@ -5,65 +5,135 @@
 #include "util/check.h"
 
 namespace maxrs {
+namespace {
+
+// Internal nodes on the two boundary paths of one RangeAdd: at most two per
+// level, and a tree over < 2^32 leaves has at most 32 internal levels.
+constexpr size_t kMaxPathNodes = 64;
+
+}  // namespace
 
 SegmentTree::SegmentTree(size_t num_leaves) : num_leaves_(num_leaves) {
   MAXRS_CHECK(num_leaves_ >= 1);
-  nodes_.resize(4 * num_leaves_);
+  MAXRS_CHECK(num_leaves_ - 1 <= UINT32_MAX);
+  nodes_.resize(2 * num_leaves_ - 1);
+  Build(0, 0, num_leaves_ - 1);
 }
 
+void SegmentTree::Build(size_t node, size_t lo, size_t hi) {
+  nodes_[node].argmax = nodes_[node].argmin = static_cast<uint32_t>(lo);
+  if (lo == hi) return;
+  const size_t mid = lo + (hi - lo) / 2;
+  Build(node + 1, lo, mid);
+  Build(node + 2 * (mid - lo + 1), mid + 1, hi);
+}
+
+inline void SegmentTree::Pull(size_t node, size_t left, size_t right) {
+  Node& n = nodes_[node];
+  const Node& l = nodes_[left];
+  const Node& r = nodes_[right];
+  n.max = std::max(l.max, r.max) + n.add;
+  n.min = std::min(l.min, r.min) + n.add;
+  // Pick by comparing the children (ties go left) rather than by equality
+  // with a root-computed target: per-path floating accumulation orders
+  // differ, so equality can fail on real-valued weights while the
+  // comparison always lands on the true extremal leaf. Masks instead of ?:
+  // keep the select branch-free; the comparison is data-dependent and a
+  // branch on it mispredicts about half the time.
+  const uint32_t left_max = -static_cast<uint32_t>(l.max >= r.max);
+  const uint32_t left_min = -static_cast<uint32_t>(l.min <= r.min);
+  n.argmax = (l.argmax & left_max) | (r.argmax & ~left_max);
+  n.argmin = (l.argmin & left_min) | (r.argmin & ~left_min);
+}
+
+// The same decomposition as a top-down recursion: nodes inside [first, last]
+// take the addition lazily, and every partially covered node is recomputed
+// from its children after both are final. Only distinct nodes are touched,
+// so the floating-point result matches the recursive order bit for bit.
 void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
   MAXRS_DCHECK(first <= last && last < num_leaves_);
-  Add(1, 0, num_leaves_ - 1, first, last, w);
-}
+  struct PathNode {
+    size_t node;
+    size_t right;
+  };
+  PathNode path[kMaxPathNodes];
+  size_t depth = 0;
+  auto cover = [&](size_t node) {
+    Node& n = nodes_[node];
+    n.add += w;
+    n.max += w;
+    n.min += w;
+  };
+  // Records a partially covered node; returns its right child.
+  auto partial = [&](size_t node, size_t lo, size_t mid) {
+    const size_t right = node + 2 * (mid - lo + 1);
+    MAXRS_DCHECK(depth < kMaxPathNodes);
+    path[depth++] = {node, right};
+    return right;
+  };
 
-void SegmentTree::Add(size_t node, size_t lo, size_t hi, size_t first,
-                      size_t last, double w) {
-  if (first <= lo && hi <= last) {
-    nodes_[node].add += w;
-    nodes_[node].max += w;
-    nodes_[node].min += w;
-    return;
+  size_t node = 0, lo = 0, hi = num_leaves_ - 1;
+  // Shared path: descend while the range lies inside one child.
+  while (!(first <= lo && hi <= last)) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const size_t right = partial(node, lo, mid);
+    if (last <= mid) {
+      node = node + 1, hi = mid;
+    } else if (first > mid) {
+      node = right, lo = mid + 1;
+    } else {
+      // The range straddles mid: [first, mid] is a suffix of the left
+      // child, [mid + 1, last] a prefix of the right one.
+      size_t n = node + 1, l = lo, h = mid;
+      while (first > l) {
+        const size_t m = l + (h - l) / 2;
+        const size_t r = partial(n, l, m);
+        if (first <= m) {
+          cover(r);
+          n = n + 1, h = m;
+        } else {
+          n = r, l = m + 1;
+        }
+      }
+      cover(n);
+      n = right, l = mid + 1, h = hi;
+      while (h > last) {
+        const size_t m = l + (h - l) / 2;
+        const size_t r = partial(n, l, m);
+        if (last > m) {
+          cover(n + 1);
+          n = r, l = m + 1;
+        } else {
+          n = n + 1, h = m;
+        }
+      }
+      node = n;
+      break;
+    }
   }
-  const size_t mid = lo + (hi - lo) / 2;
-  if (first <= mid) Add(2 * node, lo, mid, first, std::min(last, mid), w);
-  if (last > mid) Add(2 * node + 1, mid + 1, hi, std::max(first, mid + 1), last, w);
-  nodes_[node].max =
-      std::max(nodes_[2 * node].max, nodes_[2 * node + 1].max) + nodes_[node].add;
-  nodes_[node].min =
-      std::min(nodes_[2 * node].min, nodes_[2 * node + 1].min) + nodes_[node].add;
+  cover(node);
+  // Children were visited after their parents, so reverse order is bottom-up.
+  while (depth > 0) {
+    --depth;
+    Pull(path[depth].node, path[depth].node + 1, path[depth].right);
+  }
 }
 
-double SegmentTree::Max() const { return nodes_[1].max; }
-double SegmentTree::Min() const { return nodes_[1].min; }
+double SegmentTree::Max() const { return nodes_[0].max; }
+double SegmentTree::Min() const { return nodes_[0].min; }
 
 MaxRun SegmentTree::MaxInterval() const { return ExtremalInterval(true); }
 MaxRun SegmentTree::MinInterval() const { return ExtremalInterval(false); }
 
 MaxRun SegmentTree::ExtremalInterval(bool want_max) const {
-  const double target = want_max ? nodes_[1].max : nodes_[1].min;
-  const size_t first = FindLeftmost(1, 0, num_leaves_ - 1, 0.0, want_max);
+  const Node& root = nodes_[0];
+  const double target = want_max ? root.max : root.min;
+  const size_t first = want_max ? root.argmax : root.argmin;
   const size_t end = first + 1 >= num_leaves_
                          ? num_leaves_
-                         : FindFirstOutside(1, 0, num_leaves_ - 1, 0.0,
+                         : FindFirstOutside(0, 0, num_leaves_ - 1, 0.0,
                                             first + 1, target, want_max);
   return MaxRun{target, first, end - 1};
-}
-
-size_t SegmentTree::FindLeftmost(size_t node, size_t lo, size_t hi, double acc,
-                                 bool want_max) const {
-  if (lo == hi) return lo;
-  // Descend by argmax/argmin comparison of the two children (ties go left)
-  // rather than equality against a root-computed target: per-path floating
-  // accumulation orders differ, so equality can fail on real-valued weights
-  // while the comparison always lands on the true extremal leaf.
-  const size_t mid = lo + (hi - lo) / 2;
-  const double child_acc = acc + nodes_[node].add;
-  const double left = (want_max ? nodes_[2 * node].max : nodes_[2 * node].min);
-  const double right =
-      (want_max ? nodes_[2 * node + 1].max : nodes_[2 * node + 1].min);
-  const bool go_left = want_max ? (left >= right) : (left <= right);
-  if (go_left) return FindLeftmost(2 * node, lo, mid, child_acc, want_max);
-  return FindLeftmost(2 * node + 1, mid + 1, hi, child_acc, want_max);
 }
 
 size_t SegmentTree::FindFirstOutside(size_t node, size_t lo, size_t hi,
@@ -81,10 +151,10 @@ size_t SegmentTree::FindFirstOutside(size_t node, size_t lo, size_t hi,
   const size_t mid = lo + (hi - lo) / 2;
   const double child_acc = acc + nodes_[node].add;
   size_t res =
-      FindFirstOutside(2 * node, lo, mid, child_acc, from, target, want_max);
+      FindFirstOutside(node + 1, lo, mid, child_acc, from, target, want_max);
   if (res != num_leaves_) return res;
-  return FindFirstOutside(2 * node + 1, mid + 1, hi, child_acc, from, target,
-                          want_max);
+  return FindFirstOutside(node + 2 * (mid - lo + 1), mid + 1, hi, child_acc,
+                          from, target, want_max);
 }
 
 }  // namespace maxrs

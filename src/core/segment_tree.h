@@ -6,10 +6,17 @@
 // (the role played by the binary interval tree in Imai & Asano [11]):
 // inserting a rectangle's x-extent is a range-add of +w, removing it -w,
 // and after each batch of events the tree reports the max-interval tuple.
+//
+// Nodes sit in pre-order in one array of 2n-1 entries: a node covering
+// [lo, hi] splits at mid = lo + (hi-lo)/2, its left child is the next entry
+// and its right child follows the left subtree's 2(mid-lo+1)-1 entries.
+// Every node also keeps the leftmost leaf attaining its max and its min, so
+// locating the leftmost extremal leaf costs O(1).
 #ifndef MAXRS_CORE_SEGMENT_TREE_H_
 #define MAXRS_CORE_SEGMENT_TREE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "geom/geometry.h"
@@ -55,12 +62,16 @@ class SegmentTree {
     double max = 0.0;  ///< Max over subtree, including this node's `add`.
     double min = 0.0;  ///< Min over subtree, including this node's `add`.
     double add = 0.0;  ///< Lazy addition applied to the whole subtree.
+    /// Leftmost leaf attaining `max` / `min`: at each level the left child
+    /// wins ties (left.max >= right.max, left.min <= right.min).
+    uint32_t argmax = 0;
+    uint32_t argmin = 0;
   };
 
-  void Add(size_t node, size_t lo, size_t hi, size_t first, size_t last, double w);
-  /// Leftmost leaf attaining the subtree max (want_max) or min (!want_max).
-  size_t FindLeftmost(size_t node, size_t lo, size_t hi, double acc,
-                      bool want_max) const;
+  /// Sets every node's argmax/argmin to the first leaf of its subtree.
+  void Build(size_t node, size_t lo, size_t hi);
+  /// Recomputes an internal node from its children `left` and `right`.
+  void Pull(size_t node, size_t left, size_t right);
   /// Smallest leaf index >= from whose value is below (want_max) or above
   /// (!want_max) the target, or num_leaves_ if none.
   size_t FindFirstOutside(size_t node, size_t lo, size_t hi, double acc,

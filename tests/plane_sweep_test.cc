@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "core/brute_force.h"
 #include "core/exact_maxrs.h"
 #include "geom/geometry.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace maxrs {
 namespace {
@@ -77,6 +83,152 @@ TEST(PlaneSweepTest, PaperFigure2Example) {
   // Verify the returned location actually covers that weight.
   const Rect r = Rect::Centered(result.location, 4, 3);
   EXPECT_EQ(CoveredWeight(objects, r), 3.0);
+}
+
+// --- Golden bytes ------------------------------------------------------
+//
+// The sweep's output with real-valued weights, pinned to the bit. Sums of
+// real weights depend on the order of every floating-point addition in the
+// segment tree, so any change to the tree's decomposition or evaluation
+// order moves at least one ulp here (the last max tuple's 0x3cc0... is such
+// an ulp: rounding residue of a sum that is zero in exact arithmetic).
+
+using TupleBits = std::array<uint64_t, 4>;  // y, x_lo, x_hi, sum
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+std::vector<TupleBits> ToBits(const std::vector<SlabTuple>& tuples) {
+  std::vector<TupleBits> out;
+  for (const SlabTuple& t : tuples) {
+    out.push_back({Bits(t.y), Bits(t.x_lo), Bits(t.x_hi), Bits(t.sum)});
+  }
+  return out;
+}
+
+/// FNV-1a over the tuples' bytes, for the cases too long to list.
+uint64_t TupleHash(const std::vector<SlabTuple>& tuples) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const TupleBits& t : ToBits(tuples)) {
+    for (uint64_t bits : t) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xFF;
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+/// Pieces on a half-unit grid (ties in x and y everywhere) with real
+/// weights in [-0.75, 3).
+std::vector<PieceRecord> GridPieces(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<PieceRecord> pieces;
+  pieces.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = 0.5 * static_cast<double>(rng.UniformU64(24));
+    const double y = 0.5 * static_cast<double>(rng.UniformU64(24));
+    const double width = 0.5 * static_cast<double>(1 + rng.UniformU64(8));
+    const double height = 0.5 * static_cast<double>(1 + rng.UniformU64(8));
+    const double w = rng.Uniform(-0.75, 3.0);
+    pieces.push_back({x, x + width, y, y + height, w});
+  }
+  return pieces;
+}
+
+/// Pieces at real-valued coordinates (no ties) with real weights.
+std::vector<PieceRecord> ScatteredPieces(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<PieceRecord> pieces;
+  pieces.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng.Uniform(0.0, 100.0);
+    const double y = rng.Uniform(0.0, 100.0);
+    const double width = rng.Uniform(1.0, 10.0);
+    const double height = rng.Uniform(1.0, 10.0);
+    const double w = rng.Uniform(-0.75, 3.0);
+    pieces.push_back({x, x + width, y, y + height, w});
+  }
+  return pieces;
+}
+
+TEST(PlaneSweepGoldenTest, RealWeightsMaxTuplesAreBitExact) {
+  const std::vector<TupleBits> want = {
+    {0x0000000000000000, 0x3ff0000000000000, 0x4008000000000000, 0x3fda27a8636f2664},
+    {0x3fe0000000000000, 0x3ff8000000000000, 0x4008000000000000, 0x3ffba42d8db9886f},
+    {0x3ff0000000000000, 0x3ff8000000000000, 0x4008000000000000, 0x3ffba42d8db9886f},
+    {0x4004000000000000, 0x4004000000000000, 0x4008000000000000, 0x4005e5120b700340},
+    {0x4008000000000000, 0x4004000000000000, 0x400c000000000000, 0x4002a01cff021e74},
+    {0x4010000000000000, 0x4004000000000000, 0x4018000000000000, 0x3ff025f689267e12},
+    {0x4012000000000000, 0x4004000000000000, 0x4018000000000000, 0x400777a5d6c5ad61},
+    {0x4016000000000000, 0x4016000000000000, 0x4018000000000000, 0x400d99c1021ff3c2},
+    {0x4018000000000000, 0x4016000000000000, 0x4018000000000000, 0x4012179bb2857bfb},
+    {0x401c000000000000, 0x4014000000000000, 0x4018000000000000, 0x400e0d1c39b0b194},
+    {0x401e000000000000, 0x4014000000000000, 0x4018000000000000, 0x401980bf8d2379be},
+    {0x4020000000000000, 0x4004000000000000, 0x4008000000000000, 0x401376e63255debc},
+    {0x4024000000000000, 0x4004000000000000, 0x4008000000000000, 0x401376e63255debc},
+    {0x4025000000000000, 0x4004000000000000, 0x4008000000000000, 0x4004f462e09641e9},
+    {0x4026000000000000, 0x4004000000000000, 0x4008000000000000, 0x4004f462e09641e9},
+    {0x4027000000000000, 0x0000000000000000, 0x4000000000000000, 0x3ffaf2d6e72933ae},
+    {0x4029000000000000, 0x4026000000000000, 0x402e000000000000, 0x3ff7fefa29648220},
+    {0x402c000000000000, 0x4004000000000000, 0x4008000000000000, 0x3cc0000000000000},
+  };
+  EXPECT_EQ(ToBits(PlaneSweep(GridPieces(1, 12), Interval{0, 16},
+                              SweepObjective::kMaximize)),
+            want);
+}
+
+TEST(PlaneSweepGoldenTest, RealWeightsMinTuplesAreBitExact) {
+  const std::vector<TupleBits> want = {
+    {0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000},
+    {0x3fe0000000000000, 0x4025000000000000, 0x4029000000000000, 0xbfe058d9fd5dac30},
+    {0x3ff0000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000},
+    {0x4004000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000},
+    {0x4008000000000000, 0x0000000000000000, 0x3ff8000000000000, 0x0000000000000000},
+    {0x4010000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4012000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4016000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4018000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x401c000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x401e000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4020000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4024000000000000, 0x0000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4025000000000000, 0x4000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4026000000000000, 0x4000000000000000, 0x4004000000000000, 0x0000000000000000},
+    {0x4027000000000000, 0x4008000000000000, 0x4018000000000000, 0xbcc0000000000000},
+    {0x4029000000000000, 0x4008000000000000, 0x4018000000000000, 0xbcc0000000000000},
+    {0x402c000000000000, 0x4008000000000000, 0x4018000000000000, 0xbcc0000000000000},
+  };
+  EXPECT_EQ(ToBits(PlaneSweep(GridPieces(1, 12), Interval{0, 16},
+                              SweepObjective::kMinimize)),
+            want);
+}
+
+TEST(PlaneSweepGoldenTest, LargeRealWeightSweepsHashToPinnedBytes) {
+  const Interval all{-kInf, kInf};
+  const auto grid = GridPieces(7, 3000);
+  const auto scattered = ScatteredPieces(11, 2000);
+  struct Case {
+    const std::vector<PieceRecord>* pieces;
+    SweepObjective objective;
+    size_t size;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {&grid, SweepObjective::kMaximize, 32, 0x54cb189ab48358a9ULL},
+      {&grid, SweepObjective::kMinimize, 32, 0x37797edbda69f3acULL},
+      {&scattered, SweepObjective::kMaximize, 4000, 0xfa6a0d1d4975381bULL},
+      {&scattered, SweepObjective::kMinimize, 4000, 0xa01384559e8ed2c4ULL},
+  };
+  for (const Case& c : cases) {
+    const auto tuples = PlaneSweep(*c.pieces, all, c.objective);
+    EXPECT_EQ(tuples.size(), c.size);
+    EXPECT_EQ(TupleHash(tuples), c.hash);
+  }
 }
 
 // --- Oracle comparison sweeps -------------------------------------------

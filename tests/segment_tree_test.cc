@@ -20,9 +20,14 @@ class NaiveTree {
   }
 
   double Max() const { return *std::max_element(values_.begin(), values_.end()); }
+  double Min() const { return *std::min_element(values_.begin(), values_.end()); }
 
-  MaxRun MaxInterval() const {
-    const double m = Max();
+  MaxRun MaxInterval() const { return LeftmostRun(Max()); }
+  MaxRun MinInterval() const { return LeftmostRun(Min()); }
+
+ private:
+  /// The leftmost run of leaves equal to `m`, extended right while equal.
+  MaxRun LeftmostRun(double m) const {
     MaxRun run{m, 0, 0};
     for (size_t i = 0; i < values_.size(); ++i) {
       if (values_[i] == m) {
@@ -36,7 +41,6 @@ class NaiveTree {
     return run;
   }
 
- private:
   std::vector<double> values_;
 };
 
@@ -128,6 +132,43 @@ TEST_P(SegmentTreeRandomTest, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SegmentTreeRandomTest,
                          ::testing::Values(1, 2, 3, 7, 16, 33, 100, 257));
+
+// Differential against the per-leaf model on both objectives, with weights
+// drawn from a tiny dyadic set so sums stay exact and ties are everywhere:
+// many leaves share the extremum, and the runs must still be the leftmost
+// maximal ones the sweep reports.
+TEST(SegmentTreeDifferentialTest, ExtremaAndRunsMatchPerLeafModelUnderTies) {
+  const double kWeights[] = {-1.0, -0.5, 0.0, 0.5, 1.0, 2.0};
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const size_t n = 1 + rng.UniformU64(seed % 10 == 0 ? 1000 : 40);
+    SegmentTree tree(n);
+    NaiveTree naive(n);
+    for (int step = 0; step < 200; ++step) {
+      size_t a = rng.UniformU64(n);
+      size_t b = rng.UniformU64(n);
+      if (a > b) std::swap(a, b);
+      // Every fourth update spans the whole range, shifting all leaves and
+      // keeping long equal runs alive.
+      if (step % 4 == 0) a = 0, b = n - 1;
+      const double w = kWeights[rng.UniformU64(6)];
+      tree.RangeAdd(a, b, w);
+      naive.RangeAdd(a, b, w);
+      ASSERT_EQ(tree.Max(), naive.Max()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(tree.Min(), naive.Min()) << "seed " << seed << " step " << step;
+      const MaxRun got_max = tree.MaxInterval();
+      const MaxRun want_max = naive.MaxInterval();
+      ASSERT_EQ(got_max.value, want_max.value) << "seed " << seed;
+      ASSERT_EQ(got_max.first, want_max.first) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got_max.last, want_max.last) << "seed " << seed << " step " << step;
+      const MaxRun got_min = tree.MinInterval();
+      const MaxRun want_min = naive.MinInterval();
+      ASSERT_EQ(got_min.value, want_min.value) << "seed " << seed;
+      ASSERT_EQ(got_min.first, want_min.first) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got_min.last, want_min.last) << "seed " << seed << " step " << step;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace maxrs

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "io/temp_manager.h"
+#include "util/crc32c.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -93,6 +96,87 @@ TEST(TempManagerTest, UniqueNamesAndRelease) {
   temps.Release(name);
   EXPECT_FALSE(env->Exists(name));
   temps.Release(name);  // double release is harmless
+}
+
+// --- CRC32C -----------------------------------------------------------
+
+// RFC 3720 (iSCSI) Appendix B.4 test vectors, plus the standard check value.
+struct CrcVector {
+  std::vector<uint8_t> bytes;
+  uint32_t crc;
+};
+
+std::vector<CrcVector> KnownCrcVectors() {
+  std::vector<CrcVector> vectors;
+  vectors.push_back({std::vector<uint8_t>(32, 0x00), 0x8A9136AAu});
+  vectors.push_back({std::vector<uint8_t>(32, 0xFF), 0x62A8AB43u});
+  std::vector<uint8_t> ascending(32), descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  vectors.push_back({ascending, 0x46DD794Eu});
+  vectors.push_back({descending, 0x113FDB5Cu});
+  const char* check = "123456789";
+  vectors.push_back({std::vector<uint8_t>(check, check + 9), 0xE3069283u});
+  return vectors;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return bytes;
+}
+
+TEST(Crc32cTest, KnownAnswers) {
+  for (const CrcVector& v : KnownCrcVectors()) {
+    EXPECT_EQ(Crc32c(v.bytes.data(), v.bytes.size()), v.crc);
+    EXPECT_EQ(crc32c_internal::PortableExtend(0, v.bytes.data(), v.bytes.size()),
+              v.crc);
+  }
+}
+
+TEST(Crc32cTest, HardwareKnownAnswers) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 CRC32C instruction on this host";
+  }
+  for (const CrcVector& v : KnownCrcVectors()) {
+    EXPECT_EQ(crc32c_internal::HardwareExtend(0, v.bytes.data(), v.bytes.size()),
+              v.crc);
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndOffset) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 CRC32C instruction on this host";
+  }
+  const std::vector<uint8_t> bytes = RandomBytes(4096 + 8, 17);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      const uint8_t* p = bytes.data() + offset;
+      // A nonzero seed crc too, as Crc32cExtend continues earlier results.
+      for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(crc32c_internal::HardwareExtend(seed, p, n),
+                  crc32c_internal::PortableExtend(seed, p, n))
+            << "offset " << offset << " length " << n << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendEqualsWholeBufferAtEverySplit) {
+  const std::vector<uint8_t> bytes = RandomBytes(100, 23);
+  const uint32_t whole = Crc32c(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32c(bytes.data(), split);
+    EXPECT_EQ(Crc32cExtend(head, bytes.data() + split, bytes.size() - split),
+              whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace
