@@ -1,18 +1,23 @@
 // Google-benchmark CPU suite: CPU-level performance of the building
-// blocks (segment tree, plane sweep, CRC32C, record codec, external sort,
-// buffer pool, grid index). These are engineering benchmarks, not paper
-// figures; the paper's metric (block I/O) is covered by the bench_fig*
-// binaries.
+// blocks (segment tree, plane sweep, MergeSweep, CRC32C, record codec,
+// external sort, buffer pool, grid index). These are engineering
+// benchmarks, not paper figures; the paper's metric (block I/O) is covered
+// by the bench_fig* binaries.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "circle/grid_index.h"
+#include "core/division.h"
 #include "core/exact_maxrs.h"
+#include "core/merge_sweep.h"
 #include "core/plane_sweep.h"
 #include "core/segment_tree.h"
 #include "datagen/generators.h"
 #include "io/buffer_pool.h"
 #include "io/external_sort.h"
 #include "io/record_io.h"
+#include "io/temp_manager.h"
 #include "util/check.h"
 #include "util/crc32c.h"
 #include "util/rng.h"
@@ -67,6 +72,55 @@ void BM_PlaneSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaneSweep)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+// One division level of the one-shot shape (uniform objects in a 1e6
+// domain, 1000 x 1000 rectangles) cut into m = range(0) children, whose
+// slab-files come from in-memory sweeps; the timed loop merges them. The
+// object count is fixed, so m = 8 and m = 254 emit about the same number of
+// tuples and the rows differ mainly in the per-event cost of m children.
+void BM_MergeSweep(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  SyntheticOptions options;
+  options.cardinality = 50000;
+  options.domain_size = 1e6;
+  std::vector<PieceRecord> pieces;
+  std::vector<EdgeRecord> edges;
+  for (const auto& o : MakeUniform(options)) {
+    pieces.push_back(TransformObject(o, 1000, 1000));
+    edges.push_back({pieces.back().x_lo});
+    edges.push_back({pieces.back().x_hi});
+  }
+  std::sort(pieces.begin(), pieces.end(), PieceYLess);
+  std::sort(edges.begin(), edges.end(), EdgeXLess);
+  auto env = NewMemEnv(4096);
+  TempFileManager temps(*env, "bench");
+  MAXRS_CHECK_OK(WriteRecordFile(*env, "pieces", pieces));
+  MAXRS_CHECK_OK(WriteRecordFile(*env, "edges", edges));
+  auto division = DividePieces(temps, "pieces", "edges",
+                               Interval{-kInf, kInf}, m);
+  MAXRS_CHECK(division.ok() && division->children.size() == m);
+  std::vector<std::string> slab_files;
+  for (const ChildSlab& child : division->children) {
+    auto child_pieces = ReadRecordFile<PieceRecord>(*env, child.piece_file);
+    MAXRS_CHECK(child_pieces.ok());
+    slab_files.push_back("slab" + std::to_string(slab_files.size()));
+    MAXRS_CHECK_OK(WriteRecordFile(*env, slab_files.back(),
+                                   PlaneSweep(*child_pieces, child.x_range)));
+  }
+  for (auto _ : state) {
+    MAXRS_CHECK_OK(MergeSweep(*env, division->children, slab_files,
+                              division->span_file, "merged"));
+  }
+  auto merged = ReadRecordFile<SlabTuple>(*env, "merged");
+  MAXRS_CHECK(merged.ok());
+  benchmark::DoNotOptimize(merged->data());
+  state.counters["tuples"] = static_cast<double>(merged->size());
+  // Time per output tuple (an inverted rate prints as seconds).
+  state.counters["per_tuple"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * merged->size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MergeSweep)->Arg(8)->Arg(254)->Unit(benchmark::kMillisecond);
 
 void BM_Crc32c(benchmark::State& state) {
   std::vector<char> block(4096);

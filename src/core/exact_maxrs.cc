@@ -372,7 +372,8 @@ class Driver {
     // slab-files: each owns its own input files and writes its slab-file
     // into a distinct pre-sized slot, so solving them concurrently changes
     // nothing about the result. MergeSweep itself stays serial per node (it
-    // is one ordered sweep over all children).
+    // is one ordered sweep over all children: O(K/B) I/Os and O(K log m)
+    // CPU for K tuples).
     std::vector<std::string> child_slab_files(division.children.size());
     MAXRS_RETURN_IF_ERROR(ParallelFor(
         pool_, 0, division.children.size(), [&](size_t k) -> Status {

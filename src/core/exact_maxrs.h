@@ -59,7 +59,8 @@ struct MaxRSOptions {
   /// serial code path (no pool is created). With T > 1 threads the two
   /// up-front external sorts, the run formation / merge groups inside each
   /// sort, and the independent child sub-slabs of every recursion node
-  /// execute concurrently; MergeSweep stays serial per node. Results are
+  /// execute concurrently; MergeSweep stays serial per node (O(K/B) I/Os
+  /// and O(K log m) CPU for K tuples over m children). Results are
   /// bit-identical for any value, and the reported I/O counts at 1 thread
   /// match the serial engine exactly. Transient memory peaks at ~2 x T x
   /// memory_bytes during the up-front-sort phase (two concurrent sorts,

@@ -1,8 +1,9 @@
 #include "core/merge_sweep.h"
 
-#include <limits>
+#include <algorithm>
 #include <memory>
 
+#include "geom/geometry.h"
 #include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "util/check.h"
@@ -45,6 +46,49 @@ class PeekedReader {
   PrefetchingReader<T> reader_;
   T head_{};
   bool has_value_ = false;
+};
+
+/// Tournament (winner) tree over n keys: every inner node holds the larger
+/// of its two children, the left one on ties, so the top is the lowest index
+/// holding the largest key — exactly what a left-to-right scan with a strict
+/// `>` picks. A NaN key could never win such a scan and is stored as -inf;
+/// padding leaves hold -inf and sit right of every real leaf, so they never
+/// win. Setting k adjacent leaves and replaying them costs O(k + log n).
+class LeftmostMaxTree {
+ public:
+  explicit LeftmostMaxTree(size_t n) {
+    while (width_ < n) width_ <<= 1;
+    nodes_.assign(2 * width_, Node{-kInf, 0});
+  }
+
+  /// Sets leaf i; Replay() must cover it before the next top().
+  void Set(size_t i, double key) {
+    nodes_[width_ + i] = {key > -kInf ? key : -kInf, i};
+  }
+
+  /// Replays the matches above leaves [lo, hi].
+  void Replay(size_t lo, size_t hi) {
+    for (lo += width_, hi += width_; lo > 1;) {
+      lo >>= 1;
+      hi >>= 1;
+      for (size_t n = lo; n <= hi; ++n) {
+        const Node& l = nodes_[2 * n];
+        const Node& r = nodes_[2 * n + 1];
+        nodes_[n] = r.key > l.key ? r : l;
+      }
+    }
+  }
+
+  size_t top() const { return nodes_[1].index; }
+  double top_key() const { return nodes_[1].key; }
+
+ private:
+  struct Node {
+    double key;
+    size_t index;
+  };
+  size_t width_ = 1;
+  std::vector<Node> nodes_;
 };
 
 }  // namespace
@@ -100,52 +144,78 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
   std::vector<Interval> interval(m);
   for (size_t i = 0; i < m; ++i) interval[i] = child_ranges[i];
 
-  const double inf = std::numeric_limits<double>::infinity();
+  // Two tournaments make each event O(log m) plus the children it touches.
+  // `heads` keys child i by minus its head y (-inf once exhausted), so its
+  // top is the first child in index order at the lowest head y (-0.0 ties
+  // 0.0); a NaN head is never consumed, as it equals no event y.
+  // `best_child` keys child i by sign * eff[i], eff[i] = base[i] + up_sum[i],
+  // so its top is the first best child (negation is exact).
+  const double sign = objective == SweepObjective::kMaximize ? 1.0 : -1.0;
+  LeftmostMaxTree heads(m);
+  LeftmostMaxTree best_child(m);
+  auto load_head = [&](size_t i) {
+    const bool live = slabs[i] && slabs[i]->has_value();
+    heads.Set(i, live ? -slabs[i]->head().y : -kInf);
+  };
+  auto load_eff = [&](size_t i) {
+    best_child.Set(i, sign * (base[i] + up_sum[i]));
+  };
+  for (size_t i = 0; i < m; ++i) {
+    load_head(i);
+    load_eff(i);
+  }
+  heads.Replay(0, m - 1);
+  best_child.Replay(0, m - 1);
+
   while (true) {
     MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-    // Next event y across all inputs.
-    double y = inf;
-    for (const auto& s : slabs) {
-      if (s && s->has_value()) y = std::min(y, s->head().y);
-    }
+    // Next event y across all inputs: children first, then bottoms, tops.
+    double y = -heads.top_key();
     if (bottoms.has_value()) y = std::min(y, bottoms.head().y_lo);
     if (tops.has_value()) y = std::min(y, tops.head().y_hi);
-    if (y == inf) break;
+    if (y == kInf) break;
 
     // Apply all events at this h-line (lines 6-16). With half-open y-extents
     // additions and removals at equal y commute.
     while (tops.has_value() && tops.head().y_hi == y) {
       const SpanRecord& s = tops.head();
-      for (int32_t k = s.child_lo; k <= s.child_hi; ++k) up_sum[k] -= s.w;
+      MAXRS_CHECK(s.child_lo >= 0 && s.child_hi < static_cast<int32_t>(m));
+      for (int32_t k = s.child_lo; k <= s.child_hi; ++k) {
+        up_sum[k] -= s.w;
+        load_eff(k);
+      }
+      if (s.child_lo <= s.child_hi) best_child.Replay(s.child_lo, s.child_hi);
       MAXRS_RETURN_IF_ERROR(tops.Advance());
     }
     while (bottoms.has_value() && bottoms.head().y_lo == y) {
       const SpanRecord& s = bottoms.head();
       MAXRS_CHECK(s.child_lo >= 0 && s.child_hi < static_cast<int32_t>(m));
-      for (int32_t k = s.child_lo; k <= s.child_hi; ++k) up_sum[k] += s.w;
+      for (int32_t k = s.child_lo; k <= s.child_hi; ++k) {
+        up_sum[k] += s.w;
+        load_eff(k);
+      }
+      if (s.child_lo <= s.child_hi) best_child.Replay(s.child_lo, s.child_hi);
       MAXRS_RETURN_IF_ERROR(bottoms.Advance());
     }
-    for (size_t i = 0; i < m; ++i) {
-      while (slabs[i] && slabs[i]->has_value() && slabs[i]->head().y == y) {
-        base[i] = slabs[i]->head().sum;
-        interval[i] = {slabs[i]->head().x_lo, slabs[i]->head().x_hi};
-        MAXRS_RETURN_IF_ERROR(slabs[i]->Advance());
+    while (-heads.top_key() == y) {
+      const size_t i = heads.top();
+      PeekedReader<SlabTuple>& s = *slabs[i];
+      while (s.has_value() && s.head().y == y) {
+        base[i] = s.head().sum;
+        interval[i] = {s.head().x_lo, s.head().x_hi};
+        MAXRS_RETURN_IF_ERROR(s.Advance());
       }
+      load_head(i);
+      heads.Replay(i, i);
+      load_eff(i);
+      best_child.Replay(i, i);
     }
 
-    // GetMaxInterval (lines 17-18): pick the best eff[i]; extend across
-    // adjacent children whose tied max-intervals touch at the boundary.
-    // For the min objective "best" means smallest.
-    const bool maximize = objective == SweepObjective::kMaximize;
-    double best = maximize ? -inf : inf;
-    size_t best_i = 0;
-    for (size_t i = 0; i < m; ++i) {
-      const double eff = base[i] + up_sum[i];
-      if (maximize ? eff > best : eff < best) {
-        best = eff;
-        best_i = i;
-      }
-    }
+    // GetMaxInterval (lines 17-18): the best_child top is the best eff[i];
+    // extend across adjacent children whose tied max-intervals touch at the
+    // boundary. For the min objective "best" means smallest.
+    const double best = sign * best_child.top_key();
+    const size_t best_i = best_child.top();
     Interval merged = interval[best_i];
     for (size_t i = best_i + 1; i < m; ++i) {
       if (base[i] + up_sum[i] == best && interval[i].lo == merged.hi) {

@@ -9,6 +9,13 @@
 // max-intervals of adjacent children that touch at the boundary are merged
 // into one extended interval (GetMaxInterval).
 //
+// CPU cost is O(K log m) for K tuples over m children, plus one upSum update
+// per child a span covers: a tournament over the child heads yields each
+// next event y, and a second one over eff[i] yields the best child (ties to
+// the lower index, as a left-to-right scan with a strict comparison picks),
+// so an event touches only the children it updates plus O(log m)
+// tournament nodes.
+//
 // Spanning tops need no separate sort: pieces are never clipped in y, so all
 // spans share the original rectangle height d2 and the y_lo-sorted span file
 // is also y_hi-sorted — a second sequential reader delivers top events.

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "core/plane_sweep.h"
 #include "core/records.h"
 #include "io/env.h"
 #include "io/record_io.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace maxrs {
 namespace {
@@ -212,6 +218,216 @@ TEST_F(MergeSweepTest, EmptyEverything) {
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(merged->empty());
 }
+
+// --- Differential check against a linear-scan reference -----------------------
+
+/// Reference MergeSweep over in-memory inputs: every event rescans all m
+/// children for the next y and for the best eff[i] (strict comparison, so
+/// ties go to the lower index). MergeSweep must reproduce its output bit for
+/// bit. An empty `child_tuples[i]` stands for an empty or known-empty child.
+std::vector<SlabTuple> ReferenceMergeSweep(
+    const std::vector<Interval>& child_ranges,
+    const std::vector<std::vector<SlabTuple>>& child_tuples,
+    const std::vector<SpanRecord>& spans, SweepObjective objective) {
+  const size_t m = child_ranges.size();
+  std::vector<size_t> next(m, 0);
+  size_t bottom = 0, top = 0;
+  std::vector<double> base(m, 0.0);
+  std::vector<double> up_sum(m, 0.0);
+  std::vector<Interval> interval(child_ranges);
+  std::vector<SlabTuple> out;
+  const double inf = std::numeric_limits<double>::infinity();
+  while (true) {
+    double y = inf;
+    for (size_t i = 0; i < m; ++i) {
+      if (next[i] < child_tuples[i].size()) {
+        y = std::min(y, child_tuples[i][next[i]].y);
+      }
+    }
+    if (bottom < spans.size()) y = std::min(y, spans[bottom].y_lo);
+    if (top < spans.size()) y = std::min(y, spans[top].y_hi);
+    if (y == inf) break;
+
+    for (; top < spans.size() && spans[top].y_hi == y; ++top) {
+      const SpanRecord& s = spans[top];
+      for (int32_t k = s.child_lo; k <= s.child_hi; ++k) up_sum[k] -= s.w;
+    }
+    for (; bottom < spans.size() && spans[bottom].y_lo == y; ++bottom) {
+      const SpanRecord& s = spans[bottom];
+      for (int32_t k = s.child_lo; k <= s.child_hi; ++k) up_sum[k] += s.w;
+    }
+    for (size_t i = 0; i < m; ++i) {
+      const std::vector<SlabTuple>& tuples = child_tuples[i];
+      for (; next[i] < tuples.size() && tuples[next[i]].y == y; ++next[i]) {
+        base[i] = tuples[next[i]].sum;
+        interval[i] = {tuples[next[i]].x_lo, tuples[next[i]].x_hi};
+      }
+    }
+
+    const bool maximize = objective == SweepObjective::kMaximize;
+    double best = maximize ? -inf : inf;
+    size_t best_i = 0;
+    for (size_t i = 0; i < m; ++i) {
+      const double eff = base[i] + up_sum[i];
+      if (maximize ? eff > best : eff < best) {
+        best = eff;
+        best_i = i;
+      }
+    }
+    Interval merged = interval[best_i];
+    for (size_t i = best_i + 1; i < m; ++i) {
+      if (base[i] + up_sum[i] == best && interval[i].lo == merged.hi) {
+        merged.hi = interval[i].hi;
+      } else {
+        break;
+      }
+    }
+    out.push_back(SlabTuple{y, merged.lo, merged.hi, best});
+  }
+  return out;
+}
+
+/// Reads every block of `name`, framing included.
+std::vector<char> FileBytes(Env& env, const std::string& name) {
+  auto file = env.Open(name);
+  EXPECT_TRUE(file.ok());
+  if (!file.ok()) return {};
+  BlockFile& f = **file;
+  std::vector<char> bytes(f.NumBlocks() * f.block_size());
+  for (uint64_t b = 0; b < f.NumBlocks(); ++b) {
+    EXPECT_TRUE(f.ReadBlock(b, bytes.data() + b * f.block_size()).ok());
+  }
+  return bytes;
+}
+
+struct DifferentialCase {
+  size_t m;
+  SweepObjective objective;
+};
+
+void PrintTo(const DifferentialCase& c, std::ostream* os) {
+  *os << "m=" << c.m
+      << (c.objective == SweepObjective::kMaximize ? " max" : " min");
+}
+
+class MergeSweepDifferentialTest
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+// Random child slab-files and spans drawn from small value pools, so event
+// ys collide across inputs (-0.0 and 0.0 included), effective sums tie on
+// adjacent children whose intervals touch (the tie-extension walk), and
+// sums mix non-integer, negative, signed-zero and (in a few seeds) infinite
+// values, with NaN ys closing some child files in those seeds. Some children are known-empty (""), some have an empty slab-file,
+// and some cases have an empty span file. The output file must match the
+// reference byte for byte.
+TEST_P(MergeSweepDifferentialTest, ByteIdenticalToLinearScan) {
+  const size_t m = GetParam().m;
+  const SweepObjective objective = GetParam().objective;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double ys[] = {-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0};
+  // The trailing infinities (drawn from seed 21 on) make some eff[i] NaN.
+  const double sums[] = {0.0, -0.0, 0.1, 0.2, 0.3, -0.7, 1.0, 2.5, inf, -inf};
+  const double weights[] = {0.1, 0.2, -0.3, 0.5, 1.0, -0.0, 0.0, inf, -inf};
+  const double height = 2.0;  // every span shares it, as pieces do
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    auto env = NewMemEnv(512);
+    Rng rng(seed * 1000 + m);
+    const size_t finite = seed <= 20 ? 2 : 0;
+    auto pick = [&rng](const auto& pool, size_t skip_tail = 0) {
+      return pool[rng.UniformU64(std::size(pool) - skip_tail)];
+    };
+
+    std::vector<Interval> ranges(m);
+    for (size_t i = 0; i < m; ++i) {
+      ranges[i] = {10.0 * static_cast<double>(i),
+                   10.0 * static_cast<double>(i + 1)};
+    }
+    std::vector<std::string> names(m);
+    std::vector<std::vector<SlabTuple>> tuples(m);
+    for (size_t i = 0; i < m; ++i) {
+      const uint64_t kind = rng.UniformU64(8);
+      if (kind == 0) continue;  // known-empty: "" and no file
+      names[i] = "s" + std::to_string(i);
+      if (kind != 1) {  // kind 1: an existing empty slab-file
+        std::vector<double> child_ys;
+        for (uint64_t k = rng.UniformU64(6); k > 0; --k) {
+          child_ys.push_back(pick(ys));
+        }
+        std::stable_sort(child_ys.begin(), child_ys.end());
+        for (double y : child_ys) {
+          // Mostly the whole child range, so neighbours touch; otherwise a
+          // strict inner interval.
+          Interval x = ranges[i];
+          if (rng.UniformU64(3) == 0) x = {x.lo + 1.0, x.hi - 2.5};
+          tuples[i].push_back(SlabTuple{y, x.lo, x.hi, pick(sums, finite)});
+        }
+        // A NaN y never equals an event y: the child stalls on it for good.
+        if (finite == 0 && rng.UniformU64(4) == 0) {
+          tuples[i].push_back(SlabTuple{std::nan(""), ranges[i].lo,
+                                        ranges[i].hi, 1.0});
+        }
+      }
+      ASSERT_TRUE(WriteRecordFile(*env, names[i], tuples[i]).ok());
+    }
+
+    std::vector<SpanRecord> spans;
+    if (seed % 5 != 0) {
+      for (uint64_t k = rng.UniformU64(4 * m + 4); k > 0; --k) {
+        const int32_t lo = static_cast<int32_t>(rng.UniformU64(m));
+        const int32_t hi =
+            lo + static_cast<int32_t>(rng.UniformU64(m - lo));
+        const double y_lo = pick(ys);
+        spans.push_back({y_lo, y_lo + height, pick(weights, finite), lo, hi});
+      }
+      std::stable_sort(spans.begin(), spans.end(),
+                       [](const SpanRecord& a, const SpanRecord& b) {
+                         return a.y_lo < b.y_lo;
+                       });
+    }
+    ASSERT_TRUE(WriteRecordFile(*env, "spans", spans).ok());
+
+    ASSERT_TRUE(
+        MergeSweep(*env, ranges, names, "spans", "out", objective).ok());
+    const std::vector<SlabTuple> expected =
+        ReferenceMergeSweep(ranges, tuples, spans, objective);
+    ASSERT_TRUE(WriteRecordFile(*env, "expected", expected).ok());
+
+    auto got = ReadRecordFile<SlabTuple>(*env, "out");
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), expected.size()) << "seed=" << seed;
+    for (size_t t = 0; t < expected.size(); ++t) {
+      ASSERT_EQ(std::memcmp(&(*got)[t], &expected[t], sizeof(SlabTuple)), 0)
+          << "seed=" << seed << " tuple " << t << ": got (" << (*got)[t].y
+          << ", [" << (*got)[t].x_lo << ", " << (*got)[t].x_hi << "), "
+          << (*got)[t].sum << ") want (" << expected[t].y << ", ["
+          << expected[t].x_lo << ", " << expected[t].x_hi << "), "
+          << expected[t].sum << ")";
+    }
+    ASSERT_EQ(FileBytes(*env, "out"), FileBytes(*env, "expected"))
+        << "seed=" << seed;
+  }
+}
+
+std::string CaseName(const ::testing::TestParamInfo<DifferentialCase>& info) {
+  return "m" + std::to_string(info.param.m) +
+         (info.param.objective == SweepObjective::kMaximize ? "Max" : "Min");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fanouts, MergeSweepDifferentialTest,
+    ::testing::Values(DifferentialCase{1, SweepObjective::kMaximize},
+                      DifferentialCase{2, SweepObjective::kMaximize},
+                      DifferentialCase{3, SweepObjective::kMaximize},
+                      DifferentialCase{8, SweepObjective::kMaximize},
+                      DifferentialCase{64, SweepObjective::kMaximize},
+                      DifferentialCase{254, SweepObjective::kMaximize},
+                      DifferentialCase{1, SweepObjective::kMinimize},
+                      DifferentialCase{2, SweepObjective::kMinimize},
+                      DifferentialCase{3, SweepObjective::kMinimize},
+                      DifferentialCase{8, SweepObjective::kMinimize},
+                      DifferentialCase{64, SweepObjective::kMinimize},
+                      DifferentialCase{254, SweepObjective::kMinimize}),
+    CaseName);
 
 }  // namespace
 }  // namespace maxrs

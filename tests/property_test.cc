@@ -149,6 +149,10 @@ TEST_P(DivideMergeRoundTripTest, ComposingChildrenReproducesGlobalSweep) {
     auto division =
         DividePieces(temps, "pieces", "edges", Interval{-kInf, kInf}, fanout);
     ASSERT_TRUE(division.ok()) << division.status().ToString();
+    // The large fanout must really merge many children (the one-shot root
+    // merges hundreds), not collapse to a few for lack of distinct edges.
+    ASSERT_GE(division->children.size(), std::min<size_t>(fanout, 32))
+        << "fanout=" << fanout << " seed=" << seed;
 
     // Child slab-files by in-memory sweep, merged by MergeSweep.
     std::vector<std::string> child_files;
@@ -195,7 +199,7 @@ TEST_P(DivideMergeRoundTripTest, ComposingChildrenReproducesGlobalSweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, DivideMergeRoundTripTest,
-                         ::testing::Values(2, 3, 5, 9));
+                         ::testing::Values(2, 3, 5, 9, 64));
 
 // --- Record IO / sort across block sizes --------------------------------------
 
