@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
           "usage: maxrs_server_cli --input=points.csv --queries=WxH[,WxH...]\n"
           "       maxrs_server_cli --demo [--n=100000]\n"
           "flags: --workers=K --shards=S --repeat=R --cache=E --memory-kb=M\n"
-          "       --mode=per-shard|global-merge --read_ahead\n"
+          "       --read_ahead\n"
           "       --no_pruning (disable aggregate-index shard skipping)\n"
           "       --pool-kb=N (shared buffer pool over the dataset files;\n"
           "                    0 = off)\n"
@@ -177,13 +177,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("cache", 16));
   server_options.deadline_ms =
       static_cast<int64_t>(flags.GetInt("deadline_ms", 0));
-  const std::string mode = flags.GetString("mode", "per-shard");
-  if (mode == "global-merge") {
-    server_options.solve_mode = ServeSolveMode::kGlobalMerge;
-  } else if (mode != "per-shard") {
-    std::fprintf(stderr, "bad --mode; expected per-shard or global-merge\n");
-    return 2;
-  }
   if (flags.GetBool("no_pruning", false)) {
     server_options.pruning_mode = ServePruningMode::kOff;
   }

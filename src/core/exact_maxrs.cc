@@ -411,8 +411,8 @@ class Driver {
   uint64_t base_max_ = 2;
 };
 
-// The back half of the pipeline, shared by VisitRootTuples and
-// VisitPreparedTuples: division + merge-sweep from sorted inputs on `pool`,
+// The back half of VisitRootTuples: division + merge-sweep from sorted
+// inputs on `pool`,
 // then one streaming scan of the root slab-file. Consumes (deletes) the two
 // input files of `input`.
 Status SolvePreparedOnPool(Env& env, const PreparedInput& input,
@@ -680,75 +680,7 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   return SolvePreparedOnPool(env, prepared, options, stats, pool.get(), visit);
 }
 
-Status VisitPreparedTuples(Env& env, const PreparedInput& input,
-                           const MaxRSOptions& options, MaxRSStats* stats,
-                           const std::function<void(const SlabTuple&)>& visit) {
-  MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
-  if (options.objective == SweepObjective::kMinimize) {
-    // The min objective needs the bounding-box restriction and piece
-    // clipping that only the object-level pipeline performs (see
-    // VisitRootTuples); an unbounded prepared run would return the
-    // trivial minimum 0 in empty space.
-    return Status::NotSupported(
-        "prepared inputs support the maximize objective only; use "
-        "RunMinRS / RunExactMaxRS for the min objective");
-  }
-  {
-    // One header read closes a silent footgun: num_pieces defaults to 0,
-    // and a wrong count would route any dataset into the in-memory base
-    // case (reading the whole file into RAM) without complaint.
-    MAXRS_ASSIGN_OR_RETURN(
-        RecordReader<PieceRecord> probe,
-        RecordReader<PieceRecord>::Make(env, input.piece_file));
-    if (probe.total() != input.num_pieces) {
-      return Status::InvalidArgument(
-          "PreparedInput::num_pieces (" + std::to_string(input.num_pieces) +
-          ") does not match the piece file's record count (" +
-          std::to_string(probe.total()) + ")");
-    }
-  }
-  stats->input_objects = input.num_pieces;
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  return SolvePreparedOnPool(env, input, options, stats, pool.get(), visit);
-}
-
 }  // namespace core_internal
-
-namespace {
-
-// Shared tail of the two external entry points: run `produce` (one of the
-// Visit*Tuples pipelines), extract the best region from its tuple stream,
-// and stamp I/O and wall-clock statistics.
-Result<MaxRSResult> ExtractTimedResult(
-    Env& env,
-    const std::function<Status(
-        MaxRSStats*, const std::function<void(const SlabTuple&)>&)>& produce) {
-  Stopwatch timer;
-  const IoStatsSnapshot io_before = env.stats().Snapshot();
-  MaxRSStats stats;
-  core_internal::TopTupleTracker tracker(1);
-  MAXRS_RETURN_IF_ERROR(produce(
-      &stats, [&tracker](const SlabTuple& t) { tracker.Visit(t); }));
-
-  MaxRSResult result;
-  auto best = tracker.Finish();
-  if (best.empty()) {
-    result.region = Rect{-kInf, kInf, -kInf, kInf};
-  } else {
-    result.location = best[0].location;
-    result.total_weight = best[0].total_weight;
-    result.region = best[0].region;
-  }
-  stats.io = env.stats().Snapshot() - io_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  return {std::move(result)};
-}
-
-}  // namespace
 
 MaxRSResult ExactMaxRSInMemory(const std::vector<SpatialObject>& objects,
                                double rect_width, double rect_height) {
@@ -767,22 +699,27 @@ MaxRSResult ExactMaxRSInMemory(const std::vector<SpatialObject>& objects,
 
 Result<MaxRSResult> RunExactMaxRS(Env& env, const std::string& object_file,
                                   const MaxRSOptions& options) {
-  return ExtractTimedResult(
-      env, [&](MaxRSStats* stats,
-               const std::function<void(const SlabTuple&)>& visit) {
-        return core_internal::VisitRootTuples(env, object_file, options, stats,
-                                              visit);
-      });
-}
+  Stopwatch timer;
+  const IoStatsSnapshot io_before = env.stats().Snapshot();
+  MaxRSStats stats;
+  core_internal::TopTupleTracker tracker(1);
+  MAXRS_RETURN_IF_ERROR(core_internal::VisitRootTuples(
+      env, object_file, options, &stats,
+      [&tracker](const SlabTuple& t) { tracker.Visit(t); }));
 
-Result<MaxRSResult> RunExactMaxRSPrepared(Env& env, const PreparedInput& input,
-                                          const MaxRSOptions& options) {
-  return ExtractTimedResult(
-      env, [&](MaxRSStats* stats,
-               const std::function<void(const SlabTuple&)>& visit) {
-        return core_internal::VisitPreparedTuples(env, input, options, stats,
-                                                  visit);
-      });
+  MaxRSResult result;
+  auto best = tracker.Finish();
+  if (best.empty()) {
+    result.region = Rect{-kInf, kInf, -kInf, kInf};
+  } else {
+    result.location = best[0].location;
+    result.total_weight = best[0].total_weight;
+    result.region = best[0].region;
+  }
+  stats.io = env.stats().Snapshot() - io_before;
+  stats.wall_seconds = timer.ElapsedSeconds();
+  result.stats = stats;
+  return {std::move(result)};
 }
 
 Result<MaxRSResult> RunExactMaxRS(Env& env,

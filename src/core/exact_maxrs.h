@@ -151,10 +151,9 @@ struct MaxRSResult {
 
 /// A dataset transformed and sorted for one (rect_width, rect_height): the
 /// two inputs of the division phase, i.e. everything that survives the sort
-/// phase of Algorithm 2. Produced internally by RunExactMaxRS, or assembled
-/// without any sorting by the serve layer (serve/dataset_handle.h), which
-/// keeps the dataset pre-sorted per x-slab shard and derives both files per
-/// query with linear passes — the basis of per-query sort reuse.
+/// phase of Algorithm 2, as produced internally by RunExactMaxRS. (The
+/// serve layer never builds one: it keeps the dataset pre-sorted per x-slab
+/// shard and streams each query's pieces straight into SolveSlabStream.)
 struct PreparedInput {
   /// PieceRecords sorted by PieceYLess (the y pre-sort of Theorem 2).
   std::string piece_file;
@@ -179,18 +178,6 @@ Status ValidateMaxRSOptions(const MaxRSOptions& options, size_t block_size);
 Result<MaxRSResult> RunExactMaxRS(Env& env, const std::string& object_file,
                                   const MaxRSOptions& options);
 
-/// Runs the division + merge-sweep phases of ExactMaxRS on an
-/// already-prepared input, skipping the transform and the two external
-/// sorts. Consumes (deletes) both input files once solving starts,
-/// mirroring the scratch-file lifecycle of the internal pipeline; if
-/// validation rejects the input (InvalidArgument — bad options or a
-/// num_pieces that contradicts the piece file) the files are left intact
-/// so the caller can correct and retry. `options.rect_width/rect_height`
-/// must match the dimensions `input` was transformed with — they are not
-/// re-applied, only validated and reported.
-Result<MaxRSResult> RunExactMaxRSPrepared(Env& env, const PreparedInput& input,
-                                          const MaxRSOptions& options);
-
 /// Convenience wrapper: stages `objects` into a scratch file in `env`, runs
 /// the external algorithm, and cleans up.
 Result<MaxRSResult> RunExactMaxRS(Env& env,
@@ -213,9 +200,9 @@ struct RankedRegion {
 
 namespace core_internal {
 
-/// The recursive solver of one slab, exposed for callers that assemble the
-/// division tree themselves (the serve layer's per-shard solve, where the
-/// x-slab shards form the top-level division): runs division + merge-sweep
+/// The recursive solver of one slab over a piece file — the one-shot
+/// pipeline's root solve, and the file-based twin of SolveSlabStream (which
+/// the serve layer's per-shard solves use): runs division + merge-sweep
 /// on `input` confined to `input.x_range` and returns the name of the
 /// resulting slab-file — the SlabTuple stream of the slab — registered
 /// under `temps` (the caller releases it). Consumes (deletes) both input
@@ -225,7 +212,8 @@ namespace core_internal {
 /// A non-null `best_out` receives the maximum tuple sum of the returned
 /// slab-file — the best weight achievable inside the slab — computed while
 /// the file is written, never by a counted re-scan. The serve layer's
-/// index-pruned execution feeds it back as the branch-and-bound incumbent.
+/// index-pruned execution (via SolveSlabStream) feeds it back as the
+/// branch-and-bound incumbent.
 Result<std::string> SolveSlab(Env& env, TempFileManager& temps,
                               const PreparedInput& input,
                               const MaxRSOptions& options, MaxRSStats* stats,
@@ -265,13 +253,6 @@ Result<std::string> SolveSlabStream(Env& env, TempFileManager& temps,
 Status VisitRootTuples(Env& env, const std::string& object_file,
                        const MaxRSOptions& options, MaxRSStats* stats,
                        const std::function<void(const SlabTuple&)>& visit);
-
-/// Prepared-input counterpart of VisitRootTuples: streams the root tuples of
-/// the division + merge-sweep phases run on `input` (see PreparedInput).
-/// Consumes both input files.
-Status VisitPreparedTuples(Env& env, const PreparedInput& input,
-                           const MaxRSOptions& options, MaxRSStats* stats,
-                           const std::function<void(const SlabTuple&)>& visit);
 
 /// Streaming tracker of the k best strata (by sum). Feed tuples in y order
 /// via Visit(); Finish() returns regions sorted by descending weight.

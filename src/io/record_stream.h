@@ -218,9 +218,7 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
         cap_(memory_cap_bytes),
         per_segment_(std::max<size_t>(1, env.block_size() / sizeof(T))),
         write_behind_(write_behind),
-        executor_(executor) {
-    fill_.reserve(per_segment_);
-  }
+        executor_(executor) {}
 
   /// Deletes the spill file if one was created. Any enqueued in-flight
   /// records are simply dropped — destroying an undrained channel is legal.
@@ -237,6 +235,9 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
 
   Status Append(const T& record) override {
     MAXRS_DCHECK(!producer_closed_);
+    // The segment buffer is reserved on first use, not at construction: a
+    // query builds O(S^2) channels and most of them never see a record.
+    if (fill_.capacity() == 0) fill_.reserve(per_segment_);
     fill_.push_back(record);
     if (fill_.size() == per_segment_) return EmitSegment();
     return Status::OK();
@@ -313,7 +314,6 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
     }
     cv_.notify_all();
     fill_ = std::vector<T>();
-    fill_.reserve(per_segment_);
     return Status::OK();
   }
 

@@ -137,15 +137,6 @@ Result<Command> ParseCommand(const std::string& line) {
       } else {
         return Invalid("pruning must be auto|off, got '" + value + "'");
       }
-    } else if (key == "routing") {
-      if (value == "streaming") {
-        command.spec.routing = ServeRoutingMode::kStreaming;
-      } else if (value == "materialized") {
-        command.spec.routing = ServeRoutingMode::kMaterialized;
-      } else {
-        return Invalid("routing must be streaming|materialized, got '" +
-                       value + "'");
-      }
     } else {
       return Invalid("unknown option '" + key + "'");
     }

@@ -3,7 +3,6 @@
 // '\n'-terminated response line per command, strictly in command order).
 //
 //   MAXRS <w> <h> [deadline_ms=N] [pruning=auto|off]
-//                 [routing=streaming|materialized]
 //       -> OK <x> <y> <weight> <served_from> <batch_size>
 //   STATS -> STATS k=v k=v ...      (ServerCounters + aggregate IoStats)
 //   PING  -> PONG

@@ -3,17 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <thread>
 
-#include <condition_variable>
-
 #include "core/division.h"
 #include "core/merge_sweep.h"
 #include "core/records.h"
-#include "io/external_sort.h"
 #include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/record_stream.h"
@@ -24,109 +23,37 @@ namespace maxrs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Global-merge mode (ServeSolveMode::kGlobalMerge): derive per-shard sorted
-// streams, k-way-merge them into one global prepared input, divide from the
-// top. This is the PR-3 path, kept because it reproduces the one-shot
-// division tree bit-for-bit even for non-integer weights.
+// Shared-scan execution: the x-slab shards are the top-level division, and
+// the k >= 1 queries of one batch execute off ONE routing pass per source
+// shard. The y-file scan computes all k transforms per object and routes
+// each clipped piece to the (at most two) partially covered shards, plus
+// one SpanRecord for the fully covered shards between; the x-file scan
+// emits all k queries' left (x - w/2) and right (x + w/2) edges, routed by
+// value. Every routed record travels through a RecordChannel
+// (io/record_stream.h), and each target solve (core_internal::
+// SolveSlabStream) starts the moment the piece channels of its column have
+// their first heads — while the routing passes are still running. One
+// cross-shard MergeSweep per query combines the shard slab-files.
+//
+// Per query the record streams a target consumer merges are fixed by the
+// data and the rect alone: piece rows are filtered subsequences of the
+// y-sorted scan under the query's monotone transform, and the two edge
+// half-rows are each monotone shifts of the x-sorted scan — their 2S-way
+// EdgeXLess merge is the same x-sorted edge stream whatever the batch,
+// because EdgeRecord is a single double under a total order (cmp-equal =>
+// byte-equal, and min-of-heads merging is associative). So every query's
+// answer is independent of its batch-mates; only the scan I/O is paid once
+// and reported per query as an amortized equal share (docs/IO_MODEL.md,
+// "Batched shared scans").
+//
+// Liveness protocol (record_stream.h, "Threading"): channel producers never
+// block and are submitted to the FIFO pool BEFORE every consumer, so a
+// parked consumer always has running producers destined to close its
+// channels. Producers are raw pool submissions joined by a latch, NOT
+// TaskGroup tasks: a group no-ops queued tasks after its first error, and a
+// no-op'd producer would never close its channels, hanging every consumer
+// already running.
 // ---------------------------------------------------------------------------
-
-// Emits the transformed piece stream of one shard: a linear pass over the
-// shard's ObjectYLess-sorted objects. The output is PieceYLess-sorted by
-// construction on all but pathological inputs — y -> y - h/2 and
-// x -> x -/+ w/2 are monotone, so the object order IS the piece order
-// (dataset_handle.h, header comment). The one exception: objects whose
-// coordinates differ by less than one ulp *of the shifted value* collapse
-// onto equal piece keys, which can reorder the PieceYLess tie-break
-// fields. `*canonical` reports whether the emitted stream is verifiably
-// PieceYLess-sorted; when false the caller restores the canonical order
-// with a real sort (correctness over speed on degenerate data).
-Status TransformShardPieces(Env& env, const ShardInfo& shard, double width,
-                            double height, const std::string& out,
-                            bool* canonical, bool read_ahead,
-                            const CancelToken* cancel) {
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, shard.y_file, read_ahead));
-  MAXRS_ASSIGN_OR_RETURN(RecordWriter<PieceRecord> writer,
-                         RecordWriter<PieceRecord>::Make(env, out));
-  *canonical = true;
-  PieceRecord prev{};
-  bool have_prev = false;
-  SpatialObject o{};
-  while (reader.Next(&o)) {
-    MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-    const PieceRecord piece = TransformObject(o, width, height);
-    if (have_prev && PieceYLess(piece, prev)) *canonical = false;
-    prev = piece;
-    have_prev = true;
-    MAXRS_RETURN_IF_ERROR(writer.Append(piece));
-  }
-  MAXRS_RETURN_IF_ERROR(reader.final_status());
-  return writer.Finish();
-}
-
-// Emits the sorted vertical-edge stream of one shard for rectangle width
-// `width`: a 2-way merge of the shard's ObjectXLess-sorted objects shifted
-// by -w/2 (left edges) and +w/2 (right edges). Both shifted streams are
-// individually sorted (the shift is monotone), so one merge pass replaces
-// the per-query edge sort of the one-shot pipeline. Unlike pieces, no
-// canonical-order fallback is needed: EdgeRecord has a single field, so
-// colliding values are byte-identical and every merge order yields the
-// same file.
-Status BuildShardEdges(Env& env, const ShardInfo& shard, double width,
-                       const std::string& out, bool read_ahead,
-                       const CancelToken* cancel) {
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> left,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, shard.x_file, read_ahead));
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> right,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, shard.x_file, read_ahead));
-  MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
-                         RecordWriter<EdgeRecord>::Make(env, out));
-  const double half_w = width / 2.0;
-  SpatialObject lo{}, hi{};
-  bool have_lo = left.Next(&lo);
-  bool have_hi = right.Next(&hi);
-  while (have_lo || have_hi) {
-    MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-    bool take_lo = have_lo;
-    if (have_lo && have_hi) {
-      take_lo = DoubleOrderKey(lo.x - half_w) <= DoubleOrderKey(hi.x + half_w);
-    }
-    if (take_lo) {
-      MAXRS_RETURN_IF_ERROR(writer.Append(EdgeRecord{lo.x - half_w}));
-      have_lo = left.Next(&lo);
-    } else {
-      MAXRS_RETURN_IF_ERROR(writer.Append(EdgeRecord{hi.x + half_w}));
-      have_hi = right.Next(&hi);
-    }
-  }
-  MAXRS_RETURN_IF_ERROR(left.final_status());
-  MAXRS_RETURN_IF_ERROR(right.final_status());
-  return writer.Finish();
-}
-
-// ---------------------------------------------------------------------------
-// Per-shard mode (ServeSolveMode::kPerShard): the x-slab shards are the
-// top-level division. One routing pass per source shard scatters clipped
-// pieces / edges / spans to target shards; each target shard merges its
-// (typically 2-3) incoming streams and solves independently; one
-// cross-shard MergeSweep combines the shard slab-files. The global k-way
-// piece merge and the root division pass never run.
-// ---------------------------------------------------------------------------
-
-// Fan-in of every per-query k-way merge (piece parts, edge parts, span
-// parts, and the global-merge mode's stream merge): the external sort's
-// M/B - 1 input-block budget, floored at 2. Guards the subtraction —
-// blocks can be 0 for a sub-block budget (ValidateOptions rejects such
-// budgets later, but the fan-in must not wrap to SIZE_MAX meanwhile). One
-// definition keeps all merge sites on the same policy; diverging fan-ins
-// would break the bit-identity-across-modes contract.
-size_t QueryMergeFanIn(size_t memory_bytes, size_t block_size) {
-  const size_t blocks = memory_bytes / block_size;
-  return std::max<size_t>(2, blocks > 1 ? blocks - 1 : 1);
-}
 
 // Index of the shard whose half-open x-range contains `v`. `bounds` holds
 // the S-1 interior shard boundaries; callers clamp into the last shard for
@@ -137,258 +64,7 @@ size_t ShardOf(const std::vector<double>& bounds, double v) {
       std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
 }
 
-// Lazily-opened per-target record writers of one routing pass: target t's
-// part file is created the moment the first record routes there, so a
-// source shard touching three targets pays for three files, not one per
-// shard in the dataset.
-template <typename T>
-class TargetWriters {
- public:
-  TargetWriters(Env& env, TempFileManager& temps, std::string tag,
-                size_t num_targets)
-      : env_(env),
-        temps_(temps),
-        tag_(std::move(tag)),
-        writers_(num_targets),
-        names_(num_targets),
-        counts_(num_targets, 0) {}
-
-  Status Append(size_t target, const T& record) {
-    if (!writers_[target].has_value()) {
-      names_[target] = temps_.NewName(tag_ + "_" + std::to_string(target));
-      MAXRS_ASSIGN_OR_RETURN(RecordWriter<T> writer,
-                             RecordWriter<T>::Make(env_, names_[target]));
-      writers_[target] = std::move(writer);
-    }
-    ++counts_[target];
-    return writers_[target]->Append(record);
-  }
-
-  Status FinishAll() {
-    for (std::optional<RecordWriter<T>>& writer : writers_) {
-      if (writer.has_value()) MAXRS_RETURN_IF_ERROR(writer->Finish());
-    }
-    return Status::OK();
-  }
-
-  // Per-target part file names; empty string where nothing was routed.
-  std::vector<std::string>& names() { return names_; }
-  std::vector<uint64_t>& counts() { return counts_; }
-
- private:
-  Env& env_;
-  TempFileManager& temps_;
-  std::string tag_;
-  std::vector<std::optional<RecordWriter<T>>> writers_;
-  std::vector<std::string> names_;
-  std::vector<uint64_t> counts_;
-};
-
-// Routing output of one source shard for one query. Every stream inherits
-// sortedness from its source: piece parts are y_lo-ordered (subsequences of
-// the y-sorted object stream under a monotone transform), edge parts are
-// x-ordered, the span part is y_lo-ordered.
-struct RoutedSource {
-  std::vector<std::string> piece_parts;  // per target; "" when none routed
-  std::vector<uint64_t> piece_counts;
-  std::vector<std::string> edge_parts;   // per target; "" when none routed
-  std::string span_part;                 // "" when the source spans nothing
-  uint64_t span_count = 0;
-};
-
-// Phase A of the per-shard path: routes source shard `source`'s streams to
-// target shards. Pieces follow division.cc pass-3 semantics with the shard
-// grid as the cut: a piece covering shards [i, j] contributes a clipped
-// part to i (unless it starts exactly on i's lower bound) and to j (unless
-// it ends exactly on j's upper bound), and one SpanRecord for the fully
-// covered shards between. Edges route by value. Two linear passes (one
-// over the y-file, one 2-way self-merge over the x-file) — no sorting.
-Status RouteSourceShard(Env& env, TempFileManager& temps,
-                        const std::vector<ShardInfo>& shards,
-                        const std::vector<double>& bounds, size_t source,
-                        double width, double height, bool read_ahead,
-                        const CancelToken* cancel, RoutedSource* out) {
-  const size_t num_shards = shards.size();
-  const std::string source_tag = std::to_string(source);
-
-  // Pieces + spans: one pass over the shard's ObjectYLess-sorted objects.
-  {
-    TargetWriters<PieceRecord> pieces(env, temps, "q_p" + source_tag,
-                                      num_shards);
-    std::optional<RecordWriter<SpanRecord>> spans;
-    auto append_span = [&](const SpanRecord& span) -> Status {
-      if (!spans.has_value()) {
-        out->span_part = temps.NewName("q_s" + source_tag);
-        MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> writer,
-                               RecordWriter<SpanRecord>::Make(env,
-                                                              out->span_part));
-        spans = std::move(writer);
-      }
-      ++out->span_count;
-      return spans->Append(span);
-    };
-
-    // The clipping rule is division.cc pass 3 with the shard grid as the
-    // cut — shared via division_internal::RoutePiece so the recursion, this
-    // pass, and the streaming routing pass can never diverge.
-    std::vector<Interval> ranges;
-    ranges.reserve(num_shards);
-    for (const ShardInfo& shard : shards) ranges.push_back(shard.x_range);
-    auto emit_piece = [&](size_t target, const PieceRecord& piece) {
-      return pieces.Append(target, piece);
-    };
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].y_file, read_ahead));
-    SpatialObject o{};
-    while (reader.Next(&o)) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-      const PieceRecord p = TransformObject(o, width, height);
-      MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
-          bounds, ranges, p, emit_piece, append_span));
-    }
-    MAXRS_RETURN_IF_ERROR(reader.final_status());
-    MAXRS_RETURN_IF_ERROR(pieces.FinishAll());
-    if (spans.has_value()) MAXRS_RETURN_IF_ERROR(spans->Finish());
-    out->piece_parts = std::move(pieces.names());
-    out->piece_counts = std::move(pieces.counts());
-  }
-
-  // Edges: the BuildShardEdges 2-way self-merge, with each emitted value
-  // routed to the shard containing it instead of one output file. Edges of
-  // this shard's objects can land in any shard (a rect half-width shifts
-  // them arbitrarily far), and each target's stream stays x-sorted because
-  // it is a filtered subsequence of this sorted merge.
-  {
-    TargetWriters<EdgeRecord> edges(env, temps, "q_e" + source_tag,
-                                    num_shards);
-    auto route_edge = [&](double x) -> Status {
-      return edges.Append(std::min(ShardOf(bounds, x), num_shards - 1),
-                          EdgeRecord{x});
-    };
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> left,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].x_file, read_ahead));
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> right,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].x_file, read_ahead));
-    const double half_w = width / 2.0;
-    SpatialObject lo{}, hi{};
-    bool have_lo = left.Next(&lo);
-    bool have_hi = right.Next(&hi);
-    while (have_lo || have_hi) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-      bool take_lo = have_lo;
-      if (have_lo && have_hi) {
-        take_lo =
-            DoubleOrderKey(lo.x - half_w) <= DoubleOrderKey(hi.x + half_w);
-      }
-      if (take_lo) {
-        MAXRS_RETURN_IF_ERROR(route_edge(lo.x - half_w));
-        have_lo = left.Next(&lo);
-      } else {
-        MAXRS_RETURN_IF_ERROR(route_edge(hi.x + half_w));
-        have_hi = right.Next(&hi);
-      }
-    }
-    MAXRS_RETURN_IF_ERROR(left.final_status());
-    MAXRS_RETURN_IF_ERROR(right.final_status());
-    MAXRS_RETURN_IF_ERROR(edges.FinishAll());
-    out->edge_parts = std::move(edges.names());
-  }
-  return Status::OK();
-}
-
-// Phase B of the per-shard path: assembles target shard `target`'s two
-// division-phase inputs from the routed parts — deterministic fan-in, parts
-// in ascending source order — and solves the shard down to its slab-file.
-// The piece merge keys on PieceYLess, whose primary key y_lo is truly
-// sorted in every part, so the merged stream is y_lo-ordered (all the
-// division phase needs) and a deterministic function of the parts; clipped
-// tie-break fields need not be globally PieceYLess-sorted.
-// A non-null `best_out` receives the shard slab-file's maximum tuple sum
-// (core/records.h SlabBest) — the pruned execution's incumbent.
-Result<std::string> SolveTargetShard(Env& env, TempFileManager& temps,
-                                     const std::vector<RoutedSource>& routed,
-                                     const Interval& slab, size_t target,
-                                     const MaxRSOptions& options,
-                                     MaxRSStats* stats,
-                                     SlabBest* best_out = nullptr) {
-  std::vector<std::string> piece_parts;
-  std::vector<std::string> edge_parts;
-  uint64_t num_pieces = 0;
-  for (const RoutedSource& source : routed) {
-    if (!source.piece_parts[target].empty()) {
-      piece_parts.push_back(source.piece_parts[target]);
-      num_pieces += source.piece_counts[target];
-    }
-    if (!source.edge_parts[target].empty()) {
-      edge_parts.push_back(source.edge_parts[target]);
-    }
-  }
-
-  if (piece_parts.empty()) {
-    // No piece overlaps this shard for this rect (fully spanned shards are
-    // handled by the cross-shard sweep's upSum): its slab-file is empty.
-    for (const std::string& edge_part : edge_parts) temps.Release(edge_part);
-    std::string out = temps.NewName("q_slab");
-    MAXRS_ASSIGN_OR_RETURN(RecordWriter<SlabTuple> writer,
-                           RecordWriter<SlabTuple>::Make(env, out));
-    MAXRS_RETURN_IF_ERROR(writer.Finish());
-    return {std::move(out)};
-  }
-
-  const size_t fan_in = QueryMergeFanIn(options.memory_bytes,
-                                        env.block_size());
-  PreparedInput input;
-  input.num_pieces = num_pieces;
-  input.x_range = slab;
-  if (piece_parts.size() == 1) {
-    input.piece_file = piece_parts[0];  // already sorted: skip the copy pass
-  } else {
-    input.piece_file = temps.NewName("q_pieces");
-    MAXRS_RETURN_IF_ERROR(MergeSortedParts<PieceRecord>(
-        env, temps, piece_parts, input.piece_file, PieceYLess, fan_in,
-        /*pool=*/nullptr, /*passes_out=*/nullptr, options.read_ahead));
-  }
-  if (edge_parts.size() == 1) {
-    input.edge_file = edge_parts[0];
-  } else {
-    input.edge_file = temps.NewName("q_edges");
-    if (edge_parts.empty()) {
-      // Unreachable for well-formed routing (a clipped part always keeps a
-      // real edge inside its shard), but an empty edge file degrades to the
-      // base case instead of corrupting the division.
-      MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
-                             RecordWriter<EdgeRecord>::Make(env,
-                                                            input.edge_file));
-      MAXRS_RETURN_IF_ERROR(writer.Finish());
-    } else {
-      MAXRS_RETURN_IF_ERROR(MergeSortedParts<EdgeRecord>(
-          env, temps, edge_parts, input.edge_file, EdgeXLess, fan_in,
-          /*pool=*/nullptr, /*passes_out=*/nullptr, options.read_ahead));
-    }
-  }
-  return core_internal::SolveSlab(env, temps, input, options, stats,
-                                  /*pool=*/nullptr, best_out);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming per-shard routing (ServeRoutingMode::kStreaming): the routing
-// passes above, but every routed record travels through a RecordChannel
-// (io/record_stream.h) instead of an Env part file, and each target solve
-// (core_internal::SolveSlabStream) starts the moment the piece channels of
-// its column have their first heads — while the source routing passes are
-// still running. Liveness protocol (record_stream.h, "Threading"): channel
-// producers never block and are submitted to the FIFO pool BEFORE every
-// consumer, so a parked consumer always has running producers destined to
-// close its channels. Producers are raw pool submissions joined by a latch,
-// NOT TaskGroup tasks: a group no-ops queued tasks after its first error,
-// and a no-op'd producer would never close its channels, hanging every
-// consumer already running.
-// ---------------------------------------------------------------------------
-
-// One-shot join latch for the raw producer submissions of one query.
+// One-shot join latch for the raw producer submissions of one batch.
 class JoinLatch {
  public:
   explicit JoinLatch(size_t count) : remaining_(count) {}
@@ -409,155 +85,20 @@ class JoinLatch {
   size_t remaining_;
 };
 
-// All channels of one streaming query: piece and edge channels form S x S
-// grids (producer-major: source s feeds row s, target t drains column t),
-// spans one channel per source (drained by the query worker after the
-// joins). Created eagerly on the submitting thread so the spill names are
-// allocated in a deterministic order.
-struct StreamingChannels {
-  StreamingChannels(Env& env, TempFileManager& temps, size_t num_shards,
-                    size_t cap_bytes, bool write_behind)
-      : num_shards(num_shards) {
-    pieces.reserve(num_shards * num_shards);
-    edges.reserve(num_shards * num_shards);
-    spans.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const std::string tag = std::to_string(s);
-      for (size_t t = 0; t < num_shards; ++t) {
-        const std::string cell = tag + "_" + std::to_string(t);
-        pieces.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-            env, temps.NewName("q_chp" + cell), cap_bytes, write_behind));
-        edges.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-            env, temps.NewName("q_che" + cell), cap_bytes, write_behind));
-      }
-      spans.push_back(std::make_unique<RecordChannel<SpanRecord>>(
-          env, temps.NewName("q_chs" + tag), cap_bytes, write_behind));
-    }
-  }
-
-  RecordChannel<PieceRecord>* piece(size_t s, size_t t) {
-    return pieces[s * num_shards + t].get();
-  }
-  RecordChannel<EdgeRecord>* edge(size_t s, size_t t) {
-    return edges[s * num_shards + t].get();
-  }
-
-  size_t num_shards;
-  std::vector<std::unique_ptr<RecordChannel<PieceRecord>>> pieces;
-  std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges;
-  std::vector<std::unique_ptr<RecordChannel<SpanRecord>>> spans;
-};
-
-// Streaming Phase A for source shard `source`: the RouteSourceShard passes
-// with channels as the targets. The piece/span pass runs first and closes
-// its sinks before the edge pass starts, so target solves whose piece
-// streams are complete can probe and begin solving while this source is
-// still routing edges. Every sink of row `source` is closed exactly once on
-// every path — an unclosed channel would park its consumer forever.
-Status RouteSourceShardStreaming(Env& env, StreamingChannels& channels,
-                                 const std::vector<ShardInfo>& shards,
-                                 const std::vector<double>& bounds,
-                                 const std::vector<Interval>& ranges,
-                                 size_t source, double width, double height,
-                                 bool read_ahead, const CancelToken* cancel) {
-  const size_t num_shards = shards.size();
-
-  // Pieces + spans: one pass over the shard's ObjectYLess-sorted objects.
-  Status piece_status = [&]() -> Status {
-    auto emit_piece = [&](size_t target, const PieceRecord& piece) {
-      return channels.piece(source, target)->Append(piece);
-    };
-    auto emit_span = [&](const SpanRecord& span) {
-      return channels.spans[source]->Append(span);
-    };
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].y_file, read_ahead));
-    SpatialObject o{};
-    while (reader.Next(&o)) {
-      // An expired deadline unwinds through the close-on-error protocol
-      // below, so every consumer blocked on this row's channels observes
-      // kDeadlineExceeded instead of hanging.
-      MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-      const PieceRecord p = TransformObject(o, width, height);
-      MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
-          bounds, ranges, p, emit_piece, emit_span));
-    }
-    return reader.final_status();
-  }();
-  for (size_t t = 0; t < num_shards; ++t) {
-    Status close_st = channels.piece(source, t)->Close(piece_status);
-    if (piece_status.ok()) piece_status = close_st;
-  }
-  {
-    Status close_st = channels.spans[source]->Close(piece_status);
-    if (piece_status.ok()) piece_status = close_st;
-  }
-  if (!piece_status.ok()) {
-    // The edge pass is pointless now, but its sinks still must close so
-    // consumers blocked on edge heads observe the error instead of hanging.
-    for (size_t t = 0; t < num_shards; ++t) {
-      (void)channels.edge(source, t)->Close(piece_status);
-    }
-    return piece_status;
-  }
-
-  // Edges: the BuildShardEdges 2-way self-merge, routed by value.
-  Status edge_status = [&]() -> Status {
-    auto route_edge = [&](double x) -> Status {
-      const size_t target = std::min(ShardOf(bounds, x), num_shards - 1);
-      return channels.edge(source, target)->Append(EdgeRecord{x});
-    };
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> left,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].x_file, read_ahead));
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> right,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].x_file, read_ahead));
-    const double half_w = width / 2.0;
-    SpatialObject lo{}, hi{};
-    bool have_lo = left.Next(&lo);
-    bool have_hi = right.Next(&hi);
-    while (have_lo || have_hi) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-      bool take_lo = have_lo;
-      if (have_lo && have_hi) {
-        take_lo = DoubleOrderKey(lo.x - half_w) <= DoubleOrderKey(hi.x + half_w);
-      }
-      if (take_lo) {
-        MAXRS_RETURN_IF_ERROR(route_edge(lo.x - half_w));
-        have_lo = left.Next(&lo);
-      } else {
-        MAXRS_RETURN_IF_ERROR(route_edge(hi.x + half_w));
-        have_hi = right.Next(&hi);
-      }
-    }
-    MAXRS_RETURN_IF_ERROR(left.final_status());
-    return right.final_status();
-  }();
-  for (size_t t = 0; t < num_shards; ++t) {
-    Status close_st = channels.edge(source, t)->Close(edge_status);
-    if (edge_status.ok()) edge_status = close_st;
-  }
-  return edge_status;
-}
-
-// Streaming Phase B for one target shard: merge the piece channels of its
-// column on the fly (MergingSource selects heads exactly like the
-// materialized MergeSortedParts chain, so the merged stream is
-// byte-identical) and solve the shard via the streaming recursion. The
-// edge stream is claimed lazily: only a shard that overflows its base case
-// ever drains its edge column (into one scratch file, since the division's
-// bounds pass reads the edges twice); a base-case shard abandons the
-// column untouched — what those channels buffered or spilled is a pure
-// function of the routed records, so block counts stay deterministic.
-// Callers pass exactly the rows they actually routed (the pruned execution
-// drops never-routed rows — their channels never close, waiting on them
-// would hang, and by construction they could only have carried empty
-// streams, so dropping them leaves the merged stream byte-identical; the
-// batched execution passes each query's two sorted edge half-streams per
-// row, whose 2S-way merge is byte-identical to the serial S-way merge of
-// pre-merged pairs). `best_out` as in SolveTargetShard.
+// Phase B for one target shard: merge the piece channels of its column on
+// the fly and solve the shard via the streaming recursion. The edge stream
+// is claimed lazily: only a shard that overflows its base case ever drains
+// its edge column (into one scratch file, since the division's bounds pass
+// reads the edges twice); a base-case shard abandons the column untouched —
+// what those channels buffered or spilled is a pure function of the routed
+// records, so block counts stay deterministic. Callers pass exactly the
+// rows they actually routed (the pruned execution drops never-routed rows —
+// their channels never close, waiting on them would hang, and by
+// construction they could only have carried empty streams, so dropping them
+// leaves the merged stream byte-identical), with each row's two sorted edge
+// half-streams. A non-null `best_out` receives the shard slab-file's
+// maximum tuple sum (core/records.h SlabBest) — the pruned execution's
+// incumbent.
 Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                std::vector<RecordSource<PieceRecord>*>
                                    piece_column,
@@ -565,15 +106,15 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                    edge_column,
                                const Interval& slab,
                                const MaxRSOptions& options, MaxRSStats* stats,
-                               bool write_behind, std::string* slab_file_out,
+                               std::string* slab_file_out,
                                SlabBest* best_out = nullptr) {
   MergingSource<PieceRecord, decltype(&PieceYLess)> pieces(
       std::move(piece_column), &PieceYLess);
 
   // Probe the first record: a shard no piece overlaps (fully spanned
   // shards are handled by the cross-shard sweep's upSum) produces an empty
-  // slab-file without ever invoking the solver — same as the materialized
-  // path, which also leaves its stats block untouched in that case.
+  // slab-file without ever invoking the solver, and leaves its stats block
+  // untouched.
   PieceRecord first{};
   Status probe = pieces.Read(&first);
   if (probe.code() == Status::Code::kNotFound) {
@@ -595,7 +136,7 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
     edge_file = temps.NewName("q_edges");
     MAXRS_ASSIGN_OR_RETURN(
         RecordWriter<EdgeRecord> writer,
-        RecordWriter<EdgeRecord>::Make(env, edge_file, write_behind));
+        RecordWriter<EdgeRecord>::Make(env, edge_file, options.write_behind));
     EdgeRecord e{};
     while (edges.Next(&e)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
@@ -617,59 +158,21 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
   return Status::OK();
 }
 
-// The single-query column assembly over a StreamingChannels grid: piece and
-// edge columns are the `sources` rows of column `target`, in ascending
-// source order (the canonical merge order).
-Status SolveTargetShardStreaming(Env& env, TempFileManager& temps,
-                                 StreamingChannels& channels,
-                                 const std::vector<size_t>& sources,
-                                 const Interval& slab, size_t target,
-                                 const MaxRSOptions& options,
-                                 MaxRSStats* stats, bool write_behind,
-                                 std::string* slab_file_out,
-                                 SlabBest* best_out = nullptr) {
-  std::vector<RecordSource<PieceRecord>*> piece_column;
-  std::vector<RecordSource<EdgeRecord>*> edge_column;
-  piece_column.reserve(sources.size());
-  edge_column.reserve(sources.size());
-  for (size_t s : sources) {
-    piece_column.push_back(channels.piece(s, target));
-    edge_column.push_back(channels.edge(s, target));
-  }
-  return SolveTargetShardColumns(env, temps, std::move(piece_column),
-                                 std::move(edge_column), slab, options, stats,
-                                 write_behind, slab_file_out, best_out);
-}
-
-// ---------------------------------------------------------------------------
-// Batched shared-scan execution (MaxRSServerOptions::batch_max > 1): k
-// distinct queries drained from the queue execute off ONE routing pass per
-// source shard. The y-file scan computes all k transforms per object; the
-// x-file scan emits all k queries' left (x - w/2) and right (x + w/2)
-// edges. Per query the record streams a target consumer merges are exactly
-// the serial streams: piece rows are filtered subsequences of the y-sorted
-// scan under each query's monotone transform, and the two edge half-rows
-// are each monotone shifts of the x-sorted scan — their 2S-way EdgeXLess
-// merge is byte-identical to the serial S-way merge of pre-merged pairs
-// because EdgeRecord is a single double under a total order (cmp-equal =>
-// byte-equal, and min-of-heads merging is associative). So every query's
-// answer is bit-identical to serial submission; only the scan I/O is paid
-// once and reported per query as an amortized equal share
-// (docs/IO_MODEL.md, "Batched shared scans").
-// ---------------------------------------------------------------------------
-
 // One query of a batch, in batch order.
 struct BatchQuery {
   double width = 0.0;
   double height = 0.0;
+  const CancelToken* cancel = nullptr;
 };
 
 // All channels of one k-query batch: per query an S x S piece grid, TWO
 // S x S edge grids — the shared x-file scan emits left and right edges
 // into separate channels because their interleaving in scan order is not
-// sorted, while each half on its own is — and S span channels. Created
+// sorted, while each half on its own is — and S span channels. Grids are
+// producer-major: source s feeds row s, target t drains column t. Created
 // eagerly on the batch worker so spill names are allocated in one
-// deterministic order (query-major, then the StreamingChannels layout).
+// deterministic order (query-major); a channel that never receives a
+// record holds no buffer and creates no file.
 class BatchChannels {
  public:
   BatchChannels(Env& env, TempFileManager& temps, size_t num_queries,
@@ -714,6 +217,26 @@ class BatchChannels {
     return spans_[q * num_shards_ + s].get();
   }
 
+  // Solves query q's target shard t from the given routed source rows, in
+  // ascending order — the canonical merge order.
+  Status SolveTarget(Env& env, TempFileManager& temps, size_t q, size_t t,
+                     const std::vector<size_t>& rows, const Interval& slab,
+                     const MaxRSOptions& options, MaxRSStats* stats,
+                     std::string* slab_file_out, SlabBest* best_out = nullptr) {
+    std::vector<RecordSource<PieceRecord>*> piece_column;
+    std::vector<RecordSource<EdgeRecord>*> edge_column;
+    piece_column.reserve(rows.size());
+    edge_column.reserve(2 * rows.size());
+    for (size_t s : rows) {
+      piece_column.push_back(piece(q, s, t));
+      edge_column.push_back(edge_left(q, s, t));
+      edge_column.push_back(edge_right(q, s, t));
+    }
+    return SolveTargetShardColumns(env, temps, std::move(piece_column),
+                                   std::move(edge_column), slab, options,
+                                   stats, slab_file_out, best_out);
+  }
+
  private:
   size_t num_shards_;
   std::vector<std::unique_ptr<RecordChannel<PieceRecord>>> pieces_;
@@ -722,26 +245,35 @@ class BatchChannels {
   std::vector<std::unique_ptr<RecordChannel<SpanRecord>>> spans_;
 };
 
-// The batched streaming Phase A for source shard `source`: ONE pass over
-// the shard's y-file routes every query's pieces and spans, then ONE pass
+// Phase A for source shard `source`: ONE pass over the shard's y-file
+// routes every query's pieces and spans (division.cc pass 3 with the shard
+// grid as the cut, shared via division_internal::RoutePiece), then ONE pass
 // over its x-file emits every query's left and right edges into their
-// half-row channels (each a monotone shift of the x-sorted scan, so
-// individually sorted; ShardOf routes each value). Every channel of this
-// source's rows — k * (S piece + 2S edge + 1 span) — is closed exactly
-// once on every path, via the multi-sink close helper. No per-query
-// CancelToken is polled here: the scan is shared property of the whole
-// batch, so one query's deadline must not abort its batch-mates' routing —
-// deadlines stay enforced in each query's consumers and combine phase.
-Status RouteSourceShardStreamingBatch(Env& env, BatchChannels& channels,
-                                      const std::vector<ShardInfo>& shards,
-                                      const std::vector<double>& bounds,
-                                      const std::vector<Interval>& ranges,
-                                      size_t source,
-                                      const std::vector<BatchQuery>& queries,
-                                      bool read_ahead) {
+// half-row channels. The piece/span pass closes its sinks before the edge
+// pass starts, so target solves whose piece streams are complete can probe
+// and begin solving while this source still routes edges. Every channel of
+// this source's rows — k * (S piece + 2S edge + 1 span) — is closed exactly
+// once on every path: an unclosed channel would park its consumer forever.
+// The scan stops with kDeadlineExceeded once EVERY query riding it has
+// expired — one query's deadline must not abort its batch-mates' routing,
+// but a scan nobody will consume is pure waste (for a lone query, this is
+// its deadline).
+Status RouteSourceShard(Env& env, BatchChannels& channels,
+                        const std::vector<ShardInfo>& shards,
+                        const std::vector<double>& bounds,
+                        const std::vector<Interval>& ranges, size_t source,
+                        const std::vector<BatchQuery>& queries,
+                        bool read_ahead) {
   const size_t num_shards = shards.size();
   const size_t k = queries.size();
 
+  auto all_expired = [&]() -> Status {
+    for (const BatchQuery& query : queries) {
+      if (CheckCancel(query.cancel).ok()) return Status::OK();
+    }
+    return Status::DeadlineExceeded(
+        "every query sharing the scan is cancelled or past its deadline");
+  };
   auto close_edges = [&](Status st) {
     std::vector<RecordSink<EdgeRecord>*> sinks;
     sinks.reserve(2 * k * num_shards);
@@ -761,6 +293,7 @@ Status RouteSourceShardStreamingBatch(Env& env, BatchChannels& channels,
                                env, shards[source].y_file, read_ahead));
     SpatialObject o{};
     while (reader.Next(&o)) {
+      MAXRS_RETURN_IF_ERROR(all_expired());
       for (size_t q = 0; q < k; ++q) {
         auto emit_piece = [&](size_t target, const PieceRecord& piece) {
           return channels.piece(q, source, target)->Append(piece);
@@ -791,18 +324,23 @@ Status RouteSourceShardStreamingBatch(Env& env, BatchChannels& channels,
     piece_status = CloseAllSinks<SpanRecord>(span_sinks, piece_status);
   }
   if (!piece_status.ok()) {
+    // The edge pass is pointless now, but its sinks still must close so
+    // consumers blocked on edge heads observe the error instead of hanging.
     (void)close_edges(piece_status);
     return piece_status;
   }
 
   // Pass 2: the shared x-file scan — every query's two edge shifts per
-  // object, routed by value.
+  // object, routed by value. Edges of this shard's objects can land in any
+  // shard (a rect half-width shifts them arbitrarily far); each half-row
+  // stays x-sorted because it is a filtered monotone shift of this scan.
   Status edge_status = [&]() -> Status {
     MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
                            PrefetchingReader<SpatialObject>::Make(
                                env, shards[source].x_file, read_ahead));
     SpatialObject o{};
     while (reader.Next(&o)) {
+      MAXRS_RETURN_IF_ERROR(all_expired());
       for (size_t q = 0; q < k; ++q) {
         const double half_w = queries[q].width / 2.0;
         const double left = o.x - half_w;
@@ -824,12 +362,141 @@ Status RouteSourceShardStreamingBatch(Env& env, BatchChannels& channels,
   return close_edges(edge_status);
 }
 
+// Runs `task(q)` for every query whose status in `per_query` is still OK
+// and folds its error in: query 0 inline on the calling (batch worker)
+// thread — a lone query runs its whole solve chain without a pool hop — and
+// every other query in its OWN TaskGroup, because a group no-ops its queued
+// tasks after the first error and one query's failure must never stop a
+// batch-mate's work.
+void ForEachLiveQuery(ThreadPool* pool, std::vector<Status>* per_query,
+                      const std::function<Status(size_t)>& task) {
+  const size_t k = per_query->size();
+  std::vector<std::unique_ptr<TaskGroup>> groups(k);
+  for (size_t q = 1; q < k; ++q) {
+    if (!(*per_query)[q].ok()) continue;
+    groups[q] = std::make_unique<TaskGroup>(pool);
+    groups[q]->Run([&task, q] { return task(q); });
+  }
+  if ((*per_query)[0].ok()) (*per_query)[0] = task(0);
+  for (size_t q = 1; q < k; ++q) {
+    if (groups[q] != nullptr) (*per_query)[q] = groups[q]->Wait();
+  }
+}
+
+// Folds the first routing failure among `sources` into every still-OK
+// query: the scan was shared, so every query genuinely read from the
+// failed pass.
+void FoldRoutingFailure(const std::vector<Status>& producer_status,
+                        const std::vector<size_t>& sources,
+                        std::vector<Status>* per_query) {
+  for (size_t s : sources) {
+    if (producer_status[s].ok()) continue;
+    for (Status& st : *per_query) {
+      if (st.ok()) st = producer_status[s];
+    }
+    return;
+  }
+}
+
+// Phase C of query q: drain the span channels of the routed `rows` (all
+// closed by now — they act as deterministic buffers) into one SpanYLess-
+// merged span file, run the cross-shard MergeSweep over ALL shard ranges —
+// "" slab-files stand in for shards the pruned execution skipped, which
+// MergeSweep treats as known-empty children (zero I/O) — and extract the
+// answer from the root slab-file. A single-shard dataset has no cross-shard
+// combine: its one slab-file is the root. Stats fold the per-shard blocks
+// (skipped and empty shards' untouched blocks fold as zeros).
+Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
+                                  BatchChannels& channels, size_t q,
+                                  const std::vector<size_t>& rows,
+                                  const std::vector<Interval>& ranges,
+                                  std::vector<std::string>* slab_files,
+                                  const std::vector<MaxRSStats>& shard_stats,
+                                  uint64_t num_objects,
+                                  const MaxRSOptions& options) {
+  const size_t num_shards = ranges.size();
+  uint64_t num_spans = 0;
+  std::string root_file;
+  if (num_shards == 1) {
+    root_file = std::move((*slab_files)[0]);
+  } else {
+    std::string span_file = temps.NewName("q_spans");
+    {
+      std::vector<RecordSource<SpanRecord>*> span_sources;
+      span_sources.reserve(rows.size());
+      for (size_t s : rows) span_sources.push_back(channels.span(q, s));
+      MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
+          std::move(span_sources), &SpanYLess);
+      MAXRS_ASSIGN_OR_RETURN(
+          RecordWriter<SpanRecord> writer,
+          RecordWriter<SpanRecord>::Make(env, span_file,
+                                         options.write_behind));
+      SpanRecord span{};
+      while (spans.Next(&span)) {
+        MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+        MAXRS_RETURN_IF_ERROR(writer.Append(span));
+      }
+      MAXRS_RETURN_IF_ERROR(spans.final_status());
+      MAXRS_RETURN_IF_ERROR(writer.Finish());
+      num_spans = writer.count();
+    }
+    root_file = temps.NewName("q_root");
+    MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, *slab_files, span_file,
+                                     root_file, SweepObjective::kMaximize,
+                                     options.read_ahead, options.write_behind,
+                                     options.cancel));
+    for (const std::string& slab_file : *slab_files) {
+      if (!slab_file.empty()) temps.Release(slab_file);
+    }
+    temps.Release(span_file);
+  }
+
+  core_internal::TopTupleTracker tracker(1);
+  {
+    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SlabTuple> reader,
+                           PrefetchingReader<SlabTuple>::Make(
+                               env, root_file, options.read_ahead));
+    SlabTuple t{};
+    while (reader.Next(&t)) {
+      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+      tracker.Visit(t);
+    }
+    MAXRS_RETURN_IF_ERROR(reader.final_status());
+  }
+  temps.Release(root_file);
+
+  MaxRSResult result;
+  auto best = tracker.Finish();
+  if (best.empty()) {
+    result.region = Rect{-kInf, kInf, -kInf, kInf};
+  } else {
+    result.location = best[0].location;
+    result.total_weight = best[0].total_weight;
+    result.region = best[0].region;
+  }
+  result.stats.input_objects = num_objects;
+  for (const MaxRSStats& s : shard_stats) {
+    result.stats.base_cases += s.base_cases;
+    result.stats.merges += s.merges;
+    result.stats.total_spans += s.total_spans;
+    result.stats.recursion_levels =
+        std::max(result.stats.recursion_levels,
+                 s.recursion_levels + (num_shards > 1 ? 1 : 0));
+  }
+  if (num_shards > 1) {
+    ++result.stats.merges;  // the cross-shard MergeSweep
+    result.stats.total_spans += num_spans;
+  }
+  return {std::move(result)};
+}
+
 // The amortized per-query share of a batch's I/O delta: every counter is
 // split into k equal integer shares with the remainder spread one block at
 // a time over the first (counter mod k) queries in `rank` order — ranks
 // are assigned by ascending canonical cache key, so the split is
 // independent of batch formation order and the shares sum exactly to the
-// batch total (docs/IO_MODEL.md, "Batched shared scans").
+// batch total (docs/IO_MODEL.md, "Batched shared scans"). k = 1 is the
+// identity.
 IoStatsSnapshot BatchIoShare(const IoStatsSnapshot& total, uint64_t k,
                              uint64_t rank) {
   auto share = [&](uint64_t v) { return v / k + (rank < v % k ? 1 : 0); };
@@ -845,12 +512,16 @@ IoStatsSnapshot BatchIoShare(const IoStatsSnapshot& total, uint64_t k,
 }
 
 // Stamps every successful result of a batch with its amortized stats: the
-// BatchIoShare of the batch's I/O delta (ranked by ascending canonical
-// dimension bits), the batch wall time, and batch_size = k. Failed slots
-// are left untouched — their queries re-run solo and account solo.
-void ApplyBatchShares(const std::vector<BatchQuery>& queries,
-                      const IoStatsSnapshot& delta, double wall_seconds,
-                      std::vector<Result<MaxRSResult>>* results) {
+// BatchIoShare of the batch's I/O delta since `io_before` (ranked by
+// ascending canonical dimension bits), the batch wall time, and
+// batch_size = k. Failed slots keep their error; if any query failed, every
+// scratch file the batch's manager named is swept (successful queries
+// already released theirs), so repeated failures cannot grow the Env.
+void FinishBatch(Env& env, TempFileManager& temps,
+                 const IoStatsSnapshot& io_before, const Stopwatch& timer,
+                 const std::vector<BatchQuery>& queries,
+                 std::vector<Result<MaxRSResult>>* results) {
+  const IoStatsSnapshot delta = env.stats().Snapshot() - io_before;
   const size_t k = queries.size();
   std::vector<size_t> order(k);
   std::iota(order.begin(), order.end(), size_t{0});
@@ -863,18 +534,24 @@ void ApplyBatchShares(const std::vector<BatchQuery>& queries,
   });
   std::vector<uint64_t> rank(k, 0);
   for (size_t i = 0; i < k; ++i) rank[order[i]] = i;
+  const double wall_seconds = timer.ElapsedSeconds();
+  bool any_failed = false;
   for (size_t q = 0; q < k; ++q) {
-    if (!(*results)[q].ok()) continue;
+    if (!(*results)[q].ok()) {
+      any_failed = true;
+      continue;
+    }
     MaxRSStats& stats = (*results)[q].value().stats;
     stats.io = BatchIoShare(delta, k, rank[q]);
     stats.batch_size = k;
     stats.wall_seconds = wall_seconds;
   }
+  if (any_failed) temps.ReleaseAll();
 }
 
 // ---------------------------------------------------------------------------
-// Index-pruned per-shard execution (ServePruningMode::kAuto): the aggregate
-// shard index (index/shard_agg_index.h) turns the per-shard mode into a
+// Index-pruned execution (ServePruningMode::kAuto): the aggregate shard
+// index (index/shard_agg_index.h) turns the shared-scan execution into a
 // branch-and-bound. For each target shard t, UB(t) — the total weight of
 // all objects a rectangle centered in t's slab could possibly cover — is an
 // upper bound on any placement in t, computed from the index with zero I/O.
@@ -886,7 +563,7 @@ void ApplyBatchShares(const std::vector<BatchQuery>& queries,
 // cross-shard MergeSweep runs over ALL shard ranges with "" (known-empty)
 // children standing in for skipped shards.
 //
-// Soundness (why answers are bit-identical to the un-pruned path):
+// Soundness (why answers are bit-identical to the un-pruned execution):
 //   - UB(t) counts every object within w/2 of t's slab — a superset of
 //     anything a placement in t covers — so with non-negative weights
 //     (pruning_safe()) no placement in t can weigh more than UB(t).
@@ -904,7 +581,7 @@ void ApplyBatchShares(const std::vector<BatchQuery>& queries,
 //     weigh strictly less than the incumbent (≤ final max), so the winning
 //     tuple — and, with TopTupleTracker's stratum coalescing, its full
 //     winning run — is unchanged.
-// I/O never exceeds the un-pruned path: routing a source and solving a
+// I/O never exceeds the un-pruned execution: routing a source and solving a
 // shard read/write exactly what the un-pruned execution would, and pruning
 // only removes whole routes/solves.
 // ---------------------------------------------------------------------------
@@ -940,63 +617,15 @@ size_t ArgMaxUpperBound(const std::vector<double>& ub) {
 // Whether source shard `s` can route anything (pieces, edges, or spans) to
 // a target with slab `slab`: its object x-MBR expanded by w/2 must reach
 // the slab. Closed-interval test — conservatively routes boundary-touching
-// sources (an empty routed part costs no blocks).
+// sources (an empty routed row costs no blocks).
 bool SourceFeedsTarget(const ShardAggIndex& index, size_t s,
                        const Interval& slab, double width) {
   const double half_w = width / 2.0;
   return index.Intersects(s, slab.lo - half_w, slab.hi + half_w);
 }
 
-// Shared tail of the pruned executors: scan the root slab-file stream,
-// assemble the result, and fold the per-shard stats exactly like the
-// un-pruned executors (skipped shards' untouched stats blocks fold as
-// zeros, mirroring empty shards on the un-pruned path).
-Result<MaxRSResult> ExtractRootResult(Env& env, TempFileManager& temps,
-                                      const std::string& root_file,
-                                      bool read_ahead, uint64_t input_objects,
-                                      const std::vector<MaxRSStats>& stats,
-                                      size_t num_shards, uint64_t num_spans,
-                                      const CancelToken* cancel) {
-  core_internal::TopTupleTracker tracker(1);
-  {
-    MAXRS_ASSIGN_OR_RETURN(
-        PrefetchingReader<SlabTuple> reader,
-        PrefetchingReader<SlabTuple>::Make(env, root_file, read_ahead));
-    SlabTuple t{};
-    while (reader.Next(&t)) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-      tracker.Visit(t);
-    }
-    MAXRS_RETURN_IF_ERROR(reader.final_status());
-  }
-  temps.Release(root_file);
-
-  MaxRSResult result;
-  auto best = tracker.Finish();
-  if (best.empty()) {
-    result.region = Rect{-kInf, kInf, -kInf, kInf};
-  } else {
-    result.location = best[0].location;
-    result.total_weight = best[0].total_weight;
-    result.region = best[0].region;
-  }
-  result.stats.input_objects = input_objects;
-  for (const MaxRSStats& s : stats) {
-    result.stats.base_cases += s.base_cases;
-    result.stats.merges += s.merges;
-    result.stats.total_spans += s.total_spans;
-    result.stats.recursion_levels =
-        std::max(result.stats.recursion_levels,
-                 s.recursion_levels + (num_shards > 1 ? 1 : 0));
-  }
-  if (num_shards > 1) {
-    ++result.stats.merges;  // the cross-shard MergeSweep
-    result.stats.total_spans += num_spans;
-  }
-  return {std::move(result)};
-}
-
 }  // namespace
+
 
 MaxRSServer::MaxRSServer(Env& env, const DatasetHandle& dataset,
                          const MaxRSServerOptions& options)
@@ -1057,7 +686,7 @@ MaxRSOptions MaxRSServer::MakeQueryOptions(double width, double height,
   query_options.base_case_max_pieces = options_.base_case_max_pieces;
   query_options.work_prefix = options_.work_prefix;
   // Queries parallelize across workers and across shard subtasks, not
-  // inside one slab solve: the serial path is the deterministic one, and
+  // inside one slab solve: the serial solve is the deterministic one, and
   // it keeps per-query memory at one M (plus one extra block per open
   // stream while a read-ahead fetch is in flight — see IO_MODEL.md).
   query_options.num_threads = 1;
@@ -1173,8 +802,9 @@ std::future<Result<QueryResponse>> MaxRSServer::SubmitInternal(
   // the pending entry, so a missing entry here means a second cache lookup
   // is authoritative — without it, a duplicate arriving in the gap between
   // the leader's cache insert and promise fulfillment would re-execute.
-  // Mode overrides are NOT part of the key: they never change the answer,
-  // so a leader running under different modes still serves this caller.
+  // The pruning override is NOT part of the key: it never changes the
+  // answer, so a leader running under another mode still serves this
+  // caller.
   std::future<Result<QueryResponse>> future;
   std::shared_ptr<Request> request;
   {
@@ -1199,7 +829,6 @@ std::future<Result<QueryResponse>> MaxRSServer::SubmitInternal(
       request = std::make_shared<Request>(
           spec.width, spec.height,
           std::chrono::milliseconds(std::max<int64_t>(0, *deadline_ms)),
-          spec.routing.value_or(options_.routing_mode),
           spec.pruning.value_or(options_.pruning_mode));
       future = request->promise.get_future();
       pending_.emplace(key, request);
@@ -1296,13 +925,9 @@ void MaxRSServer::WorkerLoop() {
 
 bool MaxRSServer::ShapeCompatible(const Request& anchor,
                                   const Request& candidate) {
-  // A batch executes under one (routing, pruning) mode pair — its shared
-  // scan is a streaming construct and its prune plan is computed once — so
-  // requests carrying different effective overrides never share a batch.
-  if (candidate.routing != anchor.routing ||
-      candidate.pruning != anchor.pruning) {
-    return false;
-  }
+  // A batch executes under one pruning mode — its executor is chosen once
+  // — so requests carrying different effective overrides never share one.
+  if (candidate.pruning != anchor.pruning) return false;
   // Rects within this aspect band share a scan profitably: a batch-mate
   // whose width dwarfs the anchor's would route most of its pieces across
   // many shards while the anchor's stay local, and the shared channels
@@ -1468,7 +1093,7 @@ void MaxRSServer::FailRequest(const std::shared_ptr<Request>& request,
 
 void MaxRSServer::ExecuteBatch(std::vector<std::shared_ptr<Request>> batch) {
   // A request whose deadline elapsed while it queued fails now, before it
-  // can claim a slot in the shared scan.
+  // can claim a slot in the shared scan or touch the Env at all.
   std::vector<std::shared_ptr<Request>> live;
   live.reserve(batch.size());
   for (std::shared_ptr<Request>& request : batch) {
@@ -1481,61 +1106,49 @@ void MaxRSServer::ExecuteBatch(std::vector<std::shared_ptr<Request>> batch) {
   }
   if (live.empty()) return;
 
-  // The shared scan exists only for the streaming per-shard path; the
-  // materialized and global-merge modes execute a formed batch as a plain
-  // sequence (their per-query file pipelines have no shareable pass), and
-  // a single-query batch IS the legacy path — bit-identical baselines.
-  // ShapeCompatible keeps batches mode-homogeneous, so live[0]'s effective
-  // modes speak for every batch member.
-  const bool shared_scan =
-      live.size() > 1 && options_.solve_mode == ServeSolveMode::kPerShard &&
-      live[0]->routing == ServeRoutingMode::kStreaming &&
-      !dataset_.shards().empty();
-  if (!shared_scan) {
-    for (const std::shared_ptr<Request>& request : live) {
-      CompleteRequest(request,
-                      ExecuteQuery(request->width, request->height,
-                                   &request->cancel, request->routing,
-                                   request->pruning));
-    }
-    return;
-  }
-
+  // ShapeCompatible keeps batches pruning-homogeneous, so live[0]'s
+  // effective mode speaks for every batch member.
   const bool pruned = PruningActiveFor(live[0]->pruning);
   if (!pruned && live[0]->pruning == ServePruningMode::kAuto &&
       dataset_.shards().size() > 1) {
-    // Same degradation accounting as ExecuteQuery, once per batched query.
+    // Pruning was wanted but the dataset cannot support it (no usable
+    // aggregate index, or weights unsafe to bound): count the degradation.
+    // Only the shard skipping is lost — answers are unchanged.
     std::lock_guard<std::mutex> lock(counters_mu_);
     counters_.unpruned += live.size();
   }
+  auto execute = [&](const std::vector<std::shared_ptr<Request>>& requests) {
+    std::vector<Result<MaxRSResult>> results(
+        requests.size(),
+        Result<MaxRSResult>(Status::Unavailable("batch slot unset")));
+    if (pruned) {
+      ExecuteBatchStreamingPruned(requests, &results);
+    } else {
+      ExecuteBatchStreaming(requests, &results);
+    }
+    return results;
+  };
 
-  std::vector<Result<MaxRSResult>> results(
-      live.size(), Result<MaxRSResult>(Status::Unavailable("batch slot unset")));
-  if (pruned) {
-    ExecuteBatchStreamingPruned(live, &results);
-  } else {
-    ExecuteBatchStreaming(live, &results);
-  }
-  {
+  std::vector<Result<MaxRSResult>> results = execute(live);
+  if (live.size() > 1) {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.batches;
     counters_.batched_queries += live.size();
   }
   for (size_t q = 0; q < live.size(); ++q) {
     if (!results[q].ok() && results[q].status().is_retryable()) {
-      // Per-query graceful degradation, one shot, exactly as on the serial
-      // streaming path: the failed query re-runs ALONE on the materialized
-      // path (its batch-mates' results are unaffected), and its stats are
-      // the solo rerun's — batch_size 1, un-amortized I/O.
+      // Graceful degradation, one shot: a query that failed with a
+      // retryable (transient) error — Env retries already exhausted —
+      // re-runs once, ALONE, through the same executor before the failure
+      // reaches the client; its batch-mates' results are unaffected, and
+      // its stats are the solo rerun's (batch_size 1, un-amortized I/O).
+      // Terminal errors (kCorruption, kDeadlineExceeded) are never re-run:
+      // the rerun would read the same bad bytes or re-exceed the deadline.
       {
         std::lock_guard<std::mutex> lock(counters_mu_);
         ++counters_.degraded;
       }
-      results[q] = pruned
-                       ? ExecutePerShardMaterializedPruned(
-                             live[q]->width, live[q]->height, &live[q]->cancel)
-                       : ExecutePerShardMaterialized(
-                             live[q]->width, live[q]->height, &live[q]->cancel);
+      results[q] = std::move(execute({live[q]})[0]);
     }
     CompleteRequest(live[q], std::move(results[q]));
   }
@@ -1557,10 +1170,13 @@ void MaxRSServer::ExecuteBatchStreaming(
   std::vector<BatchQuery> queries(k);
   std::vector<MaxRSOptions> query_options(k);
   for (size_t q = 0; q < k; ++q) {
-    queries[q] = BatchQuery{batch[q]->width, batch[q]->height};
+    queries[q] = BatchQuery{batch[q]->width, batch[q]->height,
+                            &batch[q]->cancel};
     query_options[q] =
         MakeQueryOptions(batch[q]->width, batch[q]->height, &batch[q]->cancel);
   }
+  std::vector<size_t> all_rows(num_shards);
+  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
 
   std::vector<Status> per_query(k, Status::OK());
   std::vector<std::vector<std::string>> slab_files(
@@ -1568,10 +1184,9 @@ void MaxRSServer::ExecuteBatchStreaming(
   std::vector<std::vector<MaxRSStats>> shard_stats(
       k, std::vector<MaxRSStats>(num_shards));
   {
-    // Channels, then producers, then consumers — the usual liveness order
-    // (record_stream.h, "Threading"), with k columns per target instead of
-    // one. The latch is waited on before `channels` leaves scope on every
-    // path: producers hold raw pointers into it.
+    // Channels, then producers, then consumers — the liveness order, with
+    // k columns per target. The latch is waited on before `channels` leaves
+    // scope on every path: producers hold raw pointers into it.
     BatchChannels channels(env, temps, k, num_shards,
                            options_.stream_channel_bytes,
                            options_.write_behind);
@@ -1579,14 +1194,14 @@ void MaxRSServer::ExecuteBatchStreaming(
     JoinLatch producers_done(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       pool_->Submit([&, s] {
-        producer_status[s] = RouteSourceShardStreamingBatch(
-            env, channels, shards, bounds, ranges, s, queries,
-            options_.read_ahead);
+        producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
+                                              ranges, s, queries,
+                                              options_.read_ahead);
         producers_done.CountDown();
       });
     }
     // Each of the S source scans runs once instead of k times.
-    env.stats().RecordScansShared((k - 1) * num_shards);
+    if (k > 1) env.stats().RecordScansShared((k - 1) * num_shards);
 
     // Consumers: ONE TaskGroup PER QUERY, not one for the batch — a group
     // no-ops its queued tasks after the first error, and one query's
@@ -1598,19 +1213,10 @@ void MaxRSServer::ExecuteBatchStreaming(
         groups.push_back(std::make_unique<TaskGroup>(pool_.get()));
         for (size_t t = 0; t < num_shards; ++t) {
           groups[q]->Run([&, q, t]() -> Status {
-            std::vector<RecordSource<PieceRecord>*> piece_column;
-            std::vector<RecordSource<EdgeRecord>*> edge_column;
-            piece_column.reserve(num_shards);
-            edge_column.reserve(2 * num_shards);
-            for (size_t s = 0; s < num_shards; ++s) {
-              piece_column.push_back(channels.piece(q, s, t));
-              edge_column.push_back(channels.edge_left(q, s, t));
-              edge_column.push_back(channels.edge_right(q, s, t));
-            }
-            return SolveTargetShardColumns(
-                env, temps, std::move(piece_column), std::move(edge_column),
-                shards[t].x_range, query_options[q], &shard_stats[q][t],
-                options_.write_behind, &slab_files[q][t]);
+            return channels.SolveTarget(env, temps, q, t, all_rows,
+                                        ranges[t], query_options[q],
+                                        &shard_stats[q][t],
+                                        &slab_files[q][t]);
           });
         }
       }
@@ -1619,84 +1225,19 @@ void MaxRSServer::ExecuteBatchStreaming(
     // Join the producers unconditionally: consumers done does not imply
     // producers done (base-case consumers abandon their edge columns).
     producers_done.Wait();
-    Status routing;
-    for (const Status& st : producer_status) {
-      if (!st.ok()) {
-        routing = st;
-        break;
-      }
-    }
-    if (!routing.ok()) {
-      // A routing failure poisons the whole batch — the scan was shared,
-      // so every query genuinely read from the failed pass.
-      for (Status& st : per_query) {
-        if (st.ok()) st = routing;
-      }
-    }
+    FoldRoutingFailure(producer_status, all_rows, &per_query);
 
-    // Phase C per query, sequential on the batch worker: span drain,
-    // cross-shard MergeSweep, answer extraction — all per-query state.
+    // Phase C per query, sequential on the batch worker.
     for (size_t q = 0; q < k; ++q) {
-      if (!per_query[q].ok()) {
-        (*results)[q] = per_query[q];
-        continue;
-      }
-      (*results)[q] = [&]() -> Result<MaxRSResult> {
-        uint64_t num_spans = 0;
-        std::string root_file;
-        if (num_shards == 1) {
-          root_file = std::move(slab_files[q][0]);
-          slab_files[q][0].clear();
-        } else {
-          std::string span_file = temps.NewName("b_spans");
-          {
-            std::vector<RecordSource<SpanRecord>*> span_sources;
-            span_sources.reserve(num_shards);
-            for (size_t s = 0; s < num_shards; ++s) {
-              span_sources.push_back(channels.span(q, s));
-            }
-            MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
-                std::move(span_sources), &SpanYLess);
-            MAXRS_ASSIGN_OR_RETURN(
-                RecordWriter<SpanRecord> writer,
-                RecordWriter<SpanRecord>::Make(env, span_file,
-                                               options_.write_behind));
-            SpanRecord span{};
-            while (spans.Next(&span)) {
-              MAXRS_RETURN_IF_ERROR(CheckCancel(&batch[q]->cancel));
-              MAXRS_RETURN_IF_ERROR(writer.Append(span));
-            }
-            MAXRS_RETURN_IF_ERROR(spans.final_status());
-            MAXRS_RETURN_IF_ERROR(writer.Finish());
-            num_spans = writer.count();
-          }
-          std::string root = temps.NewName("b_root");
-          MAXRS_RETURN_IF_ERROR(MergeSweep(
-              env, ranges, slab_files[q], span_file, root,
-              SweepObjective::kMaximize, options_.read_ahead,
-              options_.write_behind, &batch[q]->cancel));
-          for (std::string& slab_file : slab_files[q]) {
-            if (!slab_file.empty()) temps.Release(slab_file);
-          }
-          temps.Release(span_file);
-          root_file = std::move(root);
-        }
-        return ExtractRootResult(env, temps, root_file, options_.read_ahead,
-                                 dataset_.num_objects(), shard_stats[q],
-                                 num_shards, num_spans, &batch[q]->cancel);
-      }();
+      (*results)[q] =
+          per_query[q].ok()
+              ? CombineShards(env, temps, channels, q, all_rows, ranges,
+                              &slab_files[q], shard_stats[q],
+                              dataset_.num_objects(), query_options[q])
+              : Result<MaxRSResult>(per_query[q]);
     }
-  }  // joins and destroys the channels
-
-  const IoStatsSnapshot delta = env.stats().Snapshot() - io_before;
-  ApplyBatchShares(queries, delta, timer.ElapsedSeconds(), results);
-  bool any_failed = false;
-  for (const Result<MaxRSResult>& r : *results) any_failed |= !r.ok();
-  if (any_failed) {
-    // Failed queries abandoned scratch mid-pipeline; sweep everything this
-    // batch's manager named (successful queries already released theirs).
-    temps.ReleaseAll();
-  }
+  }  // destroys the channels (and any spill files)
+  FinishBatch(env, temps, io_before, timer, queries, results);
 }
 
 void MaxRSServer::ExecuteBatchStreamingPruned(
@@ -1709,25 +1250,26 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
 
   const ShardAggIndex& index = *dataset_.agg_index();
   const std::vector<ShardInfo>& shards = dataset_.shards();
-  const size_t num_shards = shards.size();  // >= 2 (PruningActive)
+  const size_t num_shards = shards.size();  // >= 2 (PruningActiveFor)
   const std::vector<double>& bounds = dataset_.interior_bounds();
   const std::vector<Interval>& ranges = dataset_.slab_ranges();
   const size_t k = batch.size();
   std::vector<BatchQuery> queries(k);
   std::vector<MaxRSOptions> query_options(k);
   for (size_t q = 0; q < k; ++q) {
-    queries[q] = BatchQuery{batch[q]->width, batch[q]->height};
+    queries[q] = BatchQuery{batch[q]->width, batch[q]->height,
+                            &batch[q]->cancel};
     query_options[q] =
         MakeQueryOptions(batch[q]->width, batch[q]->height, &batch[q]->cancel);
   }
 
   // Per-query plans (zero I/O), then TWO routing waves over the UNIONS of
-  // the per-query source sets. Soundness of the union: a routed source the
-  // serial pruned execution would NOT have routed for query q routes
-  // nothing to any of q's consumed targets (SourceFeedsTarget is exactly
-  // the can-route-anything test), so q's merged streams — and its
-  // incumbents, skips, and answer — are byte-identical to serial; the
-  // extra sources' boundary spans can only cover q's pruned (known-empty)
+  // the per-query source sets. Soundness of the union: a routed source a
+  // lone pruned execution would NOT have routed for query q routes nothing
+  // to any of q's consumed targets (SourceFeedsTarget is exactly the
+  // can-route-anything test), so q's merged streams — and its incumbents,
+  // skips, and answer — are byte-identical to running q alone; the extra
+  // sources' boundary spans can only cover q's pruned (known-empty)
   // children, adding no root tuples (only the total_spans stat may grow).
   std::vector<std::vector<double>> ub(k);
   std::vector<size_t> seed(k);
@@ -1743,6 +1285,10 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
       k, std::vector<MaxRSStats>(num_shards));
   std::vector<SlabBest> incumbents(k);
   {
+    // The full channel grids are created eagerly even though some rows may
+    // never route: spill names must be allocated in a deterministic order.
+    // Rows that never route are never closed — consumers only ever merge
+    // routed rows, so nobody waits on them.
     BatchChannels channels(env, temps, k, num_shards,
                            options_.stream_channel_bytes,
                            options_.write_behind);
@@ -1752,34 +1298,20 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
                                 JoinLatch* latch) {
       for (size_t s : wave) {
         pool_->Submit([&, s, latch] {
-          producer_status[s] = RouteSourceShardStreamingBatch(
-              env, channels, shards, bounds, ranges, s, queries,
-              options_.read_ahead);
+          producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
+                                                ranges, s, queries,
+                                                options_.read_ahead);
           latch->CountDown();
         });
       }
-      if (!wave.empty() && k > 1) {
-        env.stats().RecordScansShared((k - 1) * wave.size());
-      }
-    };
-    // Poison every still-OK query with a wave's routing failure: the scan
-    // was shared, so all of them read from the failed pass.
-    auto fold_producers = [&](const std::vector<size_t>& wave) {
-      for (size_t s : wave) {
-        if (producer_status[s].ok()) continue;
-        for (Status& st : per_query) {
-          if (st.ok()) st = producer_status[s];
-        }
-        break;
-      }
+      if (k > 1) env.stats().RecordScansShared((k - 1) * wave.size());
     };
 
     // Wave 1: the union of the sources any query's seed shard needs.
     std::vector<size_t> wave1;
     for (size_t s = 0; s < num_shards; ++s) {
       for (size_t q = 0; q < k; ++q) {
-        if (SourceFeedsTarget(index, s, shards[seed[q]].x_range,
-                              queries[q].width)) {
+        if (SourceFeedsTarget(index, s, ranges[seed[q]], queries[q].width)) {
           wave1.push_back(s);
           is_routed[s] = 1;
           break;
@@ -1789,36 +1321,21 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
     JoinLatch wave1_done(wave1.size());
     submit_producers(wave1, &wave1_done);
 
-    // Per-query seed solves, concurrent across queries (their incumbents
-    // are independent), one TaskGroup per query for error isolation.
-    {
-      std::vector<std::unique_ptr<TaskGroup>> groups;
-      groups.reserve(k);
-      for (size_t q = 0; q < k; ++q) {
-        groups.push_back(std::make_unique<TaskGroup>(pool_.get()));
-        groups[q]->Run([&, q]() -> Status {
-          std::vector<RecordSource<PieceRecord>*> piece_column;
-          std::vector<RecordSource<EdgeRecord>*> edge_column;
-          piece_column.reserve(wave1.size());
-          edge_column.reserve(2 * wave1.size());
-          for (size_t s : wave1) {
-            piece_column.push_back(channels.piece(q, s, seed[q]));
-            edge_column.push_back(channels.edge_left(q, s, seed[q]));
-            edge_column.push_back(channels.edge_right(q, s, seed[q]));
-          }
-          return SolveTargetShardColumns(
-              env, temps, std::move(piece_column), std::move(edge_column),
-              shards[seed[q]].x_range, query_options[q],
-              &shard_stats[q][seed[q]], options_.write_behind,
-              &slab_files[q][seed[q]], &incumbents[q]);
-        });
-      }
-      for (size_t q = 0; q < k; ++q) per_query[q] = groups[q]->Wait();
-    }
+    // Seed solves, consuming while wave 1 produces; their incumbents are
+    // independent across queries.
+    ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) {
+      return channels.SolveTarget(env, temps, q, seed[q], wave1,
+                                  ranges[seed[q]], query_options[q],
+                                  &shard_stats[q][seed[q]],
+                                  &slab_files[q][seed[q]], &incumbents[q]);
+    });
+    // Join wave 1 before anything else: a seed consumer finishing does not
+    // imply its rows finished (rows close pieces before routing edges).
     wave1_done.Wait();
-    fold_producers(wave1);
+    FoldRoutingFailure(producer_status, wave1, &per_query);
 
-    // Per-query prune against the seed incumbent (strict — ties survive).
+    // Per-query prune against the seed incumbent (strict — ties survive,
+    // or the first-maximum tie-break would shift).
     std::vector<std::vector<char>> survives(k,
                                             std::vector<char>(num_shards, 0));
     uint64_t pruned_count = 0;
@@ -1846,8 +1363,7 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
         if (!per_query[q].ok()) continue;
         for (size_t t = 0; t < num_shards; ++t) {
           if (survives[q][t] &&
-              SourceFeedsTarget(index, s, shards[t].x_range,
-                                queries[q].width)) {
+              SourceFeedsTarget(index, s, ranges[t], queries[q].width)) {
             needed = true;
             break;
           }
@@ -1858,928 +1374,64 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
         is_routed[s] = 1;
       }
     }
-    std::vector<size_t> routed_list;  // ascending — canonical merge order
+    std::vector<size_t> routed_rows;  // ascending — canonical merge order
     for (size_t s = 0; s < num_shards; ++s) {
-      if (is_routed[s]) routed_list.push_back(s);
+      if (is_routed[s]) routed_rows.push_back(s);
     }
     JoinLatch wave2_done(wave2.size());
     submit_producers(wave2, &wave2_done);
 
-    // Phase B: per query, survivors sequentially, best bound first, bound
-    // re-checked against the incumbent the previous solves grew — the
-    // serial pruned order exactly. Queries run concurrently with each
-    // other (again one single-task group per query).
+    // Phase B: per query, survivors sequentially, best bound first (ties to
+    // the lowest index), each bound re-checked against the incumbent the
+    // previous solves grew. Sequential on purpose: parallel solves would
+    // race the incumbent and make the set of skipped shards — and with it
+    // the per-query block count — schedule-dependent. Each solve overlaps
+    // whatever wave-2 producers are still routing.
     std::vector<uint64_t> bound_skips(k, 0);
-    {
-      std::vector<std::unique_ptr<TaskGroup>> groups;
-      groups.reserve(k);
-      for (size_t q = 0; q < k; ++q) {
-        groups.push_back(std::make_unique<TaskGroup>(pool_.get()));
-        if (!per_query[q].ok()) continue;
-        groups[q]->Run([&, q]() -> Status {
-          std::vector<size_t> order;
-          for (size_t t = 0; t < num_shards; ++t) {
-            if (t != seed[q] && survives[q][t]) order.push_back(t);
-          }
-          std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-            if (ub[q][a] != ub[q][b]) return ub[q][a] > ub[q][b];
-            return a < b;
-          });
-          for (size_t t : order) {
-            if (incumbents[q].has_value && ub[q][t] < incumbents[q].sum) {
-              ++bound_skips[q];
-              survives[q][t] = 0;  // skipped mid-solve: "" combine child
-              continue;
-            }
-            std::vector<RecordSource<PieceRecord>*> piece_column;
-            std::vector<RecordSource<EdgeRecord>*> edge_column;
-            piece_column.reserve(routed_list.size());
-            edge_column.reserve(2 * routed_list.size());
-            for (size_t s : routed_list) {
-              piece_column.push_back(channels.piece(q, s, t));
-              edge_column.push_back(channels.edge_left(q, s, t));
-              edge_column.push_back(channels.edge_right(q, s, t));
-            }
-            MAXRS_RETURN_IF_ERROR(SolveTargetShardColumns(
-                env, temps, std::move(piece_column), std::move(edge_column),
-                shards[t].x_range, query_options[q], &shard_stats[q][t],
-                options_.write_behind, &slab_files[q][t], &incumbents[q]));
-          }
-          return Status::OK();
-        });
+    ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) -> Status {
+      std::vector<size_t> order;
+      for (size_t t = 0; t < num_shards; ++t) {
+        if (t != seed[q] && survives[q][t]) order.push_back(t);
       }
-      for (size_t q = 0; q < k; ++q) {
-        const Status st = groups[q]->Wait();
-        if (per_query[q].ok()) per_query[q] = st;
+      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        if (ub[q][a] != ub[q][b]) return ub[q][a] > ub[q][b];
+        return a < b;
+      });
+      for (size_t t : order) {
+        if (incumbents[q].has_value && ub[q][t] < incumbents[q].sum) {
+          ++bound_skips[q];
+          continue;  // skipped mid-solve: "" child in the combine
+        }
+        MAXRS_RETURN_IF_ERROR(channels.SolveTarget(
+            env, temps, q, t, routed_rows, ranges[t], query_options[q],
+            &shard_stats[q][t], &slab_files[q][t], &incumbents[q]));
       }
-    }
+      return Status::OK();
+    });
     wave2_done.Wait();
-    fold_producers(wave2);
+    FoldRoutingFailure(producer_status, wave2, &per_query);
     uint64_t total_skips = 0;
     for (uint64_t s : bound_skips) total_skips += s;
     if (total_skips > 0) env.stats().RecordBoundSkip(total_skips);
 
-    // Phase C per query: drain the routed rows' span channels (closed by
-    // now) and combine over ALL shard ranges with "" children standing in
-    // for skipped shards.
+    // Phase C per query over the routed rows' span channels.
     for (size_t q = 0; q < k; ++q) {
-      if (!per_query[q].ok()) {
-        (*results)[q] = per_query[q];
-        continue;
-      }
-      (*results)[q] = [&]() -> Result<MaxRSResult> {
-        uint64_t num_spans = 0;
-        std::string span_file = temps.NewName("b_spans");
-        {
-          std::vector<RecordSource<SpanRecord>*> span_sources;
-          span_sources.reserve(routed_list.size());
-          for (size_t s : routed_list) {
-            span_sources.push_back(channels.span(q, s));
-          }
-          MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
-              std::move(span_sources), &SpanYLess);
-          MAXRS_ASSIGN_OR_RETURN(
-              RecordWriter<SpanRecord> writer,
-              RecordWriter<SpanRecord>::Make(env, span_file,
-                                             options_.write_behind));
-          SpanRecord span{};
-          while (spans.Next(&span)) {
-            MAXRS_RETURN_IF_ERROR(CheckCancel(&batch[q]->cancel));
-            MAXRS_RETURN_IF_ERROR(writer.Append(span));
-          }
-          MAXRS_RETURN_IF_ERROR(spans.final_status());
-          MAXRS_RETURN_IF_ERROR(writer.Finish());
-          num_spans = writer.count();
-        }
-        std::string root_file = temps.NewName("b_root");
-        MAXRS_RETURN_IF_ERROR(MergeSweep(
-            env, ranges, slab_files[q], span_file, root_file,
-            SweepObjective::kMaximize, options_.read_ahead,
-            options_.write_behind, &batch[q]->cancel));
-        for (std::string& slab_file : slab_files[q]) {
-          if (!slab_file.empty()) temps.Release(slab_file);
-        }
-        temps.Release(span_file);
-        return ExtractRootResult(env, temps, root_file, options_.read_ahead,
-                                 dataset_.num_objects(), shard_stats[q],
-                                 num_shards, num_spans, &batch[q]->cancel);
-      }();
+      (*results)[q] =
+          per_query[q].ok()
+              ? CombineShards(env, temps, channels, q, routed_rows, ranges,
+                              &slab_files[q], shard_stats[q],
+                              dataset_.num_objects(), query_options[q])
+              : Result<MaxRSResult>(per_query[q]);
     }
-  }  // joins and destroys the channels
-
-  const IoStatsSnapshot delta = env.stats().Snapshot() - io_before;
-  ApplyBatchShares(queries, delta, timer.ElapsedSeconds(), results);
-  bool any_failed = false;
-  for (const Result<MaxRSResult>& r : *results) any_failed |= !r.ok();
-  if (any_failed) temps.ReleaseAll();
+  }  // destroys the channels (and any spill files)
+  FinishBatch(env, temps, io_before, timer, queries, results);
 }
 
 bool MaxRSServer::PruningActiveFor(ServePruningMode mode) const {
   if (mode == ServePruningMode::kOff) return false;
-  if (options_.solve_mode != ServeSolveMode::kPerShard) return false;
   if (dataset_.shards().size() < 2) return false;
   const ShardAggIndex* index = dataset_.agg_index();
   return index != nullptr && index->pruning_safe();
-}
-
-bool MaxRSServer::PruningActive() const {
-  return PruningActiveFor(options_.pruning_mode);
-}
-
-Result<MaxRSResult> MaxRSServer::ExecuteQuery(double width, double height,
-                                              const CancelToken* cancel,
-                                              ServeRoutingMode routing,
-                                              ServePruningMode pruning) {
-  // A request whose deadline elapsed while it sat in the queue fails here
-  // without touching the Env at all.
-  MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-  if (options_.solve_mode == ServeSolveMode::kGlobalMerge) {
-    return ExecuteGlobalMerge(width, height, cancel);
-  }
-  const bool pruned = PruningActiveFor(pruning);
-  if (!pruned && pruning == ServePruningMode::kAuto &&
-      dataset_.shards().size() > 1) {
-    // Pruning was wanted but the dataset cannot support it (no usable
-    // aggregate index, or weights unsafe to bound): count the degradation.
-    // Only the shard skipping is lost — answers are unchanged.
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.unpruned;
-  }
-  if (routing == ServeRoutingMode::kMaterialized) {
-    return pruned ? ExecutePerShardMaterializedPruned(width, height, cancel)
-                  : ExecutePerShardMaterialized(width, height, cancel);
-  }
-  Result<MaxRSResult> result =
-      pruned ? ExecutePerShardStreamingPruned(width, height, cancel)
-             : ExecutePerShardStreaming(width, height, cancel);
-  if (!result.ok() && result.status().is_retryable()) {
-    // Graceful degradation, one shot: a streaming query that failed with a
-    // retryable (transient) error — Env retries already exhausted — re-runs
-    // once on the materialized file-based path before the failure reaches
-    // the client. Terminal errors (kCorruption, kDeadlineExceeded) are
-    // never re-run: the rerun would read the same bad bytes or re-exceed
-    // the same deadline.
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.degraded;
-    }
-    result = pruned ? ExecutePerShardMaterializedPruned(width, height, cancel)
-                    : ExecutePerShardMaterialized(width, height, cancel);
-  }
-  return result;
-}
-
-Result<MaxRSResult> MaxRSServer::ExecutePerShardStreaming(
-    double width, double height, const CancelToken* cancel) {
-  Env& env = *exec_env_;
-  TempFileManager temps(env, options_.work_prefix);
-  const IoStatsSnapshot io_before = env.stats().Snapshot();
-  Stopwatch timer;
-
-  auto body = [&]() -> Result<MaxRSResult> {
-    const std::vector<ShardInfo>& shards = dataset_.shards();
-    const size_t num_shards = shards.size();
-    std::vector<double> bounds;  // interior shard boundaries
-    bounds.reserve(num_shards - 1);
-    for (size_t k = 1; k < num_shards; ++k) {
-      bounds.push_back(shards[k].x_range.lo);
-    }
-    std::vector<Interval> ranges;
-    ranges.reserve(num_shards);
-    for (const ShardInfo& shard : shards) ranges.push_back(shard.x_range);
-    const MaxRSOptions query_options =
-        MakeQueryOptions(width, height, cancel);
-
-    // Channels first (deterministic spill-name order), then the producers
-    // as raw pool submissions, then the consumers as a TaskGroup — the
-    // FIFO-before order the liveness protocol requires. The latch is
-    // waited on before `channels` goes out of scope on EVERY path below:
-    // producers hold raw pointers into it.
-    StreamingChannels channels(env, temps, num_shards,
-                               options_.stream_channel_bytes,
-                               options_.write_behind);
-    std::vector<Status> producer_status(num_shards);
-    JoinLatch producers_done(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool_->Submit([&, s] {
-        producer_status[s] = RouteSourceShardStreaming(
-            env, channels, shards, bounds, ranges, s, width, height,
-            options_.read_ahead, cancel);
-        producers_done.CountDown();
-      });
-    }
-
-    std::vector<size_t> all_sources(num_shards);
-    std::iota(all_sources.begin(), all_sources.end(), size_t{0});
-    std::vector<std::string> slab_files(num_shards);
-    std::vector<MaxRSStats> shard_stats(num_shards);
-    Status consumers_status;
-    {
-      TaskGroup group(pool_.get());
-      for (size_t t = 0; t < num_shards; ++t) {
-        group.Run([&, t]() -> Status {
-          return SolveTargetShardStreaming(
-              env, temps, channels, all_sources, shards[t].x_range, t,
-              query_options, &shard_stats[t], options_.write_behind,
-              &slab_files[t]);
-        });
-      }
-      consumers_status = group.Wait();
-    }
-    // Join the producers unconditionally — consumers done does not imply
-    // producers done (a base-case consumer abandons its edge column), and
-    // an early return would destroy the channels under their feet.
-    producers_done.Wait();
-    MAXRS_RETURN_IF_ERROR(consumers_status);
-    for (const Status& st : producer_status) MAXRS_RETURN_IF_ERROR(st);
-
-    // Phase C: cross-shard combine, identical to the materialized path
-    // except the merged span file is drained from the span channels (all
-    // closed by now — they act as deterministic buffers) instead of
-    // k-way-merging span part files.
-    uint64_t num_spans = 0;
-    std::string root_file;
-    if (num_shards == 1) {
-      root_file = std::move(slab_files[0]);
-    } else {
-      std::string span_file = temps.NewName("q_spans");
-      {
-        std::vector<RecordSource<SpanRecord>*> span_sources;
-        span_sources.reserve(num_shards);
-        for (auto& ch : channels.spans) span_sources.push_back(ch.get());
-        MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
-            std::move(span_sources), &SpanYLess);
-        MAXRS_ASSIGN_OR_RETURN(
-            RecordWriter<SpanRecord> writer,
-            RecordWriter<SpanRecord>::Make(env, span_file,
-                                           options_.write_behind));
-        SpanRecord span{};
-        while (spans.Next(&span)) {
-          MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-          MAXRS_RETURN_IF_ERROR(writer.Append(span));
-        }
-        MAXRS_RETURN_IF_ERROR(spans.final_status());
-        MAXRS_RETURN_IF_ERROR(writer.Finish());
-        num_spans = writer.count();
-      }
-      root_file = temps.NewName("q_root");
-      MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, slab_files, span_file,
-                                       root_file, SweepObjective::kMaximize,
-                                       options_.read_ahead,
-                                       options_.write_behind, cancel));
-      for (const std::string& slab_file : slab_files) {
-        temps.Release(slab_file);
-      }
-      temps.Release(span_file);
-    }
-
-    // Extract the answer from the root slab-file stream.
-    core_internal::TopTupleTracker tracker(1);
-    {
-      MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SlabTuple> reader,
-                             PrefetchingReader<SlabTuple>::Make(
-                                 env, root_file, options_.read_ahead));
-      SlabTuple t{};
-      while (reader.Next(&t)) {
-        MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-        tracker.Visit(t);
-      }
-      MAXRS_RETURN_IF_ERROR(reader.final_status());
-    }
-    temps.Release(root_file);
-
-    MaxRSResult result;
-    auto best = tracker.Finish();
-    if (best.empty()) {
-      result.region = Rect{-kInf, kInf, -kInf, kInf};
-    } else {
-      result.location = best[0].location;
-      result.total_weight = best[0].total_weight;
-      result.region = best[0].region;
-    }
-    result.stats.input_objects = dataset_.num_objects();
-    for (const MaxRSStats& s : shard_stats) {
-      result.stats.base_cases += s.base_cases;
-      result.stats.merges += s.merges;
-      result.stats.total_spans += s.total_spans;
-      result.stats.recursion_levels =
-          std::max(result.stats.recursion_levels,
-                   s.recursion_levels + (num_shards > 1 ? 1 : 0));
-    }
-    if (num_shards > 1) {
-      ++result.stats.merges;  // the cross-shard MergeSweep
-      result.stats.total_spans += num_spans;
-    }
-    return {std::move(result)};
-  };
-
-  Result<MaxRSResult> result = body();
-  if (result.ok()) {
-    result.value().stats.io = env.stats().Snapshot() - io_before;
-    result.value().stats.wall_seconds = timer.ElapsedSeconds();
-  } else {
-    // Sweep every scratch file this query's manager named so repeated
-    // failing queries cannot grow the Env without bound. (The channels'
-    // spill files were already deleted by their destructors.)
-    temps.ReleaseAll();
-  }
-  return result;
-}
-
-Result<MaxRSResult> MaxRSServer::ExecutePerShardMaterialized(
-    double width, double height, const CancelToken* cancel) {
-  Env& env = *exec_env_;
-  TempFileManager temps(env, options_.work_prefix);
-  const IoStatsSnapshot io_before = env.stats().Snapshot();
-  Stopwatch timer;
-
-  auto body = [&]() -> Result<MaxRSResult> {
-    const std::vector<ShardInfo>& shards = dataset_.shards();
-    const size_t num_shards = shards.size();
-    std::vector<double> bounds;  // interior shard boundaries
-    bounds.reserve(num_shards - 1);
-    for (size_t k = 1; k < num_shards; ++k) {
-      bounds.push_back(shards[k].x_range.lo);
-    }
-    const MaxRSOptions query_options =
-        MakeQueryOptions(width, height, cancel);
-
-    // Phase A: route every source shard. Subtasks write into slots indexed
-    // by source, so the fan-in is deterministic regardless of schedule;
-    // when all pool threads sit in worker loops, the submitting worker
-    // drains its own subtasks via TaskGroup's help-while-wait.
-    std::vector<RoutedSource> routed(num_shards);
-    {
-      TaskGroup group(pool_.get());
-      for (size_t s = 0; s < num_shards; ++s) {
-        group.Run([&, s]() -> Status {
-          return RouteSourceShard(env, temps, shards, bounds, s, width,
-                                  height, options_.read_ahead, cancel,
-                                  &routed[s]);
-        });
-      }
-      MAXRS_RETURN_IF_ERROR(group.Wait());
-    }
-
-    // Phase B: solve each target shard independently (slots by target).
-    std::vector<std::string> slab_files(num_shards);
-    std::vector<MaxRSStats> shard_stats(num_shards);
-    {
-      TaskGroup group(pool_.get());
-      for (size_t t = 0; t < num_shards; ++t) {
-        group.Run([&, t]() -> Status {
-          auto slab_or =
-              SolveTargetShard(env, temps, routed, shards[t].x_range, t,
-                               query_options, &shard_stats[t]);
-          if (!slab_or.ok()) return slab_or.status();
-          slab_files[t] = std::move(slab_or).value();
-          return Status::OK();
-        });
-      }
-      MAXRS_RETURN_IF_ERROR(group.Wait());
-    }
-
-    // Phase C: cross-shard combine — merge the boundary span streams
-    // (ascending source order; SpanYLess makes the k-way merge canonical)
-    // and run one MergeSweep over the shard slab-files.
-    uint64_t num_spans = 0;
-    std::string root_file;
-    if (num_shards == 1) {
-      root_file = std::move(slab_files[0]);
-    } else {
-      std::vector<std::string> span_parts;
-      for (const RoutedSource& source : routed) {
-        if (!source.span_part.empty()) span_parts.push_back(source.span_part);
-        num_spans += source.span_count;
-      }
-      std::string span_file;
-      if (span_parts.empty()) {
-        span_file = temps.NewName("q_spans");
-        MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> writer,
-                               RecordWriter<SpanRecord>::Make(env, span_file));
-        MAXRS_RETURN_IF_ERROR(writer.Finish());
-      } else if (span_parts.size() == 1) {
-        span_file = span_parts[0];
-      } else {
-        const size_t fan_in = QueryMergeFanIn(options_.memory_bytes,
-                                              env.block_size());
-        span_file = temps.NewName("q_spans");
-        MAXRS_RETURN_IF_ERROR(MergeSortedParts<SpanRecord>(
-            env, temps, span_parts, span_file, SpanYLess, fan_in,
-            /*pool=*/nullptr, /*passes_out=*/nullptr, options_.read_ahead));
-      }
-      std::vector<Interval> ranges;
-      ranges.reserve(num_shards);
-      for (const ShardInfo& shard : shards) ranges.push_back(shard.x_range);
-      root_file = temps.NewName("q_root");
-      MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, slab_files, span_file,
-                                       root_file, SweepObjective::kMaximize,
-                                       options_.read_ahead,
-                                       options_.write_behind, cancel));
-      for (const std::string& slab_file : slab_files) {
-        temps.Release(slab_file);
-      }
-      temps.Release(span_file);
-    }
-
-    // Extract the answer from the root slab-file stream.
-    core_internal::TopTupleTracker tracker(1);
-    {
-      MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SlabTuple> reader,
-                             PrefetchingReader<SlabTuple>::Make(
-                                 env, root_file, options_.read_ahead));
-      SlabTuple t{};
-      while (reader.Next(&t)) {
-        MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-        tracker.Visit(t);
-      }
-      MAXRS_RETURN_IF_ERROR(reader.final_status());
-    }
-    temps.Release(root_file);
-
-    MaxRSResult result;
-    auto best = tracker.Finish();
-    if (best.empty()) {
-      result.region = Rect{-kInf, kInf, -kInf, kInf};
-    } else {
-      result.location = best[0].location;
-      result.total_weight = best[0].total_weight;
-      result.region = best[0].region;
-    }
-    result.stats.input_objects = dataset_.num_objects();
-    for (const MaxRSStats& s : shard_stats) {
-      result.stats.base_cases += s.base_cases;
-      result.stats.merges += s.merges;
-      result.stats.total_spans += s.total_spans;
-      result.stats.recursion_levels =
-          std::max(result.stats.recursion_levels,
-                   s.recursion_levels + (num_shards > 1 ? 1 : 0));
-    }
-    if (num_shards > 1) {
-      ++result.stats.merges;  // the cross-shard MergeSweep
-      result.stats.total_spans += num_spans;
-    }
-    return {std::move(result)};
-  };
-
-  Result<MaxRSResult> result = body();
-  if (result.ok()) {
-    result.value().stats.io = env.stats().Snapshot() - io_before;
-    result.value().stats.wall_seconds = timer.ElapsedSeconds();
-  } else {
-    // Sweep every scratch file this query's manager named so repeated
-    // failing queries cannot grow the Env without bound.
-    temps.ReleaseAll();
-  }
-  return result;
-}
-
-Result<MaxRSResult> MaxRSServer::ExecuteGlobalMerge(
-    double width, double height, const CancelToken* cancel) {
-  Env& env = *exec_env_;
-  TempFileManager temps(env, options_.work_prefix);
-
-  auto body = [&]() -> Result<MaxRSResult> {
-    const std::vector<ShardInfo>& shards = dataset_.shards();
-    const size_t num_shards = shards.size();
-    const MaxRSOptions query_options =
-        MakeQueryOptions(width, height, cancel);
-
-    // Per-shard rect-dependent derivation: linear passes over the
-    // pre-sorted shard files, no sorting.
-    std::vector<std::string> piece_parts(num_shards);
-    std::vector<std::string> edge_parts(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      piece_parts[i] = temps.NewName("q_pieces");
-      edge_parts[i] = temps.NewName("q_edges");
-      bool canonical = true;
-      MAXRS_RETURN_IF_ERROR(TransformShardPieces(
-          env, shards[i], width, height, piece_parts[i], &canonical,
-          options_.read_ahead, cancel));
-      if (!canonical) {
-        // Sub-ulp coordinate collapse (see TransformShardPieces) broke the
-        // derived order; fall back to a real sort for this shard so the
-        // stream is canonical and bit-identity with one-shot runs holds
-        // even on degenerate data. Never taken for ordinarily-spaced input.
-        const std::string resorted = temps.NewName("q_pieces_resort");
-        ExternalSortOptions sort_options{options_.memory_bytes, nullptr,
-                                         options_.read_ahead};
-        MAXRS_RETURN_IF_ERROR(ExternalSort<PieceRecord>(
-            env, piece_parts[i], resorted, PieceYLess, sort_options));
-        temps.Release(piece_parts[i]);
-        piece_parts[i] = resorted;
-      }
-      MAXRS_RETURN_IF_ERROR(BuildShardEdges(env, shards[i], width,
-                                            edge_parts[i],
-                                            options_.read_ahead, cancel));
-    }
-
-    // Assemble the two global division-phase inputs. Shards partition the
-    // objects, every per-shard stream is sorted, and both comparators are
-    // total orders — so the (possibly multi-pass) MergeSortedParts run
-    // reproduces byte-for-byte the files the one-shot pipeline's external
-    // sorts would have produced, within the query's M/B - 1 fan-in budget.
-    std::string piece_file, edge_file;
-    if (num_shards == 1) {
-      piece_file = piece_parts[0];
-      edge_file = edge_parts[0];
-    } else {
-      const size_t fan_in = QueryMergeFanIn(options_.memory_bytes,
-                                            env.block_size());
-      piece_file = temps.NewName("q_pieces_sorted");
-      edge_file = temps.NewName("q_edges_sorted");
-      MAXRS_RETURN_IF_ERROR(MergeSortedParts<PieceRecord>(
-          env, temps, piece_parts, piece_file, PieceYLess, fan_in,
-          /*pool=*/nullptr, /*passes_out=*/nullptr, options_.read_ahead));
-      MAXRS_RETURN_IF_ERROR(MergeSortedParts<EdgeRecord>(
-          env, temps, edge_parts, edge_file, EdgeXLess, fan_in,
-          /*pool=*/nullptr, /*passes_out=*/nullptr, options_.read_ahead));
-    }
-
-    PreparedInput input;
-    input.piece_file = piece_file;
-    input.edge_file = edge_file;
-    input.num_pieces = dataset_.num_objects();
-    input.x_range = Interval{-kInf, kInf};
-    return RunExactMaxRSPrepared(env, input, query_options);
-  };
-
-  Result<MaxRSResult> result = body();
-  if (!result.ok()) {
-    // Sweep every scratch file this query's manager named — including
-    // multi-pass merge intermediates — so repeated failing queries cannot
-    // grow the Env without bound. (Scratch the Driver recursion allocates
-    // under its own manager can still leak on a mid-recursion error; that
-    // matches the one-shot pipeline's behavior.)
-    temps.ReleaseAll();
-  }
-  return result;
-}
-
-Result<MaxRSResult> MaxRSServer::ExecutePerShardMaterializedPruned(
-    double width, double height, const CancelToken* cancel) {
-  Env& env = *exec_env_;
-  TempFileManager temps(env, options_.work_prefix);
-  const IoStatsSnapshot io_before = env.stats().Snapshot();
-  Stopwatch timer;
-
-  auto body = [&]() -> Result<MaxRSResult> {
-    const ShardAggIndex& index = *dataset_.agg_index();
-    const std::vector<ShardInfo>& shards = dataset_.shards();
-    const size_t num_shards = shards.size();  // >= 2 (PruningActive)
-    std::vector<double> bounds;  // interior shard boundaries
-    bounds.reserve(num_shards - 1);
-    for (size_t k = 1; k < num_shards; ++k) {
-      bounds.push_back(shards[k].x_range.lo);
-    }
-    const MaxRSOptions query_options = MakeQueryOptions(width, height, cancel);
-
-    // Plan: per-shard weight upper bounds from the index — zero I/O.
-    const std::vector<double> ub = ShardUpperBounds(index, shards, width);
-    const size_t seed = ArgMaxUpperBound(ub);
-
-    // Every entry is pre-sized so SolveTargetShard can index the part
-    // vectors of sources that were never routed (all-empty = routed
-    // nothing, exactly like a routed source that emitted nothing).
-    std::vector<RoutedSource> routed(num_shards);
-    for (RoutedSource& r : routed) {
-      r.piece_parts.assign(num_shards, std::string());
-      r.piece_counts.assign(num_shards, 0);
-      r.edge_parts.assign(num_shards, std::string());
-    }
-    std::vector<char> is_routed(num_shards, 0);
-    auto route_sources = [&](const std::vector<size_t>& sources) -> Status {
-      TaskGroup group(pool_.get());
-      for (size_t s : sources) {
-        group.Run([&, s]() -> Status {
-          return RouteSourceShard(env, temps, shards, bounds, s, width,
-                                  height, options_.read_ahead, cancel,
-                                  &routed[s]);
-        });
-      }
-      return group.Wait();
-    };
-
-    // Phase A1: route only the sources the seed shard needs.
-    std::vector<size_t> a1;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (SourceFeedsTarget(index, s, shards[seed].x_range, width)) {
-        a1.push_back(s);
-        is_routed[s] = 1;
-      }
-    }
-    MAXRS_RETURN_IF_ERROR(route_sources(a1));
-
-    // Seed solve, inline on this worker thread: its slab-file's best tuple
-    // sum is the branch-and-bound incumbent.
-    std::vector<std::string> slab_files(num_shards);
-    std::vector<MaxRSStats> shard_stats(num_shards);
-    SlabBest incumbent;
-    MAXRS_ASSIGN_OR_RETURN(
-        slab_files[seed],
-        SolveTargetShard(env, temps, routed, shards[seed].x_range, seed,
-                         query_options, &shard_stats[seed], &incumbent));
-
-    // Prune: only shards whose bound can still match or beat the incumbent
-    // survive. Strictly-less comparison — a shard that could TIE must
-    // survive, or the first-maximum tie-break would shift.
-    std::vector<char> survives(num_shards, 0);
-    survives[seed] = 1;
-    uint64_t pruned_count = 0;
-    for (size_t t = 0; t < num_shards; ++t) {
-      if (t == seed) continue;
-      if (incumbent.has_value && ub[t] < incumbent.sum) {
-        ++pruned_count;
-      } else {
-        survives[t] = 1;
-      }
-    }
-    if (pruned_count > 0) env.stats().RecordShardsPruned(pruned_count);
-
-    // Phase A2: route the remaining sources any surviving target needs.
-    std::vector<size_t> a2;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (is_routed[s]) continue;
-      for (size_t t = 0; t < num_shards; ++t) {
-        if (survives[t] &&
-            SourceFeedsTarget(index, s, shards[t].x_range, width)) {
-          a2.push_back(s);
-          is_routed[s] = 1;
-          break;
-        }
-      }
-    }
-    MAXRS_RETURN_IF_ERROR(route_sources(a2));
-
-    // Phase B: solve the survivors sequentially, best bound first (ties to
-    // the lowest index), re-checking each bound against the incumbent the
-    // previous solves grew. Sequential on purpose: parallel solves would
-    // race the incumbent and make the set of skipped shards — and with it
-    // the per-query block count — schedule-dependent.
-    std::vector<size_t> order;
-    for (size_t t = 0; t < num_shards; ++t) {
-      if (t != seed && survives[t]) order.push_back(t);
-    }
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (ub[a] != ub[b]) return ub[a] > ub[b];
-      return a < b;
-    });
-    uint64_t bound_skips = 0;
-    for (size_t t : order) {
-      if (incumbent.has_value && ub[t] < incumbent.sum) {
-        ++bound_skips;
-        survives[t] = 0;  // skipped mid-solve: "" child in the combine
-        continue;
-      }
-      MAXRS_ASSIGN_OR_RETURN(
-          slab_files[t],
-          SolveTargetShard(env, temps, routed, shards[t].x_range, t,
-                           query_options, &shard_stats[t], &incumbent));
-    }
-    if (bound_skips > 0) env.stats().RecordBoundSkip(bound_skips);
-
-    // Phase C: cross-shard combine over ALL shard ranges; skipped shards
-    // keep their "" names — MergeSweep treats them as known-empty children
-    // (zero I/O), keeping the adjacent-ranges contract and the span child
-    // indices intact. Spans come from routed sources only; every span
-    // covering a surviving shard is from a routed source by construction.
-    uint64_t num_spans = 0;
-    std::vector<std::string> span_parts;
-    for (const RoutedSource& source : routed) {
-      if (!source.span_part.empty()) span_parts.push_back(source.span_part);
-      num_spans += source.span_count;
-    }
-    std::string span_file;
-    if (span_parts.empty()) {
-      span_file = temps.NewName("q_spans");
-      MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> writer,
-                             RecordWriter<SpanRecord>::Make(env, span_file));
-      MAXRS_RETURN_IF_ERROR(writer.Finish());
-    } else if (span_parts.size() == 1) {
-      span_file = span_parts[0];
-    } else {
-      const size_t fan_in =
-          QueryMergeFanIn(options_.memory_bytes, env.block_size());
-      span_file = temps.NewName("q_spans");
-      MAXRS_RETURN_IF_ERROR(MergeSortedParts<SpanRecord>(
-          env, temps, span_parts, span_file, SpanYLess, fan_in,
-          /*pool=*/nullptr, /*passes_out=*/nullptr, options_.read_ahead));
-    }
-    std::vector<Interval> ranges;
-    ranges.reserve(num_shards);
-    for (const ShardInfo& shard : shards) ranges.push_back(shard.x_range);
-    std::string root_file = temps.NewName("q_root");
-    MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, slab_files, span_file,
-                                     root_file, SweepObjective::kMaximize,
-                                     options_.read_ahead,
-                                     options_.write_behind, cancel));
-    for (const std::string& slab_file : slab_files) {
-      if (!slab_file.empty()) temps.Release(slab_file);
-    }
-    temps.Release(span_file);
-
-    return ExtractRootResult(env, temps, root_file, options_.read_ahead,
-                             dataset_.num_objects(), shard_stats, num_shards,
-                             num_spans, cancel);
-  };
-
-  Result<MaxRSResult> result = body();
-  if (result.ok()) {
-    result.value().stats.io = env.stats().Snapshot() - io_before;
-    result.value().stats.wall_seconds = timer.ElapsedSeconds();
-  } else {
-    temps.ReleaseAll();
-  }
-  return result;
-}
-
-Result<MaxRSResult> MaxRSServer::ExecutePerShardStreamingPruned(
-    double width, double height, const CancelToken* cancel) {
-  Env& env = *exec_env_;
-  TempFileManager temps(env, options_.work_prefix);
-  const IoStatsSnapshot io_before = env.stats().Snapshot();
-  Stopwatch timer;
-
-  auto body = [&]() -> Result<MaxRSResult> {
-    const ShardAggIndex& index = *dataset_.agg_index();
-    const std::vector<ShardInfo>& shards = dataset_.shards();
-    const size_t num_shards = shards.size();  // >= 2 (PruningActive)
-    std::vector<double> bounds;  // interior shard boundaries
-    bounds.reserve(num_shards - 1);
-    for (size_t k = 1; k < num_shards; ++k) {
-      bounds.push_back(shards[k].x_range.lo);
-    }
-    std::vector<Interval> ranges;
-    ranges.reserve(num_shards);
-    for (const ShardInfo& shard : shards) ranges.push_back(shard.x_range);
-    const MaxRSOptions query_options = MakeQueryOptions(width, height, cancel);
-
-    // Plan (zero I/O), as in the materialized pruned path.
-    const std::vector<double> ub = ShardUpperBounds(index, shards, width);
-    const size_t seed = ArgMaxUpperBound(ub);
-
-    // The full S x S channel grid is created eagerly even though some rows
-    // may never route: spill names must be allocated in the same
-    // deterministic order as the un-pruned path. Unused channels allocate
-    // no files. Producers of rows that never route also never close their
-    // channels — consumers only ever merge routed rows, so nobody waits on
-    // them, and the destructors reclaim whatever state exists.
-    StreamingChannels channels(env, temps, num_shards,
-                               options_.stream_channel_bytes,
-                               options_.write_behind);
-    std::vector<Status> producer_status(num_shards);
-    std::vector<char> is_routed(num_shards, 0);
-    auto submit_producer = [&](size_t s, JoinLatch* latch) {
-      pool_->Submit([&, s, latch] {
-        producer_status[s] = RouteSourceShardStreaming(
-            env, channels, shards, bounds, ranges, s, width, height,
-            options_.read_ahead, cancel);
-        latch->CountDown();
-      });
-    };
-
-    // Phase A1: producers for the sources the seed needs, then the seed
-    // solve inline on this worker thread — consuming while they produce.
-    // Producers never block, so the inline consumer cannot deadlock them.
-    std::vector<size_t> a1;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (SourceFeedsTarget(index, s, shards[seed].x_range, width)) {
-        a1.push_back(s);
-        is_routed[s] = 1;
-      }
-    }
-    JoinLatch a1_done(a1.size());
-    for (size_t s : a1) submit_producer(s, &a1_done);
-
-    std::vector<std::string> slab_files(num_shards);
-    std::vector<MaxRSStats> shard_stats(num_shards);
-    SlabBest incumbent;
-    Status seed_status = SolveTargetShardStreaming(
-        env, temps, channels, a1, shards[seed].x_range, seed, query_options,
-        &shard_stats[seed], options_.write_behind, &slab_files[seed],
-        &incumbent);
-    // Join the A1 producers before any return — they hold references into
-    // `channels` (the seed consumer finishing does not imply the rows
-    // finished: rows close their piece channels before routing edges).
-    a1_done.Wait();
-    MAXRS_RETURN_IF_ERROR(seed_status);
-    for (size_t s : a1) MAXRS_RETURN_IF_ERROR(producer_status[s]);
-
-    // Prune against the incumbent (strict — ties must survive).
-    std::vector<char> survives(num_shards, 0);
-    survives[seed] = 1;
-    uint64_t pruned_count = 0;
-    for (size_t t = 0; t < num_shards; ++t) {
-      if (t == seed) continue;
-      if (incumbent.has_value && ub[t] < incumbent.sum) {
-        ++pruned_count;
-      } else {
-        survives[t] = 1;
-      }
-    }
-    if (pruned_count > 0) env.stats().RecordShardsPruned(pruned_count);
-
-    // Phase A2: producers for the remaining sources any survivor needs.
-    std::vector<size_t> a2;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (is_routed[s]) continue;
-      for (size_t t = 0; t < num_shards; ++t) {
-        if (survives[t] &&
-            SourceFeedsTarget(index, s, shards[t].x_range, width)) {
-          a2.push_back(s);
-          is_routed[s] = 1;
-          break;
-        }
-      }
-    }
-    std::vector<size_t> routed_list;  // ascending — canonical merge order
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (is_routed[s]) routed_list.push_back(s);
-    }
-    JoinLatch a2_done(a2.size());
-    for (size_t s : a2) submit_producer(s, &a2_done);
-
-    // Phase B: survivors inline, sequentially, best bound first — same
-    // order and bound re-check as the materialized pruned path (parallel
-    // consumers would race the incumbent and make skips nondeterministic).
-    // Each solve overlaps whatever A2 producers are still routing.
-    uint64_t bound_skips = 0;
-    Status phase_b = [&]() -> Status {
-      std::vector<size_t> order;
-      for (size_t t = 0; t < num_shards; ++t) {
-        if (t != seed && survives[t]) order.push_back(t);
-      }
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (ub[a] != ub[b]) return ub[a] > ub[b];
-        return a < b;
-      });
-      for (size_t t : order) {
-        if (incumbent.has_value && ub[t] < incumbent.sum) {
-          ++bound_skips;
-          survives[t] = 0;  // skipped mid-solve: "" child in the combine
-          continue;
-        }
-        MAXRS_RETURN_IF_ERROR(SolveTargetShardStreaming(
-            env, temps, channels, routed_list, shards[t].x_range, t,
-            query_options, &shard_stats[t], options_.write_behind,
-            &slab_files[t], &incumbent));
-      }
-      return Status::OK();
-    }();
-    // Join the A2 producers before any return, as with A1 above.
-    a2_done.Wait();
-    MAXRS_RETURN_IF_ERROR(phase_b);
-    for (size_t s : a2) MAXRS_RETURN_IF_ERROR(producer_status[s]);
-    if (bound_skips > 0) env.stats().RecordBoundSkip(bound_skips);
-
-    // Phase C: drain the routed rows' span channels (closed by now) and
-    // combine over ALL shard ranges with "" children for skipped shards.
-    uint64_t num_spans = 0;
-    std::string span_file = temps.NewName("q_spans");
-    {
-      std::vector<RecordSource<SpanRecord>*> span_sources;
-      span_sources.reserve(routed_list.size());
-      for (size_t s : routed_list) {
-        span_sources.push_back(channels.spans[s].get());
-      }
-      MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
-          std::move(span_sources), &SpanYLess);
-      MAXRS_ASSIGN_OR_RETURN(
-          RecordWriter<SpanRecord> writer,
-          RecordWriter<SpanRecord>::Make(env, span_file,
-                                         options_.write_behind));
-      SpanRecord span{};
-      while (spans.Next(&span)) {
-        MAXRS_RETURN_IF_ERROR(CheckCancel(cancel));
-        MAXRS_RETURN_IF_ERROR(writer.Append(span));
-      }
-      MAXRS_RETURN_IF_ERROR(spans.final_status());
-      MAXRS_RETURN_IF_ERROR(writer.Finish());
-      num_spans = writer.count();
-    }
-    std::string root_file = temps.NewName("q_root");
-    MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, slab_files, span_file,
-                                     root_file, SweepObjective::kMaximize,
-                                     options_.read_ahead,
-                                     options_.write_behind, cancel));
-    for (const std::string& slab_file : slab_files) {
-      if (!slab_file.empty()) temps.Release(slab_file);
-    }
-    temps.Release(span_file);
-
-    return ExtractRootResult(env, temps, root_file, options_.read_ahead,
-                             dataset_.num_objects(), shard_stats, num_shards,
-                             num_spans, cancel);
-  };
-
-  Result<MaxRSResult> result = body();
-  if (result.ok()) {
-    result.value().stats.io = env.stats().Snapshot() - io_before;
-    result.value().stats.wall_seconds = timer.ElapsedSeconds();
-  } else {
-    temps.ReleaseAll();
-  }
-  return result;
 }
 
 }  // namespace maxrs

@@ -8,50 +8,42 @@
 // duplicate of a query already executing attaches to the leader's pending
 // slot instead of executing again), otherwise enqueues the request on a
 // bounded MPMC queue (util/mpmc_queue.h) and blocks on (or returns) its
-// future. A QuerySpec may override the deadline, routing mode, and pruning
-// mode per query; overrides never change the answer, only how it is
-// computed. `num_workers` long-running worker tasks — a TaskGroup on the PR-2
-// ThreadPool — pop requests and execute them. Two solve modes exist:
+// future. A QuerySpec may override the deadline and the pruning mode per
+// query; overrides never change the answer, only how it is computed.
+// `num_workers` dedicated worker threads pop requests — up to `batch_max`
+// shape-compatible ones at a time — and execute them as one batch. A lone
+// query is simply a batch of one: there is exactly one executor, in an
+// index-pruned and an un-pruned variant. The x-slab shards ARE the
+// top-level division of the paper's distribution sweep:
 //
-// kPerShard (default) — the x-slab shards ARE the top-level division:
+//   route       per source shard, ONE pass over its y-sorted objects
+//               transforms every query's pieces and routes them by extent —
+//               clipped parts into the (at most two) partially covered
+//               shards, one SpanRecord for the fully covered shards
+//               between — and ONE pass over its x-sorted objects routes
+//               every query's vertical edges by value      — linear passes
+//   solve       per query and target shard, merge the incoming piece
+//               streams and run division + plane-sweep *inside the shard*
+//               (core_internal::SolveSlabStream)     — O(shard) per task
+//   combine     per query, one cross-shard MergeSweep over the shard
+//               slab-files and the boundary span file — one linear sweep
 //
-//   route       per source shard, transform the y-sorted objects and route
-//               each piece by extent: clipped parts into the (at most two)
-//               partially covered shards, one SpanRecord for the fully
-//               covered shards between; route each vertical edge by value
-//                                                         — linear passes
-//   solve       per target shard, merge its (few, typically 2-3) incoming
-//               part streams and run division + plane-sweep *inside the
-//               shard* (core_internal::SolveSlab)     — O(shard) per task
-//   combine     one cross-shard MergeSweep over the shard slab-files and
-//               the boundary span file                — one linear sweep
-//
-// Under the default ServeRoutingMode::kStreaming the route and solve
-// stages overlap: routed records travel through bounded in-memory channels
-// (io/record_stream.h) instead of Env part files, each target solve starts
-// on its first arriving block, and the Env is touched only when a channel
-// exceeds its memory cap. kMaterialized keeps the PR-4 file-based handoff
-// as the equivalence oracle.
-//
-// kGlobalMerge (the PR-3 path, kept for comparison) — k-way-merge all
-// per-shard streams into one global prepared input, then run the whole
-// division from the top (RunExactMaxRSPrepared).
-//
-// No external sort runs per query in either mode; only rect-dependent
-// transform, merge, and division/merge-sweep work does. Per-shard solves
-// are scheduled as TaskGroup subtasks with a deterministic fan-in (results
-// land in slots indexed by shard), so answers are independent of worker
-// count, schedule, and cache state. The per-shard mode skips the global
-// piece merge and the root division pass entirely: answers are
-// bit-identical to one-shot RunExactMaxRS for any shard count whenever
-// weight sums are exact in double arithmetic (integer-valued weights —
-// the common case); with arbitrary real weights the per-shard division
-// tree may group floating-point additions differently than the one-shot
-// tree, so sums can differ in the last ulp (kGlobalMerge reproduces the
-// one-shot tree bit-for-bit unconditionally).
+// Route and solve overlap: routed records travel through bounded in-memory
+// channels (io/record_stream.h), each target solve starts on its first
+// arriving block, and the Env is touched only when a channel exceeds its
+// memory cap or a shard overflows its base case. No external sort runs per
+// query; only rect-dependent transform, merge, and division/merge-sweep
+// work does. Per-shard solves are scheduled with a deterministic fan-in
+// (results land in slots indexed by shard), so answers and block counts are
+// independent of worker count, batch composition, schedule, and cache
+// state. Answers equal one-shot RunExactMaxRS bit for bit whenever weight
+// sums are exact in double arithmetic (integer-valued weights — the common
+// case); with arbitrary real weights the per-shard division tree may group
+// floating-point additions differently than the one-shot tree, so sums can
+// differ in the last ulp.
 //
 // See docs/ARCHITECTURE.md ("The serve layer") for the design rationale
-// and docs/IO_MODEL.md for the per-query I/O accounting of both modes.
+// and docs/IO_MODEL.md for the per-query I/O accounting.
 #ifndef MAXRS_SERVE_MAXRS_SERVER_H_
 #define MAXRS_SERVE_MAXRS_SERVER_H_
 
@@ -84,47 +76,18 @@
 
 namespace maxrs {
 
-/// How a worker executes one query against the sharded dataset.
-enum class ServeSolveMode {
-  /// Solve each x-slab shard independently (the shards are the top-level
-  /// division) and combine the shard slab-files with one cross-shard
-  /// MergeSweep; the global piece merge never runs. The default.
-  kPerShard,
-  /// K-way-merge all per-shard streams into one global prepared input and
-  /// divide from the top — the PR-3 path; reproduces the one-shot division
-  /// tree bit-for-bit for arbitrary (including non-integer) weights.
-  kGlobalMerge,
-};
-
-/// How the per-shard mode moves routed records from source-shard routing
-/// passes into target-shard solves.
-enum class ServeRoutingMode {
-  /// Zero-materialization streaming: each source shard's routing pass feeds
-  /// per-target bounded SPSC channels (io/record_stream.h) and each target
-  /// solve starts the moment its first routed block arrives, while routing
-  /// is still running. Records touch the Env only when a channel exceeds
-  /// its memory cap (it spills to a part file) or a target overflows its
-  /// base case. Answers are bit-identical to kMaterialized, and per-query
-  /// I/O never exceeds it. The default.
-  kStreaming,
-  /// Materialize every routed stream as Env part files, then merge them per
-  /// target after all routing completes — the PR-4 path, kept as the
-  /// equivalence oracle for the streaming pipeline.
-  kMaterialized,
-};
-
-/// Whether the per-shard mode consults the dataset's aggregate shard index
+/// Whether query execution consults the dataset's aggregate shard index
 /// (index/shard_agg_index.h) to skip shards that provably cannot contain
 /// the optimal placement.
 enum class ServePruningMode {
   /// Prune whenever it is provably answer-preserving: the dataset has a
   /// valid aggregate index, every weight is non-negative and finite (an
-  /// index property), the solve mode is kPerShard, and there is more than
-  /// one shard. Anything else silently degrades to the un-pruned path
-  /// (counted by ServerCounters::unpruned) — answers are identical either
-  /// way, pruning only skips work. The default: on a query where nothing
-  /// prunes, the phased pruned execution performs exactly the same I/O as
-  /// the un-pruned path, so enabling kAuto never costs blocks.
+  /// index property), and there is more than one shard. Anything else
+  /// silently degrades to the un-pruned execution (counted by
+  /// ServerCounters::unpruned) — answers are identical either way, pruning
+  /// only skips work. The default: on a query where nothing prunes, the
+  /// phased pruned execution performs exactly the same I/O as the
+  /// un-pruned one, so enabling kAuto never costs blocks.
   kAuto,
   /// Never prune; every shard is routed and solved. The equivalence oracle
   /// for kAuto.
@@ -190,19 +153,12 @@ struct MaxRSServerOptions {
   /// a query may still finish successfully if it completes between polls.
   int64_t deadline_ms = 0;
 
-  /// Per-query execution strategy; see ServeSolveMode.
-  ServeSolveMode solve_mode = ServeSolveMode::kPerShard;
-
-  /// How routed records travel from routing passes to shard solves in
-  /// kPerShard mode (ignored by kGlobalMerge); see ServeRoutingMode.
-  ServeRoutingMode routing_mode = ServeRoutingMode::kStreaming;
-
-  /// Per-channel in-memory byte cap for kStreaming routing: a channel
-  /// holding more than this spills the excess to one Env part file. 0
-  /// forces every record through a spill file (the materialization
-  /// worst case); SIZE_MAX never spills. The spill decision is a pure
-  /// function of the bytes produced, never of consumer timing, so block
-  /// counts stay schedule-independent.
+  /// Per-channel in-memory byte cap for routed records: a channel holding
+  /// more than this spills the excess to one Env part file. 0 forces every
+  /// record through a spill file (the materialization worst case);
+  /// SIZE_MAX never spills. The spill decision is a pure function of the
+  /// bytes produced, never of consumer timing, so block counts stay
+  /// schedule-independent.
   size_t stream_channel_bytes = 1 << 20;
 
   /// Write-behind (io/record_io.h) on per-query output streams: spill
@@ -213,14 +169,13 @@ struct MaxRSServerOptions {
   bool write_behind = false;
 
   /// Double-buffered read-ahead (io/prefetch_reader.h) on every sequential
-  /// per-query stream: shard routing scans, per-shard part merges, the
-  /// cross-shard MergeSweep inputs, and the root slab-file scan (plus the
-  /// global-merge mode's stream merges). Answers and per-query block
+  /// per-query stream: shard routing scans, the cross-shard MergeSweep
+  /// inputs, and the root slab-file scan. Answers and per-query block
   /// counts are bit-identical either way at any shard/worker count.
   bool read_ahead = false;
 
-  /// Shard skipping via the dataset's aggregate index (kPerShard mode
-  /// only); see ServePruningMode. Branch-and-bound over the per-shard
+  /// Shard skipping via the dataset's aggregate index; see
+  /// ServePruningMode. Branch-and-bound over the per-shard
   /// weight upper bounds: shards whose bound cannot beat the best
   /// placement found so far are never routed or solved at all.
   ServePruningMode pruning_mode = ServePruningMode::kAuto;
@@ -231,11 +186,8 @@ struct MaxRSServerOptions {
   /// every query in the batch at once, so the scan I/O is paid once and
   /// reported per query as an amortized equal share (docs/IO_MODEL.md,
   /// "Batched shared scans"). Answers are bit-identical to submitting the
-  /// same queries serially. 1 (the default) disables batching entirely —
-  /// the legacy one-query-per-worker path runs, and every committed
-  /// serial baseline is unaffected. Effective only for the streaming
-  /// per-shard mode; kMaterialized and kGlobalMerge execute a formed
-  /// batch as a plain sequence. Clamped to [1, 64].
+  /// same queries one at a time. 1 (the default) executes every query as a
+  /// batch of one. Clamped to [1, 64].
   size_t batch_max = 1;
 
   /// How long a forming batch may wait for the queue to supply up to
@@ -276,8 +228,8 @@ struct ServerCounters {
   uint64_t cache_rejects = 0;   ///< Results refused by the admission policy.
   uint64_t shed = 0;            ///< Refused with kUnavailable: queue full
                                 ///< past the admission budget.
-  uint64_t degraded = 0;        ///< Streaming queries re-run once on the
-                                ///< materialized path after a retryable
+  uint64_t degraded = 0;        ///< Queries re-run once, alone, through
+                                ///< the same executor after a retryable
                                 ///< failure (graceful degradation).
   uint64_t deadlines = 0;       ///< Queries that returned kDeadlineExceeded:
                                 ///< executions aborted by an expired token,
@@ -290,7 +242,7 @@ struct ServerCounters {
                                 ///< more distinct queries off one routing
                                 ///< scan per source shard).
   uint64_t batched_queries = 0; ///< Queries executed inside those batches.
-  uint64_t unpruned = 0;        ///< Multi-shard per-shard executions that
+  uint64_t unpruned = 0;        ///< Multi-shard executions that
                                 ///< wanted index pruning (kAuto) but ran
                                 ///< un-pruned: the dataset has no usable
                                 ///< aggregate index (pre-v3 manifest,
@@ -305,10 +257,10 @@ struct ServerCounters {
 /// `QuerySpec{w, h}` behaves exactly like the legacy positional Submit.
 /// Validated in one place (Submit/SubmitAsync): dimensions must be positive
 /// and finite, a set deadline must be non-negative. Overrides never change
-/// the answer — streaming and materialized routing, pruned and un-pruned
-/// execution are bit-identical by contract — which is what keeps the
-/// result cache and in-flight dedup keyed on (width, height) alone sound
-/// even when two callers ask for the same rect under different modes.
+/// the answer — pruned and un-pruned execution are bit-identical by
+/// contract — which is what keeps the result cache and in-flight dedup
+/// keyed on (width, height) alone sound even when two callers ask for the
+/// same rect under different modes.
 struct QuerySpec {
   /// Query rectangle width; must be positive and finite.
   double width = 0.0;
@@ -321,9 +273,6 @@ struct QuerySpec {
   /// Per-query pruning override; unset inherits
   /// MaxRSServerOptions::pruning_mode.
   std::optional<ServePruningMode> pruning;
-  /// Per-query routing override (kPerShard mode only); unset inherits
-  /// MaxRSServerOptions::routing_mode.
-  std::optional<ServeRoutingMode> routing;
 };
 
 /// Where a QueryResponse's answer came from.
@@ -341,6 +290,9 @@ enum class ServedFrom {
 struct QueryResponse {
   /// The answer, bit-identical at any shard/worker/batch/cache/mode
   /// configuration (result.stats describes the execution that produced it).
+  /// Equal to one-shot RunExactMaxRS bit for bit when weight sums are exact
+  /// in double arithmetic; with non-integer weights the total may differ
+  /// from one-shot in the last ulp (see the header comment).
   MaxRSResult result;
   /// Block I/O performed on behalf of THIS submission: the execution's
   /// per-query (batch-amortized) share for kExecuted, all zeros for kCache
@@ -377,6 +329,8 @@ class MaxRSServer {
   /// kDeadlineExceeded when the effective deadline elapses before the
   /// query finishes. After Shutdown, already-cached rects remain servable
   /// (zero I/O); queries that would need execution return NotSupported.
+  /// Sums of non-integer weights may differ from one-shot RunExactMaxRS in
+  /// the last ulp; see QueryResponse::result.
   Result<QueryResponse> Submit(const QuerySpec& spec);
 
   /// Submit without blocking: returns the future the server holds
@@ -432,23 +386,21 @@ class MaxRSServer {
   }
 
  private:
-  /// One queued query: its dimensions, its EFFECTIVE execution modes
-  /// (per-query overrides already resolved against the server options at
-  /// submit time), its cancellation token, and the promise the leader's
+  /// One queued query: its dimensions, its EFFECTIVE pruning mode
+  /// (the per-query override already resolved against the server options
+  /// at submit time), its cancellation token, and the promise the leader's
   /// Submit waits on. The worker fulfills the promise exactly once. The
   /// token's deadline starts at Submit, so time spent queued counts
   /// against it.
   struct Request {
     Request(double w, double h, std::chrono::milliseconds deadline,
-            ServeRoutingMode r, ServePruningMode p)
+            ServePruningMode p)
         : width(w),
           height(h),
-          routing(r),
           pruning(p),
           cancel(CancelToken::WithTimeout(deadline)) {}
     double width;
     double height;
-    ServeRoutingMode routing;
     ServePruningMode pruning;
     CancelToken cancel;
     std::promise<Result<QueryResponse>> promise;
@@ -510,17 +462,17 @@ class MaxRSServer {
   /// are staged for the next batch. Empty result = shut down and drained.
   std::vector<std::shared_ptr<Request>> FormBatch();
   /// Whether `candidate` may share a batch with `anchor`: identical
-  /// effective routing and pruning modes (a batch executes under ONE mode
-  /// pair), and width and height each within kBatchShapeRatio of the
-  /// anchor's, so pruning bounds and routing fan-out stay comparable
-  /// across the batch.
+  /// effective pruning mode (a batch executes under ONE mode), and width
+  /// and height each within kBatchShapeRatio of the anchor's, so pruning
+  /// bounds and routing fan-out stay comparable across the batch.
   static bool ShapeCompatible(const Request& anchor, const Request& candidate);
-  /// Runs one formed batch end to end and fulfills every promise:
-  /// shared-scan execution for the streaming per-shard mode, a serial
-  /// per-query loop otherwise, plus per-query retryable degradation and
-  /// the counters/cache/pending bookkeeping of the serial path.
+  /// The one dispatch point: runs one formed batch (k >= 1) end to end and
+  /// fulfills every promise. Fails requests that expired in the queue,
+  /// picks the pruned or un-pruned executor (PruningActiveFor), re-runs a
+  /// query that failed with a retryable error once, alone, through the same
+  /// executor (counted in `degraded`), and completes every request.
   void ExecuteBatch(std::vector<std::shared_ptr<Request>> batch);
-  /// Shared-scan execution of `batch` (all k >= 2 queries off one routing
+  /// Shared-scan execution of `batch` (all k >= 1 queries off one routing
   /// pass per source shard), un-pruned / index-pruned. Results land in
   /// `results` slots parallel to `batch`.
   void ExecuteBatchStreaming(
@@ -529,8 +481,7 @@ class MaxRSServer {
   void ExecuteBatchStreamingPruned(
       const std::vector<std::shared_ptr<Request>>& batch,
       std::vector<Result<MaxRSResult>>* results);
-  /// Post-execution bookkeeping shared by the serial and batched paths:
-  /// counters, cache admission (on the canonical key), publish-then-erase
+  /// Post-execution bookkeeping of every executed request: counters, cache admission (on the canonical key), publish-then-erase
   /// of the pending slot, and fulfillment of the leader promise (served_from
   /// kExecuted) and every attached follower promise (kDedup).
   void CompleteRequest(const std::shared_ptr<Request>& request,
@@ -539,29 +490,11 @@ class MaxRSServer {
   /// `refused` and retires the pending slot — the shed/shutdown path.
   void FailRequest(const std::shared_ptr<Request>& request,
                    const Status& refused);
-  /// Executes one query under the EFFECTIVE (already-resolved) routing and
-  /// pruning modes carried by its request.
-  Result<MaxRSResult> ExecuteQuery(double width, double height,
-                                   const CancelToken* cancel,
-                                   ServeRoutingMode routing,
-                                   ServePruningMode pruning);
-  Result<MaxRSResult> ExecuteGlobalMerge(double width, double height,
-                                         const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardStreaming(double width, double height,
-                                               const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardMaterialized(double width, double height,
-                                                  const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardStreamingPruned(
-      double width, double height, const CancelToken* cancel);
-  Result<MaxRSResult> ExecutePerShardMaterializedPruned(
-      double width, double height, const CancelToken* cancel);
   /// Whether a query with effective pruning mode `mode` runs the
-  /// index-pruned phased execution: the mode is kAuto, the solve mode is
-  /// kPerShard with more than one shard, and the dataset's aggregate index
-  /// exists and is pruning-safe.
+  /// index-pruned phased execution: the mode is kAuto, there is more than
+  /// one shard, and the dataset's aggregate index exists and is
+  /// pruning-safe.
   bool PruningActiveFor(ServePruningMode mode) const;
-  /// PruningActiveFor under the server-wide default pruning mode.
-  bool PruningActive() const;
   std::optional<MaxRSResult> CacheLookup(const CacheKey& key);
   void CacheInsert(const CacheKey& key, const MaxRSResult& result);
   /// The admission decision on a canonical cache key (AdmitsToCache after
@@ -610,8 +543,8 @@ class MaxRSServer {
   // cache) and moves the waiter list out under the same lock before
   // fulfilling any promise, so late duplicates hit the cache instead and
   // no attach can race a fulfillment. Two specs with the same rect but
-  // different mode overrides share one leader: overrides never change the
-  // answer, so dedup on (width, height) stays sound.
+  // different pruning overrides share one leader: overrides never change
+  // the answer, so dedup on (width, height) stays sound.
   mutable std::mutex pending_mu_;
   std::unordered_map<CacheKey, std::shared_ptr<Request>, CacheKeyHash>
       pending_;

@@ -1,7 +1,7 @@
 // Batched shared-scan equivalence battery: MaxRSServer with batch_max > 1
 // must answer every query bit-identically to serial submission across the
 // full configuration matrix — shard counts x worker counts x batch sizes x
-// routing modes x pruning modes — because batching only re-plumbs I/O (one
+// pruning modes — because batching only re-plumbs I/O (one
 // shared scan feeding per-query channel grids); it never changes the
 // per-query record streams. On top of bit-identity the battery pins the
 // amortized accounting contract (docs/IO_MODEL.md, "Batched shared scans"):
@@ -151,7 +151,6 @@ Result<DatasetHandle> IngestShards(Env& env, size_t shards) {
 }
 
 MaxRSServerOptions BatchServerOptions(size_t workers, size_t batch_max,
-                                      ServeRoutingMode routing,
                                       ServePruningMode pruning) {
   MaxRSServerOptions options;
   options.num_workers = workers;
@@ -161,7 +160,6 @@ MaxRSServerOptions BatchServerOptions(size_t workers, size_t batch_max,
   // formation window; the window exits early once batch_max candidates
   // are in hand, so this is latency only on the final, partial batch.
   options.batch_window_ms = batch_max > 1 ? 2000 : 0;
-  options.routing_mode = routing;
   options.pruning_mode = pruning;
   options.cache_entries = 0;  // every submission must execute
   return options;
@@ -212,25 +210,20 @@ TEST(BatchEquivalenceTest, BitIdenticalToOneShotAcrossTheMatrix) {
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
     for (size_t workers : {1u, 2u, 8u}) {
       for (size_t batch : {1u, 2u, 8u}) {
-        for (ServeRoutingMode routing :
-             {ServeRoutingMode::kStreaming, ServeRoutingMode::kMaterialized}) {
-          for (ServePruningMode pruning :
-               {ServePruningMode::kAuto, ServePruningMode::kOff}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards) +
-                         " workers=" + std::to_string(workers) +
-                         " batch=" + std::to_string(batch) +
-                         " routing=" + std::to_string(static_cast<int>(routing)) +
-                         " pruning=" + std::to_string(static_cast<int>(pruning)));
-            MaxRSServer server(
-                *env, *handle,
-                BatchServerOptions(workers, batch, routing, pruning));
-            std::vector<Result<MaxRSResult>> results =
-                SubmitAll(server, MatrixRects());
-            for (size_t i = 0; i < results.size(); ++i) {
-              SCOPED_TRACE("query " + std::to_string(i));
-              ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-              ExpectBitIdentical(*results[i], expected[i]);
-            }
+        for (ServePruningMode pruning :
+             {ServePruningMode::kAuto, ServePruningMode::kOff}) {
+          SCOPED_TRACE("shards=" + std::to_string(shards) +
+                       " workers=" + std::to_string(workers) +
+                       " batch=" + std::to_string(batch) +
+                       " pruning=" + std::to_string(static_cast<int>(pruning)));
+          MaxRSServer server(*env, *handle,
+                             BatchServerOptions(workers, batch, pruning));
+          std::vector<Result<MaxRSResult>> results =
+              SubmitAll(server, MatrixRects());
+          for (size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE("query " + std::to_string(i));
+            ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+            ExpectBitIdentical(*results[i], expected[i]);
           }
         }
       }
@@ -252,8 +245,7 @@ TEST(BatchEquivalenceTest, ForcedFullBatchAmortizesIoDeterministically) {
     auto handle = IngestShards(*env, kShards);
     ASSERT_TRUE(handle.ok());
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 1, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 1, ServePruningMode::kOff));
     for (size_t i = 0; i < k; ++i) {
       auto r = server.Submit(rects[i].first, rects[i].second);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -274,8 +266,7 @@ TEST(BatchEquivalenceTest, ForcedFullBatchAmortizesIoDeterministically) {
     auto handle = IngestShards(*env, kShards);
     ASSERT_TRUE(handle.ok());
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 8, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 8, ServePruningMode::kOff));
     const IoStatsSnapshot before = env->stats().Snapshot();
     std::vector<Result<MaxRSResult>> results = SubmitAll(server, rects);
     const IoStatsSnapshot delta = env->stats().Snapshot() - before;
@@ -330,13 +321,13 @@ TEST(BatchEquivalenceTest, ForcedFullBatchAmortizesIoDeterministically) {
 
 TEST(BatchEquivalenceTest, SingleQueryBatchIsTheLegacyPath) {
   // batch_max > 1 with one in-flight query must not change accounting: the
-  // formation window closes on a batch of one, which executes exactly the
-  // legacy serial path — batch_size 1, no shared-scan shares.
+  // formation window closes on a batch of one, which accounts exactly like
+  // an unbatched server — batch_size 1, no shared-scan shares, and no
+  // batch counted.
   auto env = MakeEnvWithDataset();
   auto handle = IngestShards(*env, 3);
   ASSERT_TRUE(handle.ok());
-  MaxRSServerOptions options = BatchServerOptions(
-      1, 8, ServeRoutingMode::kStreaming, ServePruningMode::kOff);
+  MaxRSServerOptions options = BatchServerOptions(1, 8, ServePruningMode::kOff);
   options.batch_window_ms = 10;  // don't hold the lone query for 2s
   MaxRSServer server(*env, *handle, options);
   auto r = server.Submit(200.0, 140.0);
@@ -362,8 +353,7 @@ TEST(BatchEquivalenceTest, FaultMidBatchFailsCleanlyAndServerSurvives) {
   ASSERT_TRUE(handle.ok());
   {
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 1, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 1, ServePruningMode::kOff));
     for (size_t i = 0; i < rects.size(); ++i) {
       auto r = server.Submit(rects[i].first, rects[i].second);
       ASSERT_TRUE(r.ok());
@@ -373,8 +363,7 @@ TEST(BatchEquivalenceTest, FaultMidBatchFailsCleanlyAndServerSurvives) {
 
   FaultEnv faulty(*env);
   MaxRSServer faulted(faulty, *handle,
-                      BatchServerOptions(1, 8, ServeRoutingMode::kStreaming,
-                                         ServePruningMode::kOff));
+                      BatchServerOptions(1, 8, ServePruningMode::kOff));
   faulty.ArmAfter(40);  // strikes during the batch's routing/solve phase
   std::vector<Result<MaxRSResult>> results = SubmitAll(faulted, rects);
   EXPECT_EQ(faulty.faults_delivered(), 1u);
@@ -404,9 +393,10 @@ TEST(BatchEquivalenceTest, FaultMidBatchFailsCleanlyAndServerSurvives) {
 
 TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
   // A retryable (kUnavailable) fault mid-batch triggers the per-query
-  // degradation rerun: the affected queries re-run SOLO on the
-  // materialized path and still answer bit-identically; their stats are
-  // the solo rerun's (batch_size back to 1, un-amortized I/O).
+  // degradation rerun: the affected queries re-run SOLO through the same
+  // executor and still answer bit-identically; their stats are the solo
+  // rerun's (batch_size back to 1, un-amortized I/O). batch_max = 1 covers
+  // the lone-query rerun: a batch of one whose one query re-runs alone.
   const auto& rects = CompatibleRects();
   std::vector<MaxRSResult> expected(rects.size());
   auto env = MakeEnvWithDataset();
@@ -414,8 +404,7 @@ TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
   ASSERT_TRUE(handle.ok());
   {
     MaxRSServer server(*env, *handle,
-                       BatchServerOptions(1, 1, ServeRoutingMode::kStreaming,
-                                          ServePruningMode::kOff));
+                       BatchServerOptions(1, 1, ServePruningMode::kOff));
     for (size_t i = 0; i < rects.size(); ++i) {
       auto r = server.Submit(rects[i].first, rects[i].second);
       ASSERT_TRUE(r.ok());
@@ -423,17 +412,19 @@ TEST(BatchEquivalenceTest, RetryableFaultMidBatchDegradesPerQueryNotWrong) {
     }
   }
 
-  UnavailableOnceEnv flaky(*env, /*fail_after=*/40);
-  MaxRSServer server(flaky, *handle,
-                     BatchServerOptions(1, 8, ServeRoutingMode::kStreaming,
-                                        ServePruningMode::kOff));
-  std::vector<Result<MaxRSResult>> results = SubmitAll(server, rects);
-  for (size_t i = 0; i < results.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    ExpectBitIdentical(*results[i], expected[i]);
+  for (size_t batch_max : {8u, 1u}) {
+    SCOPED_TRACE("batch_max=" + std::to_string(batch_max));
+    UnavailableOnceEnv flaky(*env, /*fail_after=*/40);
+    MaxRSServer server(flaky, *handle,
+                       BatchServerOptions(1, batch_max, ServePruningMode::kOff));
+    std::vector<Result<MaxRSResult>> results = SubmitAll(server, rects);
+    for (size_t i = 0; i < results.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      ExpectBitIdentical(*results[i], expected[i]);
+    }
+    EXPECT_GE(server.counters().degraded, 1u);
   }
-  EXPECT_GE(server.counters().degraded, 1u);
 }
 
 }  // namespace

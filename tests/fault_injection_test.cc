@@ -144,7 +144,6 @@ TEST(StreamingSpillFaultTest, SpillFaultSurfacesAtSubmitWithoutWedgingServer) {
     options.memory_bytes = 1 << 13;
     options.num_workers = 2;
     options.cache_entries = 0;
-    options.routing_mode = ServeRoutingMode::kStreaming;
     options.stream_channel_bytes = 0;
     options.write_behind = write_behind;
     MaxRSServer server(env, *handle, options);

@@ -128,49 +128,38 @@ void CheckAllImplementationsAgree(const std::vector<SpatialObject>& objects,
     ingest_options.prefix = "fuzz_sharded";
     auto handle = DatasetHandle::Ingest(*env, "fuzz_data", ingest_options);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    // Five serve legs of the same per-shard solve: materialized part files,
-    // streaming channels (the default), and streaming with a cap of zero so
-    // every routed record takes the spill path — all with index pruning
-    // active (kAuto, the default) — plus both routings with pruning forced
-    // off, so pruned and un-pruned serving are fuzzed against the same
-    // oracle on every configuration.
-    struct ServeRouting {
+    // Three serve legs of the same per-shard solve: streaming channels
+    // (the default) and streaming with a cap of zero so every routed
+    // record takes the spill path — both with index pruning active (kAuto,
+    // the default) — plus pruning forced off, so pruned and un-pruned
+    // serving are fuzzed against the same oracle on every configuration.
+    struct ServeLeg {
       const char* name;
-      ServeRoutingMode mode;
       size_t channel_bytes;
       ServePruningMode pruning;
     };
-    const ServeRouting routings[] = {
-        {"materialized", ServeRoutingMode::kMaterialized, 1 << 20,
-         ServePruningMode::kAuto},
-        {"streaming", ServeRoutingMode::kStreaming, 1 << 20,
-         ServePruningMode::kAuto},
-        {"streaming/spill", ServeRoutingMode::kStreaming, 0,
-         ServePruningMode::kAuto},
-        {"materialized/no-prune", ServeRoutingMode::kMaterialized, 1 << 20,
-         ServePruningMode::kOff},
-        {"streaming/no-prune", ServeRoutingMode::kStreaming, 1 << 20,
-         ServePruningMode::kOff},
+    const ServeLeg legs[] = {
+        {"streaming", 1 << 20, ServePruningMode::kAuto},
+        {"streaming/spill", 0, ServePruningMode::kAuto},
+        {"streaming/no-prune", 1 << 20, ServePruningMode::kOff},
     };
-    for (const ServeRouting& routing : routings) {
+    for (const ServeLeg& leg : legs) {
       MaxRSServerOptions server_options;
       server_options.memory_bytes = c.memory_bytes;
       server_options.fanout = c.fanout;
       server_options.base_case_max_pieces = c.base_max;
-      server_options.solve_mode = ServeSolveMode::kPerShard;
-      server_options.routing_mode = routing.mode;
-      server_options.stream_channel_bytes = routing.channel_bytes;
-      server_options.pruning_mode = routing.pruning;
+      server_options.stream_channel_bytes = leg.channel_bytes;
+      server_options.pruning_mode = leg.pruning;
       MaxRSServer server(*env, *handle, server_options);
       auto served = server.Submit(c.rect_w, c.rect_h);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
       ASSERT_EQ(served->total_weight, oracle.total_weight)
-          << "sharded serve (" << routing.name << ") diverged, config " << tag
+          << "sharded serve (" << leg.name << ") diverged, config " << tag
           << " (" << handle->shards().size() << " shards)";
       ASSERT_EQ(CoveredWeight(objects, Rect::Centered(served->location,
                                                       c.rect_w, c.rect_h)),
                 oracle.total_weight)
-          << "sharded serve (" << routing.name << ") witness wrong, config "
+          << "sharded serve (" << leg.name << ") witness wrong, config "
           << tag;
     }
     ASSERT_TRUE(handle->Drop().ok());
@@ -313,33 +302,29 @@ TEST(MaxRSPrunedServeFuzzTest, PrunedAndUnprunedAgreeOnSkewedCorpus) {
     auto handle = DatasetHandle::Ingest(*env, "pruned_fuzz", ingest_options);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-    for (ServeRoutingMode routing :
-         {ServeRoutingMode::kStreaming, ServeRoutingMode::kMaterialized}) {
-      uint64_t unpruned_io = 0;
-      for (const ServePruningMode pruning :
-           {ServePruningMode::kOff, ServePruningMode::kAuto}) {
-        MaxRSServerOptions server_options;
-        server_options.memory_bytes = 32 << 10;
-        server_options.routing_mode = routing;
-        server_options.pruning_mode = pruning;
-        MaxRSServer server(*env, *handle, server_options);
-        auto served = server.Submit(rect_w, rect_h);
-        ASSERT_TRUE(served.ok()) << served.status().ToString();
-        ASSERT_EQ(served->total_weight, oracle.total_weight)
-            << (pruning == ServePruningMode::kAuto ? "pruned" : "un-pruned")
-            << " serving diverged (" << handle->shards().size() << " shards)";
-        ASSERT_EQ(
-            CoveredWeight(objects,
-                          Rect::Centered(served->location, rect_w, rect_h)),
-            oracle.total_weight)
-            << "serve witness wrong";
-        if (pruning == ServePruningMode::kOff) {
-          unpruned_io = served->stats.io.total();
-        } else {
-          EXPECT_LE(served->stats.io.total(), unpruned_io)
-              << "pruning must never add block transfers";
-          total_pruned += served->stats.io.shards_pruned;
-        }
+    uint64_t unpruned_io = 0;
+    for (const ServePruningMode pruning :
+         {ServePruningMode::kOff, ServePruningMode::kAuto}) {
+      MaxRSServerOptions server_options;
+      server_options.memory_bytes = 32 << 10;
+      server_options.pruning_mode = pruning;
+      MaxRSServer server(*env, *handle, server_options);
+      auto served = server.Submit(rect_w, rect_h);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ASSERT_EQ(served->total_weight, oracle.total_weight)
+          << (pruning == ServePruningMode::kAuto ? "pruned" : "un-pruned")
+          << " serving diverged (" << handle->shards().size() << " shards)";
+      ASSERT_EQ(
+          CoveredWeight(objects,
+                        Rect::Centered(served->location, rect_w, rect_h)),
+          oracle.total_weight)
+          << "serve witness wrong";
+      if (pruning == ServePruningMode::kOff) {
+        unpruned_io = served->stats.io.total();
+      } else {
+        EXPECT_LE(served->stats.io.total(), unpruned_io)
+            << "pruning must never add block transfers";
+        total_pruned += served->stats.io.shards_pruned;
       }
     }
     ASSERT_TRUE(handle->Drop().ok());

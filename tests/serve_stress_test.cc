@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -275,7 +276,14 @@ TEST(ServeStressTest, ExpiredDeadlinesFailCleanlyWithDeadlineExceeded) {
 
   env.CloseGate();
   std::thread first([&] {
-    auto result = server.Submit(60.0, 340.0);
+    // The wedged query's own deadline must outlast its trip through the
+    // queue: one that expired before reaching the gate would never wedge,
+    // and WaitUntilBlocked below would spin forever on a loaded machine.
+    QuerySpec spec;
+    spec.width = 60.0;
+    spec.height = 340.0;
+    spec.deadline_ms = 200;
+    auto result = server.Submit(spec);
     EXPECT_EQ(result.status().code(), Status::Code::kDeadlineExceeded)
         << result.status().ToString();
   });
@@ -286,10 +294,10 @@ TEST(ServeStressTest, ExpiredDeadlinesFailCleanlyWithDeadlineExceeded) {
         << result.status().ToString();
   });
   while (server.queue_depth() < 1) std::this_thread::yield();
-  // Hold the gate until both tokens are unambiguously past their 5 ms
-  // deadline, then release: the wedged query observes expiry at its next
-  // poll, the queued one before it touches the Env at all.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Hold the gate until both tokens are unambiguously past their 200 ms /
+  // 5 ms deadlines, then release: the wedged query observes expiry at its
+  // next poll, the queued one before it touches the Env at all.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
   env.OpenGate();
   first.join();
   second.join();
@@ -298,6 +306,73 @@ TEST(ServeStressTest, ExpiredDeadlinesFailCleanlyWithDeadlineExceeded) {
   EXPECT_EQ(counters.deadlines, 2u);
   EXPECT_EQ(counters.failed, 2u);
   EXPECT_EQ(counters.degraded, 0u);  // deadline errors are never re-run
+}
+
+TEST(ServeStressTest, ExpiredLoneQueryStopsItsRoutingScan) {
+  // Regression for the shared-scan executor: a lone query is a batch of one,
+  // and its routing scan must stop at the query's deadline like every other
+  // loop it reaches. The query is wedged on the gate past its deadline,
+  // then released; it must fail with kDeadlineExceeded having read fewer
+  // blocks than the same query run to completion — and less than half of
+  // one routing scan, which a scan that never polled the token would read
+  // in full after the gate opens.
+  auto base = MakeEnv();
+  GateEnv env(*base);
+  auto handle = [&] {
+    DatasetHandleOptions options;
+    options.shard_count = 2;
+    options.memory_bytes = 64 * 1024;
+    return DatasetHandle::Ingest(env, kDatasetFile, options);
+  }();
+  ASSERT_TRUE(handle.ok());
+  // One full routing scan: every block of every shard's y- and x-file.
+  uint64_t scan_blocks = 0;
+  for (const ShardInfo& shard : handle->shards()) {
+    for (const std::string& name : {shard.y_file, shard.x_file}) {
+      auto file = base->Open(name);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      scan_blocks += (*file)->NumBlocks();
+    }
+  }
+
+  for (ServePruningMode pruning :
+       {ServePruningMode::kAuto, ServePruningMode::kOff}) {
+    SCOPED_TRACE(pruning == ServePruningMode::kAuto ? "pruned" : "un-pruned");
+    MaxRSServerOptions options;
+    options.num_workers = 1;
+    options.memory_bytes = 64 * 1024;
+    options.cache_entries = 0;
+    options.pruning_mode = pruning;
+    MaxRSServer server(env, *handle, options);
+
+    const IoStatsSnapshot before_full = env.stats().Snapshot();
+    ASSERT_TRUE(server.Submit(60.0, 340.0).ok());
+    const uint64_t full_reads =
+        (env.stats().Snapshot() - before_full).blocks_read;
+
+    QuerySpec spec;
+    spec.width = 60.0;
+    spec.height = 340.0;
+    spec.deadline_ms = 200;
+    const IoStatsSnapshot before = env.stats().Snapshot();
+    env.CloseGate();
+    std::thread wedged([&] {
+      auto result = server.Submit(spec);
+      EXPECT_EQ(result.status().code(), Status::Code::kDeadlineExceeded)
+          << result.status().ToString();
+    });
+    env.WaitUntilBlocked();  // executing, past the in-queue expiry check
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    env.OpenGate();
+    wedged.join();
+    const uint64_t expired_reads =
+        (env.stats().Snapshot() - before).blocks_read;
+    EXPECT_LT(expired_reads, full_reads);
+    EXPECT_LT(2 * expired_reads, scan_blocks)
+        << "expired query read " << expired_reads << " blocks; one routing "
+        << "scan is " << scan_blocks;
+    EXPECT_EQ(server.counters().deadlines, 1u);
+  }
 }
 
 TEST(ServeStressTest, ShutdownUnderLoadFailsFollowersCleanly) {

@@ -353,12 +353,11 @@ TEST(ServeTest, BitIdenticalAcrossWorkerCountsAndShardCounts) {
 }
 
 TEST(ServeTest, MultiPassMergeWhenShardsExceedFanIn) {
-  // 16KB budget = 4 blocks = fan-in 3, below the 4 shards: the per-query
-  // merges must go multi-pass to stay within M/B - 1 blocks, and the
+  // 16KB budget = 4 blocks = fan-in 3, below the 4 shards: a per-query
+  // budget too small to hold one block per shard must not change the
+  // answer — the cross-shard span merge sees up to 4 source rows and the
   // result must still be bit-identical to the one-shot run on the same
-  // budget — in the global-merge mode (whose k-way piece merge is the
-  // multi-pass one) and in the per-shard mode (where the cross-shard span
-  // merge sees up to 4 source parts).
+  // budget.
   auto env = MakeEnvWithDataset(nullptr);
   MaxRSOptions one_shot_options = OneShotOptions(150, 300);
   one_shot_options.memory_bytes = 16 * 1024;
@@ -368,16 +367,12 @@ TEST(ServeTest, MultiPassMergeWhenShardsExceedFanIn) {
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));
   ASSERT_TRUE(handle.ok());
   ASSERT_EQ(handle->shards().size(), 4u);
-  for (ServeSolveMode mode :
-       {ServeSolveMode::kGlobalMerge, ServeSolveMode::kPerShard}) {
-    MaxRSServerOptions server_options = ServerOptions(1);
-    server_options.memory_bytes = 16 * 1024;
-    server_options.solve_mode = mode;
-    MaxRSServer server(*env, *handle, server_options);
-    auto served = server.Submit(150, 300);
-    ASSERT_TRUE(served.ok());
-    ExpectBitIdentical(*served, *one_shot);
-  }
+  MaxRSServerOptions server_options = ServerOptions(1);
+  server_options.memory_bytes = 16 * 1024;
+  MaxRSServer server(*env, *handle, server_options);
+  auto served = server.Submit(150, 300);
+  ASSERT_TRUE(served.ok());
+  ExpectBitIdentical(*served, *one_shot);
 }
 
 TEST(ServeTest, CacheKeyCanonicalizesSemanticallyEqualDimensions) {
@@ -898,8 +893,8 @@ TEST(ServeTest, QuerySpecValidationIsTheSingleGate) {
 }
 
 TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
-  // The soundness property behind the (w,h)-only cache key: pruning and
-  // routing overrides change the execution strategy, never the answer.
+  // The soundness property behind the (w,h)-only cache key: a pruning
+  // override changes the execution strategy, never the answer.
   // Weight-skewed data (the pruning_equivalence_test recipe: every third
   // point in a heavy strip) at 16 shards guarantees the kAuto baseline
   // genuinely prunes, so the pruning=off override has something to turn
@@ -929,12 +924,6 @@ TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->served_from, ServedFrom::kExecuted);
 
-  QuerySpec materialized = defaults;
-  materialized.routing = ServeRoutingMode::kMaterialized;
-  auto via_materialized = server.Submit(materialized);
-  ASSERT_TRUE(via_materialized.ok());
-  ExpectBitIdentical(baseline->result, via_materialized->result);
-
   const uint64_t unpruned_before = server.counters().unpruned;
   QuerySpec unpruned = defaults;
   unpruned.pruning = ServePruningMode::kOff;
@@ -948,13 +937,6 @@ TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
   // A deliberate pruning=off is a choice, not a degradation: the kAuto
   // fallback counter must not move.
   EXPECT_EQ(server.counters().unpruned, unpruned_before);
-
-  QuerySpec both = defaults;
-  both.routing = ServeRoutingMode::kMaterialized;
-  both.pruning = ServePruningMode::kOff;
-  auto via_both = server.Submit(both);
-  ASSERT_TRUE(via_both.ok());
-  ExpectBitIdentical(baseline->result, via_both->result);
 }
 
 TEST(ServeTest, DeadlineOverrideBoundsAFollowerWithUnboundedDefaults) {

@@ -1,5 +1,5 @@
-// Shard-count invariance property battery for the per-shard solve path
-// (serve/maxrs_server.h, ServeSolveMode::kPerShard).
+// Shard-count invariance property battery for the per-shard solve
+// (serve/maxrs_server.h).
 //
 // The x-slab shards form the top-level division of the query, so changing
 // the shard count changes the whole division tree — yet the answer must
@@ -10,12 +10,8 @@
 // against the one-shot pipeline at shard counts {1, 2, 7, 16, 64} x worker
 // counts {1, 2, 8}, and that the per-query I/O stays in the linear
 // no-sort/no-global-merge class: a bounded envelope across shard counts,
-// strictly below the sort-paying one-shot run, and ordered
-// streaming-routing < materialized-routing < global-merge on the same
-// server (the acceptance criteria that part-file materialization and the
-// global piece merge are each absent from their cheaper pipeline's I/O
-// profile). The streaming-vs-materialized equivalence matrix itself lives
-// in streaming_equivalence_test.cc.
+// strictly below the sort-paying one-shot run. The channel spill-cap
+// matrix lives in streaming_equivalence_test.cc.
 #include <algorithm>
 #include <vector>
 
@@ -37,7 +33,7 @@ constexpr size_t kWorkerCounts[] = {1, 2, 8};
 // writer block per shard + the reader), comfortably inside 512KB / 4KB.
 constexpr size_t kIngestMemoryBytes = 512 * 1024;
 // Query budget: 64KB derives a ~1638-piece base case, so the one-shot
-// reference and the global-merge mode actually divide at these
+// reference actually divides at these
 // cardinalities instead of shortcutting into the in-memory sweep.
 constexpr size_t kQueryMemoryBytes = 64 * 1024;
 
@@ -69,12 +65,10 @@ DatasetHandleOptions IngestOptions(size_t shards) {
   return options;
 }
 
-MaxRSServerOptions ServerOptions(size_t workers, ServeSolveMode mode =
-                                                     ServeSolveMode::kPerShard) {
+MaxRSServerOptions ServerOptions(size_t workers) {
   MaxRSServerOptions options;
   options.num_workers = workers;
   options.memory_bytes = kQueryMemoryBytes;
-  options.solve_mode = mode;
   return options;
 }
 
@@ -246,59 +240,6 @@ TEST(ShardPropertyTest, PerQueryIoStaysInTheLinearClass) {
     EXPECT_LE(per_query_io[i], 3 * base + 70 * kShardCounts[i])
         << kShardCounts[i] << " shards";
   }
-}
-
-TEST(ShardPropertyTest, PerQueryIoOrdersStreamingBelowMaterializedBelowGlobal) {
-  // Acceptance ladder of the three per-query pipelines over one dataset,
-  // handle, and budget — only the execution strategy differs, so each I/O
-  // gap IS the work the cheaper pipeline skips:
-  //
-  //   streaming per-shard  <  materialized per-shard:  the gap is the part
-  //     files — routed pieces/edges/spans travel through in-memory channels
-  //     and are written at most once (spill) instead of always;
-  //   materialized per-shard  <  global-merge:  the gap is the global
-  //     k-way piece merge and the root division pass it feeds.
-  //
-  // The rect and budget put the global mode on the dividing path (12000
-  // pieces over a ~1638-piece base case) while each of the 8 shards (1500
-  // objects) solves in one in-memory sweep.
-  constexpr size_t kN = 12000;
-  const double kW = 420, kH = 260;
-  auto env = MakeEnv(9, kN);
-  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(8));
-  ASSERT_TRUE(handle.ok());
-  ASSERT_EQ(handle->shards().size(), 8u);
-
-  struct Config {
-    ServeSolveMode solve;
-    ServeRoutingMode routing;
-    const char* name;
-  };
-  const Config kConfigs[] = {
-      {ServeSolveMode::kPerShard, ServeRoutingMode::kStreaming, "streaming"},
-      {ServeSolveMode::kPerShard, ServeRoutingMode::kMaterialized,
-       "materialized"},
-      {ServeSolveMode::kGlobalMerge, ServeRoutingMode::kStreaming, "global"},
-  };
-  uint64_t io_by_mode[3] = {0, 0, 0};
-  MaxRSResult results[3];
-  for (int m = 0; m < 3; ++m) {
-    MaxRSServerOptions options = ServerOptions(1, kConfigs[m].solve);
-    options.routing_mode = kConfigs[m].routing;
-    options.cache_entries = 0;
-    MaxRSServer server(*env, *handle, options);
-    const IoStatsSnapshot before = env->stats().Snapshot();
-    auto r = server.Submit(kW, kH);
-    ASSERT_TRUE(r.ok()) << kConfigs[m].name << ": " << r.status().ToString();
-    io_by_mode[m] = (env->stats().Snapshot() - before).total();
-    results[m] = *r;
-  }
-  ExpectBitIdentical(results[0], results[1]);
-  ExpectBitIdentical(results[0], results[2]);
-  EXPECT_LT(io_by_mode[0], io_by_mode[1])
-      << "streaming routing must beat materialized part files";
-  EXPECT_LT(io_by_mode[1], io_by_mode[2])
-      << "per-shard must beat the global merge";
 }
 
 }  // namespace
