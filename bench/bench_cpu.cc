@@ -1,6 +1,6 @@
 // Google-benchmark CPU suite: CPU-level performance of the building
 // blocks (segment tree, plane sweep, MergeSweep, CRC32C, record codec,
-// external sort, buffer pool, grid index). These are engineering
+// streaming k-way merge, external sort, buffer pool, grid index). These are engineering
 // benchmarks, not paper figures; the paper's metric (block I/O) is covered
 // by the bench_fig* binaries.
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "io/buffer_pool.h"
 #include "io/external_sort.h"
 #include "io/record_io.h"
+#include "io/record_stream.h"
 #include "io/temp_manager.h"
 #include "util/check.h"
 #include "util/crc32c.h"
@@ -73,6 +74,32 @@ void BM_PlaneSweep(benchmark::State& state) {
 BENCHMARK(BM_PlaneSweep)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
+// The serve shape: one of 8 equal-count x-slab shards of the UX stand-in
+// under a 1000 x 1000 rect, about 2.4k pieces clipped to the finite slab and
+// in the y pre-sort's PieceYLess order, as the per-shard base case sees them
+// (BM_PlaneSweep's rows are unsorted and span the whole plane).
+void BM_PlaneSweepShard(benchmark::State& state) {
+  const std::vector<SpatialObject> objects = MakeUxLike();
+  std::vector<double> xs;
+  for (const SpatialObject& o : objects) xs.push_back(o.x);
+  std::sort(xs.begin(), xs.end());
+  const Interval slab{xs[xs.size() / 8], xs[xs.size() / 4]};
+  std::vector<PieceRecord> pieces;
+  for (const SpatialObject& o : objects) {
+    PieceRecord p = TransformObject(o, 1000, 1000);
+    p.x_lo = std::max(p.x_lo, slab.lo);
+    p.x_hi = std::min(p.x_hi, slab.hi);
+    if (p.x_lo < p.x_hi) pieces.push_back(p);
+  }
+  std::sort(pieces.begin(), pieces.end(), PieceYLess);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PlaneSweep(pieces, slab));
+  }
+  state.counters["pieces"] = static_cast<double>(pieces.size());
+  state.SetItemsProcessed(state.iterations() * pieces.size());
+}
+BENCHMARK(BM_PlaneSweepShard)->Unit(benchmark::kMicrosecond);
+
 // One division level of the one-shot shape (uniform objects in a 1e6
 // domain, 1000 x 1000 rectangles) cut into m = range(0) children, whose
 // slab-files come from in-memory sweeps; the timed loop merges them. The
@@ -121,6 +148,56 @@ void BM_MergeSweep(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MergeSweep)->Arg(8)->Arg(254)->Unit(benchmark::kMillisecond);
+
+/// An in-memory record source over a vector, so the merge row times only
+/// the merge.
+template <typename T>
+class VectorSource final : public RecordSource<T> {
+ public:
+  explicit VectorSource(const std::vector<T>* records) : records_(records) {}
+  Status Read(T* out) override {
+    if (next_ == records_->size()) return Status::NotFound("end of stream");
+    *out = (*records_)[next_++];
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<T>* records_;
+  size_t next_ = 0;
+};
+
+// MergingSource per merged record: a range(0)-way PieceYLess merge of
+// in-memory y-sorted piece runs, the merge the serve layer runs over
+// per-shard piece streams.
+void BM_MergingSource(benchmark::State& state) {
+  const size_t ways = static_cast<size_t>(state.range(0));
+  constexpr size_t kPerSource = 4096;
+  Rng rng(9);
+  std::vector<std::vector<PieceRecord>> runs(ways);
+  for (auto& run : runs) {
+    for (size_t i = 0; i < kPerSource; ++i) {
+      run.push_back(TransformObject(
+          {rng.Uniform(0, 1e6), rng.Uniform(0, 1e6), 1.0}, 1000, 1000));
+    }
+    std::sort(run.begin(), run.end(), PieceYLess);
+  }
+  for (auto _ : state) {
+    std::vector<VectorSource<PieceRecord>> sources;
+    for (const auto& run : runs) sources.emplace_back(&run);
+    std::vector<RecordSource<PieceRecord>*> inputs;
+    for (auto& source : sources) inputs.push_back(&source);
+    MergingSource<PieceRecord, decltype(&PieceYLess)> merged(inputs,
+                                                             &PieceYLess);
+    PieceRecord p;
+    while (merged.Next(&p)) benchmark::DoNotOptimize(p);
+    MAXRS_CHECK_OK(merged.final_status());
+  }
+  // Time per merged record (an inverted rate prints as seconds).
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * ways * kPerSource),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MergingSource)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 void BM_Crc32c(benchmark::State& state) {
   std::vector<char> block(4096);

@@ -27,6 +27,19 @@ enum class SweepObjective { kMaximize, kMinimize };
 /// of the piece multiset (events are applied in a canonical total order, so
 /// not even floating-point accumulation can see the input order). Purely
 /// in-memory: no I/O.
+///
+/// Cost: set-up is one LSD radix sort of the 2n x-edges plus linear work
+/// when the pieces arrive in PieceYLess order (the y pre-sort and the serve
+/// shards deliver them so): the bottom and top events are then merged, not
+/// sorted. Any other order, or ties the merge cannot order (such as equal
+/// pieces that differ only in weight, or in height), costs one
+/// O(n log n) event sort instead. The sweep is O(n log n) over the
+/// SegmentTree. Scratch beyond the tree and the output is at most 88 bytes
+/// per piece.
+///
+/// x-edges equal under == share one boundary. The only such distinct
+/// values are -0.0 and +0.0; a tuple's x_lo or x_hi on that boundary is
+/// -0.0 when any edge (or a slab bound) is -0.0.
 std::vector<SlabTuple> PlaneSweep(
     const std::vector<PieceRecord>& pieces, const Interval& slab,
     SweepObjective objective = SweepObjective::kMaximize);

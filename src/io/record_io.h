@@ -323,8 +323,10 @@ class RecordWriter {
     // lazily (uncounted zero-fill would be wrong: header write is a real I/O
     // performed in Finish, so here we only ensure the index exists). Always
     // synchronous, and always ahead of the first background data write, so
-    // the file grows strictly sequentially in both schedules.
-    if (file_->NumBlocks() == 0) {
+    // the file grows strictly sequentially in both schedules. Probed only
+    // before the first data block: later a background write may be extending
+    // the file, and reading its size then would race with it.
+    if (next_block_ == 1 && file_->NumBlocks() == 0) {
       std::vector<char> zero(file_->block_size(), 0);
       MAXRS_RETURN_IF_ERROR(file_->WriteBlock(0, zero.data()));
     }

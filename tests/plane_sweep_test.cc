@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "core/brute_force.h"
 #include "core/exact_maxrs.h"
+#include "core/records.h"
+#include "core/segment_tree.h"
 #include "geom/geometry.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -228,6 +232,235 @@ TEST(PlaneSweepGoldenTest, LargeRealWeightSweepsHashToPinnedBytes) {
     const auto tuples = PlaneSweep(*c.pieces, all, c.objective);
     EXPECT_EQ(tuples.size(), c.size);
     EXPECT_EQ(TupleHash(tuples), c.hash);
+  }
+}
+
+// --- Differential: the sort-based set-up as oracle ----------------------
+//
+// PlaneSweep ranks x-edges by radix sort and merges its events from the
+// y-ordered pieces. SortPlaneSweep is the plain sort-based set-up (std::sort
+// of the x-boundaries, lower_bound per edge, std::sort of the events) over
+// the same SegmentTree; the outputs must agree to the byte.
+
+std::vector<SlabTuple> SortPlaneSweep(const std::vector<PieceRecord>& pieces,
+                                      const Interval& slab,
+                                      SweepObjective objective) {
+  struct Event {
+    double y, x_lo, x_hi, w;
+    uint32_t first, last;
+  };
+  std::vector<SlabTuple> out;
+  if (pieces.empty()) return out;
+  std::vector<double> xs = {slab.lo, slab.hi};
+  for (const PieceRecord& p : pieces) {
+    xs.push_back(p.x_lo);
+    xs.push_back(p.x_hi);
+  }
+  std::sort(xs.begin(), xs.end());
+  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+  auto index_of = [&xs](double x) {
+    return static_cast<uint32_t>(
+        std::lower_bound(xs.begin(), xs.end(), x) - xs.begin());
+  };
+  std::vector<Event> events;
+  for (const PieceRecord& p : pieces) {
+    const uint32_t first = index_of(p.x_lo);
+    const uint32_t last = index_of(p.x_hi) - 1;
+    events.push_back({p.y_lo, p.x_lo, p.x_hi, p.w, first, last});
+    events.push_back({p.y_hi, p.x_lo, p.x_hi, -p.w, first, last});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    uint64_t ka = DoubleOrderKey(a.y), kb = DoubleOrderKey(b.y);
+    if (ka != kb) return ka < kb;
+    ka = DoubleOrderKey(a.x_lo), kb = DoubleOrderKey(b.x_lo);
+    if (ka != kb) return ka < kb;
+    ka = DoubleOrderKey(a.x_hi), kb = DoubleOrderKey(b.x_hi);
+    if (ka != kb) return ka < kb;
+    return DoubleOrderKey(a.w) < DoubleOrderKey(b.w);
+  });
+  SegmentTree tree(xs.size() - 1);
+  size_t i = 0;
+  while (i < events.size()) {
+    const double y = events[i].y;
+    while (i < events.size() && events[i].y == y) {
+      tree.RangeAdd(events[i].first, events[i].last, events[i].w);
+      ++i;
+    }
+    const MaxRun run = objective == SweepObjective::kMaximize
+                           ? tree.MaxInterval()
+                           : tree.MinInterval();
+    out.push_back(SlabTuple{y, xs[run.first], xs[run.last + 1], run.value});
+  }
+  return out;
+}
+
+/// Requires byte-identical output from PlaneSweep and SortPlaneSweep, for
+/// both objectives.
+void ExpectSameAsSortSweep(const std::vector<PieceRecord>& pieces,
+                           const Interval& slab, const char* what) {
+  for (SweepObjective objective :
+       {SweepObjective::kMaximize, SweepObjective::kMinimize}) {
+    const auto got = PlaneSweep(pieces, slab, objective);
+    const auto want = SortPlaneSweep(pieces, slab, objective);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(SlabTuple)),
+              0)
+        << what << " n=" << pieces.size() << " objective="
+        << (objective == SweepObjective::kMaximize ? "max" : "min");
+  }
+}
+
+/// Rect-query pieces (constant width and height) of random objects on
+/// [-extent, extent]^2, in the y pre-sort's PieceYLess order.
+std::vector<PieceRecord> YSortedQueryPieces(uint64_t seed, size_t n,
+                                            double extent) {
+  Rng rng(seed);
+  const double width = rng.Uniform(1.0, extent / 4);
+  const double height = rng.Uniform(1.0, extent / 4);
+  std::vector<PieceRecord> pieces;
+  for (size_t i = 0; i < n; ++i) {
+    const SpatialObject o{rng.Uniform(-extent, extent),
+                          rng.Uniform(-extent, extent), rng.Uniform(0.5, 3.0)};
+    pieces.push_back(TransformObject(o, width, height));
+  }
+  std::sort(pieces.begin(), pieces.end(), PieceYLess);
+  return pieces;
+}
+
+/// The pieces of `pieces` clipped to x-slab `slab`, keeping their order —
+/// what one shard of the serve layer sweeps.
+std::vector<PieceRecord> ClipToSlab(const std::vector<PieceRecord>& pieces,
+                                    const Interval& slab) {
+  std::vector<PieceRecord> out;
+  for (PieceRecord p : pieces) {
+    p.x_lo = std::max(p.x_lo, slab.lo);
+    p.x_hi = std::min(p.x_hi, slab.hi);
+    if (p.x_lo < p.x_hi) out.push_back(p);
+  }
+  return out;
+}
+
+/// Fisher-Yates shuffle with the test Rng.
+void Shuffle(std::vector<PieceRecord>* pieces, uint64_t seed) {
+  Rng rng(seed);
+  for (size_t i = pieces->size(); i > 1; --i) {
+    std::swap((*pieces)[i - 1], (*pieces)[rng.UniformU64(i)]);
+  }
+}
+
+TEST(PlaneSweepDifferentialTest, YSortedShardShapedSlabs) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto pieces = YSortedQueryPieces(seed, 20000, 1000.0);
+    constexpr int kSlabs = 8;
+    for (int s = 0; s < kSlabs; ++s) {
+      const Interval slab{-1000.0 + 2000.0 * s / kSlabs,
+                          -1000.0 + 2000.0 * (s + 1) / kSlabs};
+      ExpectSameAsSortSweep(ClipToSlab(pieces, slab), slab, "shard slab");
+    }
+    ExpectSameAsSortSweep(pieces, Interval{-kInf, kInf}, "whole plane");
+  }
+}
+
+TEST(PlaneSweepDifferentialTest, UnsortedInput) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (size_t n : {2, 50, 300, 3000}) {
+      auto pieces = YSortedQueryPieces(seed, n, 500.0);
+      Shuffle(&pieces, seed);
+      ExpectSameAsSortSweep(pieces, Interval{-kInf, kInf}, "shuffled");
+      ExpectSameAsSortSweep(ScatteredPieces(seed, n), Interval{-kInf, kInf},
+                            "scattered");
+    }
+  }
+}
+
+TEST(PlaneSweepDifferentialTest, HalfUnitGridTies) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (size_t n : {20, 400, 4000}) {
+      // Shared x-edges and equal y across bottoms and tops everywhere, plus
+      // an exact duplicate of every fifth piece.
+      auto pieces = GridPieces(seed, n);
+      for (size_t i = 0; i < n; i += 5) pieces.push_back(pieces[i]);
+      ExpectSameAsSortSweep(pieces, Interval{0, 16}, "grid, generated order");
+      std::sort(pieces.begin(), pieces.end(), PieceYLess);
+      ExpectSameAsSortSweep(pieces, Interval{0, 16}, "grid, y-sorted");
+
+      // Constant height, as in a rect query: tops tie with bottoms.
+      for (PieceRecord& p : pieces) p.y_hi = p.y_lo + 1.5;
+      std::sort(pieces.begin(), pieces.end(), PieceYLess);
+      ExpectSameAsSortSweep(pieces, Interval{0, 16}, "grid, constant height");
+      ExpectSameAsSortSweep(ClipToSlab(pieces, Interval{4, 8.5}),
+                            Interval{4, 8.5}, "grid, clipped");
+
+      // Real weights that depend on the x-extent only: pieces equal in
+      // (y, x_lo, x_hi) are then equal events, so the bottom and top
+      // sequences are both in event order and the merge alone orders them.
+      for (PieceRecord& p : pieces) p.w = 0.1 * p.x_lo - 0.37 * p.x_hi + 1.3;
+      std::sort(pieces.begin(), pieces.end(), PieceYLess);
+      ExpectSameAsSortSweep(pieces, Interval{0, 16}, "grid, merged ties");
+    }
+  }
+}
+
+TEST(PlaneSweepDifferentialTest, EqualBottomsWithDifferentHeights) {
+  // PieceYLess orders pieces equal on (y_lo, x_lo, x_hi) by y_hi, the event
+  // order by w: the merged events are out of order and must be re-sorted.
+  std::vector<PieceRecord> pieces;
+  for (int i = 0; i < 600; ++i) {
+    const double x = 0.5 * (i % 7);
+    const double y = 0.5 * (i % 11);
+    pieces.push_back({x, x + 2, y, y + 0.5 * (1 + i % 5), 3.0 - 0.37 * (i % 13)});
+  }
+  std::sort(pieces.begin(), pieces.end(), PieceYLess);
+  ExpectSameAsSortSweep(pieces, Interval{0, 6}, "equal bottoms");
+  ExpectSameAsSortSweep({pieces.begin(), pieces.begin() + 40}, Interval{0, 6},
+                        "equal bottoms, small");
+}
+
+TEST(PlaneSweepDifferentialTest, SinglePiece) {
+  ExpectSameAsSortSweep({{1.0, 2.5, -3.0, 4.0, 0.75}}, Interval{0, 3}, "n=1");
+  ExpectSameAsSortSweep({{-1.0, 2.5, -3.0, 4.0, -2.0}}, Interval{-kInf, kInf},
+                        "n=1, unbounded slab");
+}
+
+TEST(PlaneSweepDifferentialTest, SignedZeroEdgesShareOneBoundary) {
+  // -0.0 and +0.0 compare equal, so they are one boundary. The sort-based
+  // set-up kept whichever zero std::sort left first; PlaneSweep keeps -0.0.
+  // Compare x with == and y and sums to the bit.
+  for (size_t n : {6, 600}) {
+    std::vector<PieceRecord> pieces;
+    Rng rng(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double zero = i % 2 == 0 ? 0.0 : -0.0;
+      const double y = 0.5 * static_cast<double>(rng.UniformU64(16));
+      const double w = rng.Uniform(-0.75, 3.0);
+      if (i % 3 == 0) {
+        pieces.push_back({zero, 1.5, y, y + 1, w});
+      } else if (i % 3 == 1) {
+        pieces.push_back({-1.5, zero, y, y + 1, w});
+      } else {
+        pieces.push_back({-0.5, 0.5, y, y + 1.5, w});
+      }
+    }
+    std::sort(pieces.begin(), pieces.end(), PieceYLess);
+    for (SweepObjective objective :
+         {SweepObjective::kMaximize, SweepObjective::kMinimize}) {
+      const auto got = PlaneSweep(pieces, Interval{-2, 2}, objective);
+      const auto want = SortPlaneSweep(pieces, Interval{-2, 2}, objective);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(Bits(got[i].y), Bits(want[i].y)) << i;
+        EXPECT_EQ(got[i].x_lo, want[i].x_lo) << i;
+        EXPECT_EQ(got[i].x_hi, want[i].x_hi) << i;
+        EXPECT_EQ(Bits(got[i].sum), Bits(want[i].sum)) << i;
+        if (got[i].x_lo == 0.0) {
+          EXPECT_TRUE(std::signbit(got[i].x_lo)) << i;
+        }
+        if (got[i].x_hi == 0.0) {
+          EXPECT_TRUE(std::signbit(got[i].x_hi)) << i;
+        }
+      }
+    }
   }
 }
 
