@@ -1,8 +1,8 @@
 // Google-benchmark CPU suite: CPU-level performance of the building
 // blocks (segment tree, plane sweep, MergeSweep, CRC32C, record codec,
-// streaming k-way merge, external sort, buffer pool, grid index). These are engineering
-// benchmarks, not paper figures; the paper's metric (block I/O) is covered
-// by the bench_fig* binaries.
+// streaming k-way merge, external sort, buffer pool, grid index). These are
+// engineering benchmarks, not paper figures; the paper's metric (block I/O)
+// is covered by the bench_fig* binaries.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -29,9 +29,6 @@ double FromOrderKey(uint64_t key) {
   return v;
 }
 
-/// Below this many x-edges a comparison sort beats the radix passes, each
-/// of which clears and prefix-sums 2^kDigitBits bucket counters.
-constexpr size_t kRadixMinSlots = 512;
 constexpr int kDigitBits = 11;
 
 /// Coordinate compression of the slab's x-edges. Slot 2i is pieces[i].x_lo,
@@ -61,24 +58,21 @@ std::vector<uint32_t> RankXEdges(const std::vector<PieceRecord>& pieces,
   std::vector<uint32_t> order(num_slots);
   std::vector<uint32_t> scratch(num_slots);
   std::iota(order.begin(), order.end(), 0u);
-  if (num_slots < kRadixMinSlots) {
-    std::sort(order.begin(), order.end(),
-              [&keys](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
-  } else {
-    // LSD radix sort, skipping every digit that all keys share.
-    uint64_t differing = 0;
-    for (uint64_t k : keys) differing |= k ^ keys[0];
-    constexpr uint64_t kMask = (1u << kDigitBits) - 1;
-    std::vector<uint32_t> bucket(kMask + 1);
-    for (int shift = 0; shift < 64; shift += kDigitBits) {
-      if (((differing >> shift) & kMask) == 0) continue;
-      std::fill(bucket.begin(), bucket.end(), 0u);
-      for (uint64_t k : keys) ++bucket[(k >> shift) & kMask];
-      uint32_t start = 0;
-      for (uint32_t& b : bucket) start += std::exchange(b, start);
-      for (uint32_t s : order) scratch[bucket[(keys[s] >> shift) & kMask]++] = s;
-      order.swap(scratch);
+  // LSD radix sort, skipping every digit that all keys share.
+  uint64_t differing = 0;
+  for (uint64_t k : keys) differing |= k ^ keys[0];
+  constexpr uint64_t kMask = (1u << kDigitBits) - 1;
+  std::vector<uint32_t> bucket(kMask + 1);
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    if (((differing >> shift) & kMask) == 0) continue;
+    std::fill(bucket.begin(), bucket.end(), 0u);
+    for (uint64_t k : keys) ++bucket[(k >> shift) & kMask];
+    uint32_t start = 0;
+    for (uint32_t& b : bucket) start += std::exchange(b, start);
+    for (uint32_t s : order) {
+      scratch[bucket[(keys[s] >> shift) & kMask]++] = s;
     }
+    order.swap(scratch);
   }
 
   std::vector<uint32_t> rank = std::move(scratch);
@@ -154,7 +148,8 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
   if (!std::is_sorted(events.begin(), events.end(), event_less)) {
     std::sort(events.begin(), events.end(), event_less);
   }
-  const size_t num_elem = xs.size() - 1;  // elementary intervals [xs[t], xs[t+1])
+  // Elementary intervals [xs[t], xs[t+1]).
+  const size_t num_elem = xs.size() - 1;
 
   out.reserve(events.size());  // at most one tuple per event
   SegmentTree tree(num_elem);

@@ -35,7 +35,7 @@ enum class SweepObjective { kMaximize, kMinimize };
 /// pieces that differ only in weight, or in height), costs one
 /// O(n log n) event sort instead. The sweep is O(n log n) over the
 /// SegmentTree. Scratch beyond the tree and the output is at most 88 bytes
-/// per piece.
+/// per piece plus 8 KB of radix counters.
 ///
 /// x-edges equal under == share one boundary. The only such distinct
 /// values are -0.0 and +0.0; a tuple's x_lo or x_hi on that boundary is

@@ -409,7 +409,8 @@ TEST(PlaneSweepDifferentialTest, EqualBottomsWithDifferentHeights) {
   for (int i = 0; i < 600; ++i) {
     const double x = 0.5 * (i % 7);
     const double y = 0.5 * (i % 11);
-    pieces.push_back({x, x + 2, y, y + 0.5 * (1 + i % 5), 3.0 - 0.37 * (i % 13)});
+    pieces.push_back(
+        {x, x + 2, y, y + 0.5 * (1 + i % 5), 3.0 - 0.37 * (i % 13)});
   }
   std::sort(pieces.begin(), pieces.end(), PieceYLess);
   ExpectSameAsSortSweep(pieces, Interval{0, 6}, "equal bottoms");
