@@ -102,9 +102,11 @@ BENCHMARK(BM_PlaneSweepShard)->Unit(benchmark::kMicrosecond);
 
 // One division level of the one-shot shape (uniform objects in a 1e6
 // domain, 1000 x 1000 rectangles) cut into m = range(0) children, whose
-// slab-files come from in-memory sweeps; the timed loop merges them. The
-// object count is fixed, so m = 8 and m = 254 emit about the same number of
-// tuples and the rows differ mainly in the per-event cost of m children.
+// slab-files come from in-memory sweeps; the timed loop merges them the way
+// the one-shot root does, reading the child slab-files and feeding the
+// answer tracker directly. The object count is fixed, so m = 8 and m = 254
+// emit about the same number of tuples and the rows differ mainly in the
+// per-event cost of m children.
 void BM_MergeSweep(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   SyntheticOptions options;
@@ -127,24 +129,40 @@ void BM_MergeSweep(benchmark::State& state) {
                                Interval{-kInf, kInf}, m);
   MAXRS_CHECK(division.ok() && division->children.size() == m);
   std::vector<std::string> slab_files;
+  std::vector<Interval> ranges;
   for (const ChildSlab& child : division->children) {
     auto child_pieces = ReadRecordFile<PieceRecord>(*env, child.piece_file);
     MAXRS_CHECK(child_pieces.ok());
     slab_files.push_back("slab" + std::to_string(slab_files.size()));
+    ranges.push_back(child.x_range);
     MAXRS_CHECK_OK(WriteRecordFile(*env, slab_files.back(),
                                    PlaneSweep(*child_pieces, child.x_range)));
   }
+  uint64_t tuples = 0;
   for (auto _ : state) {
-    MAXRS_CHECK_OK(MergeSweep(*env, division->children, slab_files,
-                              division->span_file, "merged"));
+    std::vector<FileRecordSource<SlabTuple>> files;
+    std::vector<RecordSource<SlabTuple>*> children;
+    files.reserve(m);
+    for (const std::string& name : slab_files) {
+      auto file = FileRecordSource<SlabTuple>::Make(*env, name);
+      MAXRS_CHECK(file.ok());
+      files.push_back(std::move(file).value());
+      children.push_back(&files.back());
+    }
+    core_internal::TopTupleTracker tracker(1);
+    tuples = 0;
+    core_internal::VisitingSink root([&](const SlabTuple& t) {
+      ++tuples;
+      tracker.Visit(t);
+    });
+    MAXRS_CHECK_OK(
+        MergeSweep(*env, ranges, children, division->span_file, &root));
+    benchmark::DoNotOptimize(core_internal::BestResult(tracker));
   }
-  auto merged = ReadRecordFile<SlabTuple>(*env, "merged");
-  MAXRS_CHECK(merged.ok());
-  benchmark::DoNotOptimize(merged->data());
-  state.counters["tuples"] = static_cast<double>(merged->size());
+  state.counters["tuples"] = static_cast<double>(tuples);
   // Time per output tuple (an inverted rate prints as seconds).
   state.counters["per_tuple"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * merged->size()),
+      static_cast<double>(state.iterations() * tuples),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MergeSweep)->Arg(8)->Arg(254)->Unit(benchmark::kMillisecond);

@@ -10,7 +10,11 @@ and exits non-zero when the NEW run regresses against the BASE run:
     (default 15%) on any config;
   - I/O regression: io_blocks grows at all on any config (block counts are
     deterministic per config in the MemEnv, so ANY growth is a real
-    algorithmic regression, not noise).
+    algorithmic regression, not noise);
+  - stale baseline (--io-only only): io_blocks falls below the committed
+    baseline on any config. The improvement is real, but a baseline left
+    above it would let a later regression back up to the old count pass
+    silently, so the baseline must be regenerated with the change.
 
 Wall time is machine-dependent, so CI compares committed baselines with
 --io-only (block counts only); the wall check is for same-machine A/B runs.
@@ -26,7 +30,8 @@ Usage:
   compare_bench.py BASE.json NEW.json [--wall-tol=0.15] [--io-only]
   compare_bench.py --plot=TRAJECTORY.svg FIRST.json [MORE.json ...]
 
-Exit codes: 0 = no regression, 1 = regression found, 2 = usage/input error.
+Exit codes: 0 = no regression, 1 = regression or stale baseline found,
+2 = usage/input error.
 """
 
 import argparse
@@ -252,6 +257,7 @@ def main():
     print("-" * len(header))
 
     regressions = []
+    stale = []
     for key in sorted(common):
         b, n = base[key], new[key]
         wall_b, wall_n = b["wall_seconds"], n["wall_seconds"]
@@ -263,6 +269,11 @@ def main():
         if io_n > io_b:
             regressions.append(f"I/O regression on {fmt_key(key)}: "
                                f"{io_b} -> {io_n} blocks")
+        elif args.io_only and io_n < io_b:
+            stale.append(f"{fmt_key(key)}: {io_b} -> {io_n} blocks fell "
+                         f"below the committed baseline; regenerate it: "
+                         f"./build/bench/{key[0]} --quick "
+                         f"--json={args.artifacts[0]}")
         # Sub-millisecond configs (e.g. warm cache rounds) are pure noise on
         # the wall axis; the I/O check still covers them.
         if not args.io_only and wall_b > 1e-3 and dwall > args.wall_tol:
@@ -294,10 +305,12 @@ def main():
     for k in only_new:
         print(f"note: config only in new (added): {fmt_key(k)}")
 
-    if regressions:
+    if regressions or stale:
         print()
         for r in regressions:
             print(f"REGRESSION: {r}")
+        for r in stale:
+            print(f"STALE BASELINE: {r}")
         sys.exit(1)
     print(f"\nno regressions across {len(common)} config(s)"
           + (" (I/O only)" if args.io_only else ""))

@@ -11,6 +11,7 @@
 #include "io/external_sort.h"
 #include "io/prefetch_reader.h"
 #include "io/record_io.h"
+#include "io/record_stream.h"
 #include "io/temp_manager.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -92,14 +93,11 @@ class Driver {
   /// division decisions depend only on the record sequence, which is the
   /// same — while per-child piece files are replaced by SPSC channels
   /// (io/record_stream.h) that spill deterministically beyond the cap.
-  /// `best_out`, when non-null, receives the maximum tuple sum of the
-  /// returned slab-file as a by-product of writing it (base case and
-  /// MergeSweep alike). Only the root invocation threads it; recursive
-  /// children pass null — the root file's maximum is what callers need.
-  Result<std::string> StreamSolve(
-      RecordSource<PieceRecord>* source,
-      const core_internal::EdgeFileProvider& edge_provider,
-      const Interval& slab, uint64_t depth, SlabBest* best_out = nullptr) {
+  /// Appends the slab's tuples to `out` (not closed here).
+  Status StreamSolve(RecordSource<PieceRecord>* source,
+                     const core_internal::EdgeFileProvider& edge_provider,
+                     const Interval& slab, uint64_t depth,
+                     RecordSink<SlabTuple>* out) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_->recursion_levels = std::max(stats_->recursion_levels, depth);
@@ -124,7 +122,7 @@ class Driver {
         }
       }
     }
-    if (!overflow) return StreamBaseCase(std::move(buffer), slab, best_out);
+    if (!overflow) return StreamBaseCase(std::move(buffer), slab, out);
 
     // Overflow: the node divides. Only now is the edge file needed.
     MAXRS_ASSIGN_OR_RETURN(std::string edge_file, edge_provider());
@@ -143,7 +141,7 @@ class Driver {
         MAXRS_RETURN_IF_ERROR(st);
         buffer.push_back(p);
       }
-      return StreamBaseCase(std::move(buffer), slab, best_out);
+      return StreamBaseCase(std::move(buffer), slab, out);
     }
 
     const size_t num_children = bounds.size() + 1;
@@ -246,8 +244,10 @@ class Driver {
                 [&child_edge_files, k]() -> Result<std::string> {
               return {child_edge_files[k]};
             };
-            auto slab_or =
-                StreamSolve(channels[k].get(), provider, ranges[k], depth + 1);
+            auto slab_or = SolveToFile([&](RecordSink<SlabTuple>* sink) {
+              return StreamSolve(channels[k].get(), provider, ranges[k],
+                                 depth + 1, sink);
+            });
             if (!slab_or.ok()) return slab_or.status();
             child_slab_files[k] = std::move(slab_or).value();
             return Status::OK();
@@ -274,27 +274,17 @@ class Driver {
     MAXRS_RETURN_IF_ERROR(route_status);
     MAXRS_RETURN_IF_ERROR(child_status);
 
-    std::string out = temps_.NewName("slab");
-    MAXRS_RETURN_IF_ERROR(MergeSweep(env_, ranges, child_slab_files, span_file,
-                                     out, options_.objective,
-                                     options_.read_ahead, options_.write_behind,
-                                     options_.cancel, best_out));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_->merges;
-      stats_->total_spans += num_spans;
-    }
-    for (const std::string& f : child_slab_files) temps_.Release(f);
+    MAXRS_RETURN_IF_ERROR(
+        MergeChildFiles(ranges, child_slab_files, span_file, num_spans, out));
     temps_.Release(span_file);
-    return {std::move(out)};
+    return Status::OK();
   }
 
   /// Solves the sub-problem of `slab`, consuming (and deleting) the two
-  /// input files; returns the name of the slab-file produced.
-  Result<std::string> Solve(const std::string& piece_file,
-                            const std::string& edge_file, const Interval& slab,
-                            uint64_t num_pieces, uint64_t depth,
-                            SlabBest* best_out = nullptr) {
+  /// input files; appends the slab's tuples to `out` (not closed here).
+  Status Solve(const std::string& piece_file, const std::string& edge_file,
+               const Interval& slab, uint64_t num_pieces, uint64_t depth,
+               RecordSink<SlabTuple>* out) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_->recursion_levels = std::max(stats_->recursion_levels, depth);
@@ -306,7 +296,7 @@ class Driver {
           DividePieces(temps_, piece_file, edge_file, slab, fanout_);
       if (division_or.ok()) {
         return Merge(piece_file, edge_file, std::move(division_or).value(),
-                     depth, best_out);
+                     depth, out);
       }
       if (division_or.status().code() != Status::Code::kInvalidArgument) {
         return {division_or.status()};
@@ -314,57 +304,36 @@ class Driver {
       // Degenerate input (all edges share one x): the slab cannot be split,
       // so fall through to the in-memory base case regardless of size.
     }
-    return BaseCase(piece_file, edge_file, slab, best_out);
+    return BaseCase(piece_file, edge_file, slab, out);
   }
 
  private:
   /// In-memory base case over an already-buffered piece vector: the stream
   /// ended (or could not be split) within the memory budget, so no piece or
   /// edge file is ever materialized for this node.
-  Result<std::string> StreamBaseCase(std::vector<PieceRecord> pieces,
-                                     const Interval& slab,
-                                     SlabBest* best_out = nullptr) {
-    const std::vector<SlabTuple> tuples =
-        PlaneSweep(pieces, slab, options_.objective);
-    if (best_out != nullptr) {
-      for (const SlabTuple& t : tuples) best_out->Offer(t.sum);
+  Status StreamBaseCase(std::vector<PieceRecord> pieces, const Interval& slab,
+                        RecordSink<SlabTuple>* out) {
+    for (const SlabTuple& t : PlaneSweep(pieces, slab, options_.objective)) {
+      MAXRS_RETURN_IF_ERROR(out->Append(t));
     }
-    std::string out = temps_.NewName("slab");
-    MAXRS_RETURN_IF_ERROR(WriteRecordFile(env_, out, tuples));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_->base_cases;
-    }
-    return {std::move(out)};
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_->base_cases;
+    return Status::OK();
   }
 
-  Result<std::string> BaseCase(const std::string& piece_file,
-                               const std::string& edge_file,
-                               const Interval& slab,
-                               SlabBest* best_out = nullptr) {
+  Status BaseCase(const std::string& piece_file, const std::string& edge_file,
+                  const Interval& slab, RecordSink<SlabTuple>* out) {
     MAXRS_ASSIGN_OR_RETURN(std::vector<PieceRecord> pieces,
                            ReadRecordFilePrefetched<PieceRecord>(
                                env_, piece_file, options_.read_ahead));
     temps_.Release(piece_file);
     temps_.Release(edge_file);
-    const std::vector<SlabTuple> tuples =
-        PlaneSweep(pieces, slab, options_.objective);
-    if (best_out != nullptr) {
-      for (const SlabTuple& t : tuples) best_out->Offer(t.sum);
-    }
-    std::string out = temps_.NewName("slab");
-    MAXRS_RETURN_IF_ERROR(WriteRecordFile(env_, out, tuples));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_->base_cases;
-    }
-    return {std::move(out)};
+    return StreamBaseCase(std::move(pieces), slab, out);
   }
 
-  Result<std::string> Merge(const std::string& piece_file,
-                            const std::string& edge_file,
-                            DivisionResult division, uint64_t depth,
-                            SlabBest* best_out = nullptr) {
+  Status Merge(const std::string& piece_file, const std::string& edge_file,
+               DivisionResult division, uint64_t depth,
+               RecordSink<SlabTuple>* out) {
     temps_.Release(piece_file);
     temps_.Release(edge_file);
 
@@ -378,27 +347,73 @@ class Driver {
     MAXRS_RETURN_IF_ERROR(ParallelFor(
         pool_, 0, division.children.size(), [&](size_t k) -> Status {
           const ChildSlab& child = division.children[k];
-          auto slab_file_or = Solve(child.piece_file, child.edge_file,
-                                    child.x_range, child.num_pieces, depth + 1);
+          auto slab_file_or = SolveToFile([&](RecordSink<SlabTuple>* sink) {
+            return Solve(child.piece_file, child.edge_file, child.x_range,
+                         child.num_pieces, depth + 1, sink);
+          });
           if (!slab_file_or.ok()) return slab_file_or.status();
           child_slab_files[k] = std::move(slab_file_or).value();
           return Status::OK();
         }));
 
-    std::string out = temps_.NewName("slab");
-    MAXRS_RETURN_IF_ERROR(MergeSweep(env_, division.children, child_slab_files,
-                                     division.span_file, out,
-                                     options_.objective, options_.read_ahead,
-                                     options_.write_behind, options_.cancel,
-                                     best_out));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_->merges;
-      stats_->total_spans += division.num_spans;
+    std::vector<Interval> ranges;
+    ranges.reserve(division.children.size());
+    for (const ChildSlab& child : division.children) {
+      ranges.push_back(child.x_range);
     }
-    for (const std::string& f : child_slab_files) temps_.Release(f);
+    MAXRS_RETURN_IF_ERROR(MergeChildFiles(ranges, child_slab_files,
+                                          division.span_file,
+                                          division.num_spans, out));
     temps_.Release(division.span_file);
-    return {std::move(out)};
+    return Status::OK();
+  }
+
+  /// Runs `solve` into a fresh slab-file and returns its name: how an inner
+  /// recursion node hands its tuples to its parent's MergeSweep, at the
+  /// paper's cost. The file is released if the solve fails.
+  Result<std::string> SolveToFile(
+      const std::function<Status(RecordSink<SlabTuple>*)>& solve) {
+    std::string name = temps_.NewName("slab");
+    Status st = [&]() -> Status {
+      MAXRS_ASSIGN_OR_RETURN(FileRecordSink<SlabTuple> sink,
+                             FileRecordSink<SlabTuple>::Make(
+                                 env_, name, options_.write_behind));
+      return sink.Close(solve(&sink));
+    }();
+    if (!st.ok()) {
+      temps_.Release(name);
+      return {st};
+    }
+    return {std::move(name)};
+  }
+
+  /// MergeSweep of the children's slab-files into `out`, releasing them
+  /// once merged, and the node's merge statistics.
+  Status MergeChildFiles(const std::vector<Interval>& ranges,
+                         const std::vector<std::string>& child_slab_files,
+                         const std::string& span_file, uint64_t num_spans,
+                         RecordSink<SlabTuple>* out) {
+    Status st = [&]() -> Status {
+      std::vector<FileRecordSource<SlabTuple>> files;
+      std::vector<RecordSource<SlabTuple>*> children;
+      files.reserve(child_slab_files.size());
+      for (const std::string& name : child_slab_files) {
+        MAXRS_ASSIGN_OR_RETURN(FileRecordSource<SlabTuple> file,
+                               FileRecordSource<SlabTuple>::Make(
+                                   env_, name, options_.read_ahead));
+        files.push_back(std::move(file));
+        children.push_back(&files.back());
+      }
+      return MergeSweep(env_, ranges, children, span_file, out,
+                        options_.objective, options_.read_ahead,
+                        options_.cancel);
+    }();
+    for (const std::string& f : child_slab_files) temps_.Release(f);
+    MAXRS_RETURN_IF_ERROR(st);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_->merges;
+    stats_->total_spans += num_spans;
+    return Status::OK();
   }
 
   Env& env_;
@@ -412,27 +427,16 @@ class Driver {
 };
 
 // The back half of VisitRootTuples: division + merge-sweep from sorted
-// inputs on `pool`,
-// then one streaming scan of the root slab-file. Consumes (deletes) the two
-// input files of `input`.
+// inputs on `pool`, the root sweep's tuples going straight to `visit`.
+// Consumes (deletes) the two input files of `input`.
 Status SolvePreparedOnPool(Env& env, const PreparedInput& input,
                            const MaxRSOptions& options, MaxRSStats* stats,
                            ThreadPool* pool,
                            const std::function<void(const SlabTuple&)>& visit) {
   TempFileManager temps(env, options.work_prefix);
-  MAXRS_ASSIGN_OR_RETURN(
-      std::string root_slab_file,
-      core_internal::SolveSlab(env, temps, input, options, stats, pool));
-  {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SlabTuple> reader,
-                           PrefetchingReader<SlabTuple>::Make(
-                               env, root_slab_file, options.read_ahead));
-    SlabTuple t{};
-    while (reader.Next(&t)) visit(t);
-    MAXRS_RETURN_IF_ERROR(reader.final_status());
-  }
-  temps.Release(root_slab_file);
-  return Status::OK();
+  core_internal::VisitingSink sink(visit);
+  return core_internal::SolveSlab(env, temps, input, options, stats, pool,
+                                  &sink);
 }
 
 }  // namespace
@@ -443,48 +447,45 @@ Status ValidateMaxRSOptions(const MaxRSOptions& options, size_t block_size) {
 
 namespace core_internal {
 
-Result<std::string> SolveSlab(Env& env, TempFileManager& temps,
-                              const PreparedInput& input,
-                              const MaxRSOptions& options, MaxRSStats* stats,
-                              ThreadPool* pool, SlabBest* best_out) {
+Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
+                 const MaxRSOptions& options, MaxRSStats* stats,
+                 ThreadPool* pool, RecordSink<SlabTuple>* out) {
   MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
   Driver driver(env, temps, options, stats, pool);
   if (options.streaming_division) {
     // Stream the piece file through the channel-based division instead of
     // materializing per-child piece files. Results, stats, and division
     // decisions are bit-identical to the materialized path below.
-    Result<std::string> out = [&]() -> Result<std::string> {
+    Status st = [&]() -> Status {
       MAXRS_ASSIGN_OR_RETURN(FileRecordSource<PieceRecord> source,
                              FileRecordSource<PieceRecord>::Make(
                                  env, input.piece_file, options.read_ahead));
       core_internal::EdgeFileProvider provider =
           [&input]() -> Result<std::string> { return {input.edge_file}; };
       return driver.StreamSolve(&source, provider, input.x_range, /*depth=*/0,
-                                best_out);
+                                out);
     }();
     // The source is closed before the inputs are released; the edge file is
     // owned by the caller's temp manager, so release both here as Solve does.
-    if (out.ok()) {
+    if (st.ok()) {
       temps.Release(input.piece_file);
       temps.Release(input.edge_file);
     }
-    return out;
+    return st;
   }
   return driver.Solve(input.piece_file, input.edge_file, input.x_range,
-                      input.num_pieces, /*depth=*/0, best_out);
+                      input.num_pieces, /*depth=*/0, out);
 }
 
-Result<std::string> SolveSlabStream(Env& env, TempFileManager& temps,
-                                    RecordSource<PieceRecord>* pieces,
-                                    const EdgeFileProvider& edge_provider,
-                                    const Interval& x_range,
-                                    const MaxRSOptions& options,
-                                    MaxRSStats* stats, ThreadPool* pool,
-                                    SlabBest* best_out) {
+Status SolveSlabStream(Env& env, TempFileManager& temps,
+                       RecordSource<PieceRecord>* pieces,
+                       const EdgeFileProvider& edge_provider,
+                       const Interval& x_range, const MaxRSOptions& options,
+                       MaxRSStats* stats, ThreadPool* pool,
+                       RecordSink<SlabTuple>* out) {
   MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
   Driver driver(env, temps, options, stats, pool);
-  return driver.StreamSolve(pieces, edge_provider, x_range, /*depth=*/0,
-                            best_out);
+  return driver.StreamSolve(pieces, edge_provider, x_range, /*depth=*/0, out);
 }
 
 void TopTupleTracker::Visit(const SlabTuple& t) {
@@ -538,11 +539,9 @@ bool TopTupleTracker::SumGreater(const Entry& a, const Entry& b) {
   return a.tuple.sum > b.tuple.sum;
 }
 
-MaxRSResult ExtractFromTuples(const std::vector<SlabTuple>& tuples) {
-  TopTupleTracker tracker(1);
-  for (const SlabTuple& t : tuples) tracker.Visit(t);
-  auto best = tracker.Finish();
+MaxRSResult BestResult(TopTupleTracker& tracker) {
   MaxRSResult result;
+  const std::vector<RankedRegion> best = tracker.Finish();
   if (best.empty()) {
     result.region = Rect{-kInf, kInf, -kInf, kInf};
     return result;
@@ -689,9 +688,11 @@ MaxRSResult ExactMaxRSInMemory(const std::vector<SpatialObject>& objects,
   for (const SpatialObject& o : objects) {
     pieces.push_back(TransformObject(o, rect_width, rect_height));
   }
-  const Interval everything{-kInf, kInf};
-  MaxRSResult result =
-      core_internal::ExtractFromTuples(PlaneSweep(pieces, everything));
+  core_internal::TopTupleTracker tracker(1);
+  for (const SlabTuple& t : PlaneSweep(pieces, Interval{-kInf, kInf})) {
+    tracker.Visit(t);
+  }
+  MaxRSResult result = core_internal::BestResult(tracker);
   result.stats.input_objects = objects.size();
   result.stats.base_cases = 1;
   return result;
@@ -707,15 +708,7 @@ Result<MaxRSResult> RunExactMaxRS(Env& env, const std::string& object_file,
       env, object_file, options, &stats,
       [&tracker](const SlabTuple& t) { tracker.Visit(t); }));
 
-  MaxRSResult result;
-  auto best = tracker.Finish();
-  if (best.empty()) {
-    result.region = Rect{-kInf, kInf, -kInf, kInf};
-  } else {
-    result.location = best[0].location;
-    result.total_weight = best[0].total_weight;
-    result.region = best[0].region;
-  }
+  MaxRSResult result = core_internal::BestResult(tracker);
   stats.io = env.stats().Snapshot() - io_before;
   stats.wall_seconds = timer.ElapsedSeconds();
   result.stats = stats;

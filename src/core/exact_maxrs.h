@@ -12,8 +12,9 @@
 //      equal edge count, separating spanning parts (division.h); solve each
 //      sub-slab (in memory once it fits, plane_sweep.h); merge child
 //      slab-files bottom-up (merge_sweep.h).
-//   4. Scan the root slab-file for the tuple with the maximum sum: its
-//      stratum is the max-region; any interior point is an optimal location.
+//   4. Feed the root sweep's tuples straight to a tracker of the maximum
+//      sum (no root slab-file): its stratum is the max-region; any interior
+//      point is an optimal location.
 //
 // This header is the public entry point of the library for MaxRS.
 #ifndef MAXRS_CORE_EXACT_MAXRS_H_
@@ -69,11 +70,12 @@ struct MaxRSOptions {
 
   /// Double-buffered asynchronous read-ahead (io/prefetch_reader.h) on the
   /// hot sequential streams: the object/transform scans, external-sort run
-  /// formation and merge fan-in, MergeSweep inputs, and the root slab-file
-  /// scan. Block k+1 is fetched by a background I/O worker while block k is
-  /// deserialized. Results and block counts are bit-identical with the
-  /// synchronous path at any thread count; only the overlap of I/O and
-  /// compute changes. Costs one extra block of buffer per open stream.
+  /// formation and merge fan-in, and the MergeSweep inputs (child
+  /// slab-files and span files). Block k+1 is fetched by a background I/O
+  /// worker while block k is deserialized. Results and block counts are
+  /// bit-identical with the synchronous path at any thread count; only the
+  /// overlap of I/O and compute changes. Costs one extra block of buffer
+  /// per open stream.
   bool read_ahead = false;
 
   /// kMaximize is the paper's MaxRS. kMinimize runs the MinRS extension's
@@ -104,8 +106,9 @@ struct MaxRSOptions {
   /// Double-buffered asynchronous write-behind (io/record_io.h) on the hot
   /// sequential writers — the dual of read_ahead: block k is flushed by a
   /// background I/O worker while block k+1 is serialized. Applied to the
-  /// MergeSweep output writers and the streaming division's span/spill
-  /// writers. Results and block counts are bit-identical either way.
+  /// inner recursion nodes' slab-file writers and the streaming division's
+  /// span/spill writers. Results and block counts are bit-identical either
+  /// way.
   bool write_behind = false;
 
   /// Optional cooperative cancellation (util/cancel.h), not owned; must
@@ -203,21 +206,16 @@ namespace core_internal {
 /// The recursive solver of one slab over a piece file — the one-shot
 /// pipeline's root solve, and the file-based twin of SolveSlabStream (which
 /// the serve layer's per-shard solves use): runs division + merge-sweep
-/// on `input` confined to `input.x_range` and returns the name of the
-/// resulting slab-file — the SlabTuple stream of the slab — registered
-/// under `temps` (the caller releases it). Consumes (deletes) both input
-/// files. All piece x-extents must lie within `input.x_range` and
-/// `input.num_pieces` must match the piece file (trusted, not probed).
-/// Maximize objective only.
-/// A non-null `best_out` receives the maximum tuple sum of the returned
-/// slab-file — the best weight achievable inside the slab — computed while
-/// the file is written, never by a counted re-scan. The serve layer's
-/// index-pruned execution (via SolveSlabStream) feeds it back as the
-/// branch-and-bound incumbent.
-Result<std::string> SolveSlab(Env& env, TempFileManager& temps,
-                              const PreparedInput& input,
-                              const MaxRSOptions& options, MaxRSStats* stats,
-                              ThreadPool* pool, SlabBest* best_out = nullptr);
+/// on `input` confined to `input.x_range` and appends the slab's SlabTuple
+/// stream (y-ascending) to `out`, from the base case or from the root
+/// MergeSweep — no slab-file is written for the slab itself, only for the
+/// inner recursion nodes. `out` is not closed: its owner closes it with the
+/// final status. Consumes (deletes) both input files. All piece x-extents
+/// must lie within `input.x_range` and `input.num_pieces` must match the
+/// piece file (trusted, not probed).
+Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
+                 const MaxRSOptions& options, MaxRSStats* stats,
+                 ThreadPool* pool, RecordSink<SlabTuple>* out);
 
 /// Lazily produces the x-sorted edge file of a slab being stream-solved.
 /// Invoked at most once, and only if the slab overflows the in-memory base
@@ -232,21 +230,20 @@ using EdgeFileProvider = std::function<Result<std::string>()>;
 /// slab is solved in memory with no division I/O at all, otherwise
 /// `edge_provider` supplies the edge file and the node divides, feeding
 /// its children through per-child channels in turn (recursively streamed).
-/// Returns the slab-file name, registered under `temps` (caller releases).
-/// Results and stats counters are bit-identical to SolveSlab over a file
-/// holding the same stream. Maximize objective only; `options` is
-/// validated. `pool` parallelizes child sub-slabs (null = serial).
-/// `best_out` as in SolveSlab.
-Result<std::string> SolveSlabStream(Env& env, TempFileManager& temps,
-                                    RecordSource<PieceRecord>* pieces,
-                                    const EdgeFileProvider& edge_provider,
-                                    const Interval& x_range,
-                                    const MaxRSOptions& options,
-                                    MaxRSStats* stats, ThreadPool* pool,
-                                    SlabBest* best_out = nullptr);
+/// Appends the slab's tuples to `out` (not closed here), exactly as
+/// SolveSlab does. Results and stats counters are bit-identical to
+/// SolveSlab over a file holding the same stream. `options` is validated.
+/// `pool` parallelizes child sub-slabs (null = serial).
+Status SolveSlabStream(Env& env, TempFileManager& temps,
+                       RecordSource<PieceRecord>* pieces,
+                       const EdgeFileProvider& edge_provider,
+                       const Interval& x_range, const MaxRSOptions& options,
+                       MaxRSStats* stats, ThreadPool* pool,
+                       RecordSink<SlabTuple>* out);
 
-/// Streams the tuples of the *root* slab-file (y-ascending) produced by a
-/// full ExactMaxRS pipeline run to `visit`. This is the shared engine under
+/// Streams the tuples of the *root* slab (y-ascending) produced by a full
+/// ExactMaxRS pipeline run to `visit`, straight from the root sweep — no
+/// root slab-file is written or scanned. This is the shared engine under
 /// RunExactMaxRS, RunTopKMaxRS and RunMinRS: the tuple stream contains, for
 /// every y-stratum, the max-interval of the whole plane — enough to answer
 /// any "best placements" question without re-running the sweep.
@@ -288,8 +285,29 @@ class TopTupleTracker {
   bool have_pending_ = false;
 };
 
-/// Extracts the final answer from an in-memory tuple stream.
-MaxRSResult ExtractFromTuples(const std::vector<SlabTuple>& tuples);
+/// A tuple sink that hands every tuple to a visitor: how a root sweep
+/// feeds an answer tracker with no file in between.
+class VisitingSink final : public RecordSink<SlabTuple> {
+ public:
+  /// Sinks into `visit`, called once per tuple in append order.
+  explicit VisitingSink(std::function<void(const SlabTuple&)> visit)
+      : visit_(std::move(visit)) {}
+
+  /// Visits `t`; never fails.
+  Status Append(const SlabTuple& t) override {
+    visit_(t);
+    return Status::OK();
+  }
+  /// Nothing to flush: returns `status` unchanged.
+  Status Close(const Status& status) override { return status; }
+
+ private:
+  std::function<void(const SlabTuple&)> visit_;
+};
+
+/// Finishes `tracker` and returns its best region as a MaxRSResult (stats
+/// left default); no tuple at all yields weight 0 over the whole plane.
+MaxRSResult BestResult(TopTupleTracker& tracker);
 
 }  // namespace core_internal
 

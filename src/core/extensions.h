@@ -3,7 +3,7 @@
 // (the placement minimizing the covered weight).
 //
 // Both reuse the full ExactMaxRS pipeline unchanged:
-//  * MaxkRS keeps the k best strata of the root slab-file instead of one —
+//  * MaxkRS keeps the k best strata of the root tuple stream instead of one —
 //    the tuple stream already describes, for every y-stratum, the best
 //    interval of the whole plane, so selecting k costs no extra I/O.
 //  * MinRS runs the same distribution sweep under a min objective (the
@@ -29,7 +29,7 @@ namespace maxrs {
 
 /// MaxkRS: the k best placement strata, sorted by descending weight.
 /// Each returned region realizes its reported weight at every interior
-/// point. Regions come from distinct y-strata of the root slab-file (two
+/// point. Regions come from distinct y-strata of the root tuple stream (two
 /// results may overlap spatially if a hotspot spans several strata).
 /// `stats`, if non-null, receives the run's execution statistics.
 Result<std::vector<RankedRegion>> RunTopKMaxRS(Env& env,

@@ -1,49 +1,35 @@
 #include "core/merge_sweep.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "geom/geometry.h"
-#include "io/prefetch_reader.h"
-#include "io/record_io.h"
 #include "util/check.h"
 
 namespace maxrs {
 namespace {
 
-/// Sequential reader with one-record lookahead; double-buffers blocks when
-/// constructed with read_ahead.
+/// A record source with one-record lookahead. A null source is an empty
+/// stream that is never read.
 template <typename T>
-class PeekedReader {
+class PeekedSource {
  public:
-  static Result<PeekedReader<T>> Make(Env& env, const std::string& name,
-                                      bool read_ahead) {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<T> reader,
-                           PrefetchingReader<T>::Make(env, name, read_ahead));
-    PeekedReader<T> peeked(std::move(reader));
-    MAXRS_RETURN_IF_ERROR(peeked.Advance());
-    return {std::move(peeked)};
-  }
-
-  explicit PeekedReader(PrefetchingReader<T> reader)
-      : reader_(std::move(reader)) {}
+  explicit PeekedSource(RecordSource<T>* source) : source_(source) {}
 
   bool has_value() const { return has_value_; }
   const T& head() const { return head_; }
 
   Status Advance() {
-    Status st = reader_.Read(&head_);
-    if (st.code() == Status::Code::kNotFound) {
-      has_value_ = false;
-      return Status::OK();
-    }
+    has_value_ = false;
+    if (source_ == nullptr) return Status::OK();
+    Status st = source_->Read(&head_);
+    if (st.code() == Status::Code::kNotFound) return Status::OK();
     MAXRS_RETURN_IF_ERROR(st);
     has_value_ = true;
     return Status::OK();
   }
 
  private:
-  PrefetchingReader<T> reader_;
+  RecordSource<T>* source_;
   T head_{};
   bool has_value_ = false;
 };
@@ -93,49 +79,33 @@ class LeftmostMaxTree {
 
 }  // namespace
 
-Status MergeSweep(Env& env, const std::vector<ChildSlab>& children,
-                  const std::vector<std::string>& child_slab_files,
-                  const std::string& span_file, const std::string& output_file,
-                  SweepObjective objective, bool read_ahead, bool write_behind,
-                  const CancelToken* cancel, SlabBest* best_out) {
-  std::vector<Interval> ranges;
-  ranges.reserve(children.size());
-  for (const ChildSlab& child : children) ranges.push_back(child.x_range);
-  return MergeSweep(env, ranges, child_slab_files, span_file, output_file,
-                    objective, read_ahead, write_behind, cancel, best_out);
-}
-
 Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
-                  const std::vector<std::string>& child_slab_files,
-                  const std::string& span_file, const std::string& output_file,
-                  SweepObjective objective, bool read_ahead, bool write_behind,
-                  const CancelToken* cancel, SlabBest* best_out) {
+                  const std::vector<RecordSource<SlabTuple>*>& children,
+                  const std::string& span_file, RecordSink<SlabTuple>* output,
+                  SweepObjective objective, bool read_ahead,
+                  const CancelToken* cancel) {
   const size_t m = child_ranges.size();
-  MAXRS_CHECK(m >= 1 && child_slab_files.size() == m);
+  MAXRS_CHECK(m >= 1 && children.size() == m && output != nullptr);
 
-  // A "" name marks a known-empty child: it participates in the sweep state
-  // (base 0, interval = its range) but gets no reader and costs no I/O.
-  std::vector<std::unique_ptr<PeekedReader<SlabTuple>>> slabs(m);
-  for (size_t i = 0; i < m; ++i) {
-    if (child_slab_files[i].empty()) continue;
-    MAXRS_ASSIGN_OR_RETURN(
-        PeekedReader<SlabTuple> reader,
-        PeekedReader<SlabTuple>::Make(env, child_slab_files[i], read_ahead));
-    slabs[i] = std::make_unique<PeekedReader<SlabTuple>>(std::move(reader));
+  std::vector<PeekedSource<SlabTuple>> slabs;
+  slabs.reserve(m);
+  for (RecordSource<SlabTuple>* child : children) {
+    slabs.emplace_back(child);
+    MAXRS_RETURN_IF_ERROR(slabs.back().Advance());
   }
   // Two independent sequential scans over the span file: one delivering
   // bottom events (y_lo order), one delivering top events (y_hi order; equal
   // to y_lo order because all spans have the original height d2).
   MAXRS_ASSIGN_OR_RETURN(
-      PeekedReader<SpanRecord> bottoms,
-      PeekedReader<SpanRecord>::Make(env, span_file, read_ahead));
+      FileRecordSource<SpanRecord> bottom_file,
+      FileRecordSource<SpanRecord>::Make(env, span_file, read_ahead));
   MAXRS_ASSIGN_OR_RETURN(
-      PeekedReader<SpanRecord> tops,
-      PeekedReader<SpanRecord>::Make(env, span_file, read_ahead));
-
-  MAXRS_ASSIGN_OR_RETURN(RecordWriter<SlabTuple> writer,
-                         RecordWriter<SlabTuple>::Make(env, output_file,
-                                                       write_behind));
+      FileRecordSource<SpanRecord> top_file,
+      FileRecordSource<SpanRecord>::Make(env, span_file, read_ahead));
+  PeekedSource<SpanRecord> bottoms(&bottom_file);
+  PeekedSource<SpanRecord> tops(&top_file);
+  MAXRS_RETURN_IF_ERROR(bottoms.Advance());
+  MAXRS_RETURN_IF_ERROR(tops.Advance());
 
   // Sweep state (Algorithm 1 lines 1-4): per-child latest max-interval and
   // the spanning weight currently over it.
@@ -154,8 +124,7 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
   LeftmostMaxTree heads(m);
   LeftmostMaxTree best_child(m);
   auto load_head = [&](size_t i) {
-    const bool live = slabs[i] && slabs[i]->has_value();
-    heads.Set(i, live ? -slabs[i]->head().y : -kInf);
+    heads.Set(i, slabs[i].has_value() ? -slabs[i].head().y : -kInf);
   };
   auto load_eff = [&](size_t i) {
     best_child.Set(i, sign * (base[i] + up_sum[i]));
@@ -199,7 +168,7 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
     }
     while (-heads.top_key() == y) {
       const size_t i = heads.top();
-      PeekedReader<SlabTuple>& s = *slabs[i];
+      PeekedSource<SlabTuple>& s = slabs[i];
       while (s.has_value() && s.head().y == y) {
         base[i] = s.head().sum;
         interval[i] = {s.head().x_lo, s.head().x_hi};
@@ -224,11 +193,10 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
         break;
       }
     }
-    if (best_out != nullptr) best_out->Offer(best);
-    MAXRS_RETURN_IF_ERROR(writer.Append(SlabTuple{y, merged.lo, merged.hi, best}));
+    MAXRS_RETURN_IF_ERROR(
+        output->Append(SlabTuple{y, merged.lo, merged.hi, best}));
   }
-
-  return writer.Finish();
+  return Status::OK();
 }
 
 }  // namespace maxrs

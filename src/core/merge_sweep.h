@@ -1,6 +1,10 @@
-// MergeSweep (Algorithm 1): merges the slab-files of m child slabs and the
-// spanning-rectangle file of the parent into the parent's slab-file, in one
-// synchronized bottom-to-top sweep costing O(K/B) I/Os (Lemma 3).
+// MergeSweep (Algorithm 1): merges the tuple streams of m child slabs and
+// the spanning-rectangle file of the parent into the parent's tuple stream,
+// in one synchronized bottom-to-top sweep costing O(K/B) I/Os (Lemma 3).
+// The sweep reads each child once, in order, and emits each output tuple
+// once, so neither side has to be a file: the recursion's inner levels
+// merge slab-files into a slab-file, while a root merge reads in-memory
+// channels and feeds the answer tracker directly.
 //
 // State per child i: the base sum and max-interval from its latest tuple,
 // plus upSum[i] — the total weight of spanning rectangles currently covering
@@ -19,65 +23,50 @@
 // Spanning tops need no separate sort: pieces are never clipped in y, so all
 // spans share the original rectangle height d2 and the y_lo-sorted span file
 // is also y_hi-sorted — a second sequential reader delivers top events.
+// That is why the spans stay a file: two sequential readers keep the sweep
+// at O(m) blocks of memory, where a single stream would need a FIFO of
+// every span still active.
 #ifndef MAXRS_CORE_MERGE_SWEEP_H_
 #define MAXRS_CORE_MERGE_SWEEP_H_
 
 #include <string>
 #include <vector>
 
-#include "core/division.h"
 #include "core/plane_sweep.h"
 #include "core/records.h"
 #include "io/env.h"
+#include "io/record_stream.h"
 #include "util/cancel.h"
 #include "util/status.h"
 
 namespace maxrs {
 
-/// Merges `child_slab_files[i]` (the slab-file of children[i]) plus the
-/// spanning file into the slab-file `output_file` for the union slab.
-/// The objective must match the one the child slab-files were built with.
-/// With `read_ahead`, every input stream double-buffers its next block via
-/// the shared IoExecutor (io/prefetch_reader.h); with `write_behind`, the
-/// output writer flushes its blocks on the same executor (io/record_io.h).
-/// Output and block counts are identical in every schedule combination.
-/// A non-null `cancel` token is polled once per sweep event; an expired
-/// token aborts the merge with kDeadlineExceeded.
-/// A non-null `best_out` receives the running maximum of the emitted tuple
-/// sums (maximize objective) as a free by-product of the sweep — no
-/// re-scan, no extra I/O.
-Status MergeSweep(Env& env, const std::vector<ChildSlab>& children,
-                  const std::vector<std::string>& child_slab_files,
-                  const std::string& span_file, const std::string& output_file,
-                  SweepObjective objective = SweepObjective::kMaximize,
-                  bool read_ahead = false, bool write_behind = false,
-                  const CancelToken* cancel = nullptr,
-                  SlabBest* best_out = nullptr);
-
-/// MergeSweep over externally-produced sub-slab solutions: identical sweep,
-/// but the children are given as bare x-ranges instead of DivisionResult
-/// children — the entry point for callers that solved adjacent sub-slabs
-/// outside the recursion (the serve layer's per-shard solve, where the
-/// x-slab shards are the top-level division). `child_ranges[i]` must be
-/// adjacent ascending half-open slabs, `child_slab_files[i]` the slab-file
-/// solved for exactly that range, and `span_file` the y_lo-sorted records
-/// of rectangles spanning whole sub-slabs (child indices into
-/// `child_ranges`). An empty span file is valid.
+/// Merges `children[i]` — the y-ascending tuple stream of the child slab
+/// `child_ranges[i]` — plus the spanning file into `output`, the tuple
+/// stream of the union slab. `child_ranges` must be adjacent ascending
+/// half-open slabs; `span_file` holds the y_lo-sorted records of
+/// rectangles spanning whole children (child indices into `child_ranges`).
+/// An empty span file is valid. The objective must match the one the child
+/// streams were built with.
 ///
-/// A child whose slab-file name is the empty string "" is a *known-empty*
-/// child: no reader is opened for it (zero I/O — not even the empty file's
-/// framing read) and it sweeps exactly like an existing empty slab-file
-/// (base 0, interval = its range). The serve layer's index-pruned execution
-/// passes "" for shards it proved cannot contain the optimum, keeping the
-/// adjacent-ascending-ranges contract (and span child indices) intact
-/// without materializing anything for skipped shards.
+/// A null child is *known-empty*: it costs nothing and sweeps exactly like
+/// an empty stream (base 0, interval = its range). The serve layer's
+/// index-pruned execution passes null for shards it proved cannot contain
+/// the optimum, keeping the adjacent-ranges contract (and span child
+/// indices) intact without producing anything for skipped shards.
+///
+/// Every child is read at most once, front to back, and `output` receives
+/// each tuple exactly once, in y order; `output` is not closed (its owner
+/// closes it with the final status). With `read_ahead`, the two span
+/// readers double-buffer their next block via the shared IoExecutor
+/// (io/prefetch_reader.h); output and block counts are identical either
+/// way. A non-null `cancel` token is polled once per sweep event; an
+/// expired token aborts the merge with kDeadlineExceeded.
 Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
-                  const std::vector<std::string>& child_slab_files,
-                  const std::string& span_file, const std::string& output_file,
+                  const std::vector<RecordSource<SlabTuple>*>& children,
+                  const std::string& span_file, RecordSink<SlabTuple>* output,
                   SweepObjective objective = SweepObjective::kMaximize,
-                  bool read_ahead = false, bool write_behind = false,
-                  const CancelToken* cancel = nullptr,
-                  SlabBest* best_out = nullptr);
+                  bool read_ahead = false, const CancelToken* cancel = nullptr);
 
 }  // namespace maxrs
 

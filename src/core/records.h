@@ -114,8 +114,8 @@ struct SlabTuple {
   double sum;
 };
 
-/// Running maximum of slab-tuple sums, produced as a by-product of writing a
-/// slab-file (base case and MergeSweep alike) so callers never pay a counted
+/// Running maximum of slab-tuple sums, folded in as a slab's tuples are
+/// emitted (base case and MergeSweep alike) so callers never pay a counted
 /// re-scan to learn a slab's best achievable weight. The serve layer's
 /// index-pruned execution uses it as the branch-and-bound incumbent: any
 /// shard whose weight upper bound cannot beat a known SlabBest is skipped.

@@ -32,8 +32,11 @@ namespace {
 // value. Every routed record travels through a RecordChannel
 // (io/record_stream.h), and each target solve (core_internal::
 // SolveSlabStream) starts the moment the piece channels of its column have
-// their first heads — while the routing passes are still running. One
-// cross-shard MergeSweep per query combines the shard slab-files.
+// their first heads — while the routing passes are still running. Each
+// target solve emits its shard's tuples into one more channel, and once
+// every solve has joined, one cross-shard MergeSweep per query merges those
+// channels straight into the answer tracker: neither a shard's tuples nor
+// the root's become a file (unless a slab channel spills past its cap).
 //
 // Per query the record streams a target consumer merges are fixed by the
 // data and the rect alone: piece rows are filtered subsequences of the
@@ -86,19 +89,17 @@ class JoinLatch {
 };
 
 // Phase B for one target shard: merge the piece channels of its column on
-// the fly and solve the shard via the streaming recursion. The edge stream
-// is claimed lazily: only a shard that overflows its base case ever drains
-// its edge column (into one scratch file, since the division's bounds pass
-// reads the edges twice); a base-case shard abandons the column untouched —
-// what those channels buffered or spilled is a pure function of the routed
-// records, so block counts stay deterministic. Callers pass exactly the
-// rows they actually routed (the pruned execution drops never-routed rows —
-// their channels never close, waiting on them would hang, and by
-// construction they could only have carried empty streams, so dropping them
-// leaves the merged stream byte-identical), with each row's two sorted edge
-// half-streams. A non-null `best_out` receives the shard slab-file's
-// maximum tuple sum (core/records.h SlabBest) — the pruned execution's
-// incumbent.
+// the fly and solve the shard via the streaming recursion, appending its
+// tuples to `out`. The edge stream is claimed lazily: only a shard that
+// overflows its base case ever drains its edge column (into one scratch
+// file, since the division's bounds pass reads the edges twice); a
+// base-case shard abandons the column untouched — what those channels
+// buffered or spilled is a pure function of the routed records, so block
+// counts stay deterministic. Callers pass exactly the rows they actually
+// routed (the pruned execution drops never-routed rows — their channels
+// never close, waiting on them would hang, and by construction they could
+// only have carried empty streams, so dropping them leaves the merged
+// stream byte-identical), with each row's two sorted edge half-streams.
 Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                std::vector<RecordSource<PieceRecord>*>
                                    piece_column,
@@ -106,25 +107,16 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                    edge_column,
                                const Interval& slab,
                                const MaxRSOptions& options, MaxRSStats* stats,
-                               std::string* slab_file_out,
-                               SlabBest* best_out = nullptr) {
+                               RecordSink<SlabTuple>* out) {
   MergingSource<PieceRecord, decltype(&PieceYLess)> pieces(
       std::move(piece_column), &PieceYLess);
 
   // Probe the first record: a shard no piece overlaps (fully spanned
-  // shards are handled by the cross-shard sweep's upSum) produces an empty
-  // slab-file without ever invoking the solver, and leaves its stats block
-  // untouched.
+  // shards are handled by the cross-shard sweep's upSum) emits no tuples
+  // without ever invoking the solver, and leaves its stats block untouched.
   PieceRecord first{};
   Status probe = pieces.Read(&first);
-  if (probe.code() == Status::Code::kNotFound) {
-    std::string out = temps.NewName("q_slab");
-    MAXRS_ASSIGN_OR_RETURN(RecordWriter<SlabTuple> writer,
-                           RecordWriter<SlabTuple>::Make(env, out));
-    MAXRS_RETURN_IF_ERROR(writer.Finish());
-    *slab_file_out = std::move(out);
-    return Status::OK();
-  }
+  if (probe.code() == Status::Code::kNotFound) return Status::OK();
   MAXRS_RETURN_IF_ERROR(probe);
   PrependedSource<PieceRecord> stream(first, &pieces);
 
@@ -147,16 +139,32 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
     return {edge_file};
   };
 
-  auto slab_or = core_internal::SolveSlabStream(env, temps, &stream,
-                                                edge_provider, slab, options,
-                                                stats, /*pool=*/nullptr,
-                                                best_out);
+  Status st = core_internal::SolveSlabStream(env, temps, &stream,
+                                             edge_provider, slab, options,
+                                             stats, /*pool=*/nullptr, out);
   // The provider's creator owns the drained edge file (exact_maxrs.h).
   if (!edge_file.empty()) temps.Release(edge_file);
-  if (!slab_or.ok()) return slab_or.status();
-  *slab_file_out = std::move(slab_or).value();
-  return Status::OK();
+  return st;
 }
+
+// Forwards a shard's tuples to its slab channel, folding each sum into the
+// shard's best (core/records.h SlabBest) on the way: the pruned
+// execution's incumbent, with no re-scan.
+class ShardTupleSink final : public RecordSink<SlabTuple> {
+ public:
+  ShardTupleSink(RecordSink<SlabTuple>* out, SlabBest* best)
+      : out_(out), best_(best) {}
+
+  Status Append(const SlabTuple& t) override {
+    if (best_ != nullptr) best_->Offer(t.sum);
+    return out_->Append(t);
+  }
+  Status Close(const Status& status) override { return out_->Close(status); }
+
+ private:
+  RecordSink<SlabTuple>* out_;
+  SlabBest* best_;
+};
 
 // One query of a batch, in batch order.
 struct BatchQuery {
@@ -168,7 +176,8 @@ struct BatchQuery {
 // All channels of one k-query batch: per query an S x S piece grid, TWO
 // S x S edge grids — the shared x-file scan emits left and right edges
 // into separate channels because their interleaving in scan order is not
-// sorted, while each half on its own is — and S span channels. Grids are
+// sorted, while each half on its own is — S span channels, and S slab
+// channels carrying each target shard's tuples to the combine. Grids are
 // producer-major: source s feeds row s, target t drains column t. Created
 // eagerly on the batch worker so spill names are allocated in one
 // deterministic order (query-major); a channel that never receives a
@@ -182,6 +191,8 @@ class BatchChannels {
     edges_left_.reserve(num_queries * num_shards * num_shards);
     edges_right_.reserve(num_queries * num_shards * num_shards);
     spans_.reserve(num_queries * num_shards);
+    slabs_.reserve(num_queries * num_shards);
+    solved_.assign(num_queries * num_shards, 0);
     for (size_t q = 0; q < num_queries; ++q) {
       const std::string qtag = "b" + std::to_string(q) + "_";
       for (size_t s = 0; s < num_shards; ++s) {
@@ -200,6 +211,8 @@ class BatchChannels {
         }
         spans_.push_back(std::make_unique<RecordChannel<SpanRecord>>(
             env, temps.NewName(qtag + "chs" + tag), cap_bytes, write_behind));
+        slabs_.push_back(std::make_unique<RecordChannel<SlabTuple>>(
+            env, temps.NewName(qtag + "cht" + tag), cap_bytes, write_behind));
       }
     }
   }
@@ -217,12 +230,23 @@ class BatchChannels {
     return spans_[q * num_shards_ + s].get();
   }
 
+  // The tuples of query q's target shard t, or null — a known-empty child
+  // of the combine — if the shard was never solved (pruned or skipped).
+  // Read only after every solve of the query has joined, so a non-null
+  // channel is closed and the read never blocks.
+  RecordSource<SlabTuple>* solved_tuples(size_t q, size_t t) {
+    const size_t i = q * num_shards_ + t;
+    return solved_[i] ? slabs_[i].get() : nullptr;
+  }
+
   // Solves query q's target shard t from the given routed source rows, in
-  // ascending order — the canonical merge order.
+  // ascending order — the canonical merge order — into the shard's slab
+  // channel, and closes that channel with the solve's final status on
+  // every path. A non-null `best_out` receives the maximum tuple sum.
   Status SolveTarget(Env& env, TempFileManager& temps, size_t q, size_t t,
                      const std::vector<size_t>& rows, const Interval& slab,
                      const MaxRSOptions& options, MaxRSStats* stats,
-                     std::string* slab_file_out, SlabBest* best_out = nullptr) {
+                     SlabBest* best_out = nullptr) {
     std::vector<RecordSource<PieceRecord>*> piece_column;
     std::vector<RecordSource<EdgeRecord>*> edge_column;
     piece_column.reserve(rows.size());
@@ -232,9 +256,12 @@ class BatchChannels {
       edge_column.push_back(edge_left(q, s, t));
       edge_column.push_back(edge_right(q, s, t));
     }
-    return SolveTargetShardColumns(env, temps, std::move(piece_column),
-                                   std::move(edge_column), slab, options,
-                                   stats, slab_file_out, best_out);
+    const size_t i = q * num_shards_ + t;
+    solved_[i] = 1;
+    ShardTupleSink out(slabs_[i].get(), best_out);
+    return out.Close(SolveTargetShardColumns(
+        env, temps, std::move(piece_column), std::move(edge_column), slab,
+        options, stats, &out));
   }
 
  private:
@@ -243,6 +270,8 @@ class BatchChannels {
   std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_left_;
   std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_right_;
   std::vector<std::unique_ptr<RecordChannel<SpanRecord>>> spans_;
+  std::vector<std::unique_ptr<RecordChannel<SlabTuple>>> slabs_;
+  std::vector<char> solved_;  // per (query, target): SolveTarget ran
 };
 
 // Phase A for source shard `source`: ONE pass over the shard's y-file
@@ -398,30 +427,42 @@ void FoldRoutingFailure(const std::vector<Status>& producer_status,
   }
 }
 
-// Phase C of query q: drain the span channels of the routed `rows` (all
-// closed by now — they act as deterministic buffers) into one SpanYLess-
-// merged span file, run the cross-shard MergeSweep over ALL shard ranges —
-// "" slab-files stand in for shards the pruned execution skipped, which
-// MergeSweep treats as known-empty children (zero I/O) — and extract the
-// answer from the root slab-file. A single-shard dataset has no cross-shard
-// combine: its one slab-file is the root. Stats fold the per-shard blocks
-// (skipped and empty shards' untouched blocks fold as zeros).
+// Phase C of query q, once every solve of q has joined: drain the span
+// channels of the routed `rows` (all closed by now — they act as
+// deterministic buffers) into one SpanYLess-merged span file, and run the
+// cross-shard MergeSweep over ALL shard ranges — shards the pruned
+// execution never solved are null, known-empty children (zero I/O) — from
+// the shards' slab channels straight into the answer tracker. A
+// single-shard dataset has no cross-shard combine: its one shard's tuples
+// are the root. Stats fold the per-shard blocks (skipped and empty shards'
+// untouched blocks fold as zeros).
 Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
                                   BatchChannels& channels, size_t q,
                                   const std::vector<size_t>& rows,
                                   const std::vector<Interval>& ranges,
-                                  std::vector<std::string>* slab_files,
                                   const std::vector<MaxRSStats>& shard_stats,
                                   uint64_t num_objects,
                                   const MaxRSOptions& options) {
   const size_t num_shards = ranges.size();
   uint64_t num_spans = 0;
-  std::string root_file;
+  core_internal::TopTupleTracker tracker(1);
+  core_internal::VisitingSink root(
+      [&tracker](const SlabTuple& t) { tracker.Visit(t); });
+  std::vector<RecordSource<SlabTuple>*> children(num_shards);
+  for (size_t t = 0; t < num_shards; ++t) {
+    children[t] = channels.solved_tuples(q, t);
+  }
   if (num_shards == 1) {
-    root_file = std::move((*slab_files)[0]);
+    // Pruning needs two shards, so the one shard was solved.
+    SlabTuple t{};
+    while (children[0]->Next(&t)) {
+      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+      tracker.Visit(t);
+    }
+    MAXRS_RETURN_IF_ERROR(children[0]->final_status());
   } else {
     std::string span_file = temps.NewName("q_spans");
-    {
+    Status st = [&]() -> Status {
       std::vector<RecordSource<SpanRecord>*> span_sources;
       span_sources.reserve(rows.size());
       for (size_t s : rows) span_sources.push_back(channels.span(q, s));
@@ -439,41 +480,15 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
       MAXRS_RETURN_IF_ERROR(spans.final_status());
       MAXRS_RETURN_IF_ERROR(writer.Finish());
       num_spans = writer.count();
-    }
-    root_file = temps.NewName("q_root");
-    MAXRS_RETURN_IF_ERROR(MergeSweep(env, ranges, *slab_files, span_file,
-                                     root_file, SweepObjective::kMaximize,
-                                     options.read_ahead, options.write_behind,
-                                     options.cancel));
-    for (const std::string& slab_file : *slab_files) {
-      if (!slab_file.empty()) temps.Release(slab_file);
-    }
+      return MergeSweep(env, ranges, children, span_file, &root,
+                        SweepObjective::kMaximize, options.read_ahead,
+                        options.cancel);
+    }();
     temps.Release(span_file);
+    MAXRS_RETURN_IF_ERROR(st);
   }
 
-  core_internal::TopTupleTracker tracker(1);
-  {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SlabTuple> reader,
-                           PrefetchingReader<SlabTuple>::Make(
-                               env, root_file, options.read_ahead));
-    SlabTuple t{};
-    while (reader.Next(&t)) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
-      tracker.Visit(t);
-    }
-    MAXRS_RETURN_IF_ERROR(reader.final_status());
-  }
-  temps.Release(root_file);
-
-  MaxRSResult result;
-  auto best = tracker.Finish();
-  if (best.empty()) {
-    result.region = Rect{-kInf, kInf, -kInf, kInf};
-  } else {
-    result.location = best[0].location;
-    result.total_weight = best[0].total_weight;
-    result.region = best[0].region;
-  }
+  MaxRSResult result = core_internal::BestResult(tracker);
   result.stats.input_objects = num_objects;
   for (const MaxRSStats& s : shard_stats) {
     result.stats.base_cases += s.base_cases;
@@ -560,14 +575,14 @@ void FinishBatch(Env& env, TempFileManager& temps,
 // discard every shard whose bound cannot beat it, route the remaining
 // sources the survivors need, and solve the survivors best-bound-first,
 // re-checking each bound against the growing incumbent. The final
-// cross-shard MergeSweep runs over ALL shard ranges with "" (known-empty)
+// cross-shard MergeSweep runs over ALL shard ranges with null (known-empty)
 // children standing in for skipped shards.
 //
 // Soundness (why answers are bit-identical to the un-pruned execution):
 //   - UB(t) counts every object within w/2 of t's slab — a superset of
 //     anything a placement in t covers — so with non-negative weights
 //     (pruning_safe()) no placement in t can weigh more than UB(t).
-//   - The incumbent is a shard slab-file's best tuple sum: a real,
+//   - The incumbent is a shard's best tuple sum: a real,
 //     achievable placement weight (an UNDER-estimate of the true total,
 //     which may add non-negative boundary-span weight on top).
 //   - A shard is skipped only when UB(t) < incumbent STRICTLY, so a shard
@@ -575,7 +590,7 @@ void FinishBatch(Env& env, TempFileManager& temps,
 //     maximum in root-stream order) is preserved exactly.
 //   - A surviving shard's solve sees every source whose expanded x-MBR
 //     reaches its slab — all sources that could route anything to it — so
-//     its slab-file is byte-identical to the un-pruned one, and every
+//     its tuple stream is byte-identical to the un-pruned one, and every
 //     boundary span covering a surviving shard comes from a routed source.
 //   - Skipped shards contribute no root tuples, but all of their placements
 //     weigh strictly less than the incumbent (≤ final max), so the winning
@@ -1179,8 +1194,6 @@ void MaxRSServer::ExecuteBatchStreaming(
   std::iota(all_rows.begin(), all_rows.end(), size_t{0});
 
   std::vector<Status> per_query(k, Status::OK());
-  std::vector<std::vector<std::string>> slab_files(
-      k, std::vector<std::string>(num_shards));
   std::vector<std::vector<MaxRSStats>> shard_stats(
       k, std::vector<MaxRSStats>(num_shards));
   {
@@ -1215,8 +1228,7 @@ void MaxRSServer::ExecuteBatchStreaming(
           groups[q]->Run([&, q, t]() -> Status {
             return channels.SolveTarget(env, temps, q, t, all_rows,
                                         ranges[t], query_options[q],
-                                        &shard_stats[q][t],
-                                        &slab_files[q][t]);
+                                        &shard_stats[q][t]);
           });
         }
       }
@@ -1232,8 +1244,8 @@ void MaxRSServer::ExecuteBatchStreaming(
       (*results)[q] =
           per_query[q].ok()
               ? CombineShards(env, temps, channels, q, all_rows, ranges,
-                              &slab_files[q], shard_stats[q],
-                              dataset_.num_objects(), query_options[q])
+                              shard_stats[q], dataset_.num_objects(),
+                              query_options[q])
               : Result<MaxRSResult>(per_query[q]);
     }
   }  // destroys the channels (and any spill files)
@@ -1279,8 +1291,6 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
   }
 
   std::vector<Status> per_query(k, Status::OK());
-  std::vector<std::vector<std::string>> slab_files(
-      k, std::vector<std::string>(num_shards));
   std::vector<std::vector<MaxRSStats>> shard_stats(
       k, std::vector<MaxRSStats>(num_shards));
   std::vector<SlabBest> incumbents(k);
@@ -1326,8 +1336,7 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
     ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) {
       return channels.SolveTarget(env, temps, q, seed[q], wave1,
                                   ranges[seed[q]], query_options[q],
-                                  &shard_stats[q][seed[q]],
-                                  &slab_files[q][seed[q]], &incumbents[q]);
+                                  &shard_stats[q][seed[q]], &incumbents[q]);
     });
     // Join wave 1 before anything else: a seed consumer finishing does not
     // imply its rows finished (rows close pieces before routing edges).
@@ -1400,11 +1409,11 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
       for (size_t t : order) {
         if (incumbents[q].has_value && ub[q][t] < incumbents[q].sum) {
           ++bound_skips[q];
-          continue;  // skipped mid-solve: "" child in the combine
+          continue;  // skipped mid-solve: a null child in the combine
         }
         MAXRS_RETURN_IF_ERROR(channels.SolveTarget(
             env, temps, q, t, routed_rows, ranges[t], query_options[q],
-            &shard_stats[q][t], &slab_files[q][t], &incumbents[q]));
+            &shard_stats[q][t], &incumbents[q]));
       }
       return Status::OK();
     });
@@ -1419,8 +1428,8 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
       (*results)[q] =
           per_query[q].ok()
               ? CombineShards(env, temps, channels, q, routed_rows, ranges,
-                              &slab_files[q], shard_stats[q],
-                              dataset_.num_objects(), query_options[q])
+                              shard_stats[q], dataset_.num_objects(),
+                              query_options[q])
               : Result<MaxRSResult>(per_query[q]);
     }
   }  // destroys the channels (and any spill files)

@@ -24,16 +24,19 @@
 //               every query's vertical edges by value      — linear passes
 //   solve       per query and target shard, merge the incoming piece
 //               streams and run division + plane-sweep *inside the shard*
-//               (core_internal::SolveSlabStream)     — O(shard) per task
-//   combine     per query, one cross-shard MergeSweep over the shard
-//               slab-files and the boundary span file — one linear sweep
+//               (core_internal::SolveSlabStream), emitting the shard's
+//               tuples into a slab channel          — O(shard) per task
+//   combine     per query, once its solves have joined, one cross-shard
+//               MergeSweep over the S slab channels and the boundary span
+//               file, straight into the answer tracker — one linear sweep
 //
 // Route and solve overlap: routed records travel through bounded in-memory
 // channels (io/record_stream.h), each target solve starts on its first
-// arriving block, and the Env is touched only when a channel exceeds its
-// memory cap or a shard overflows its base case. No external sort runs per
-// query; only rect-dependent transform, merge, and division/merge-sweep
-// work does. Per-shard solves are scheduled with a deterministic fan-in
+// arriving block, and the Env is touched only by the routing scans, the
+// span file, a channel that exceeds its memory cap, or a shard that
+// overflows its base case — no shard or root slab-file is ever written.
+// No external sort runs per query; only rect-dependent transform, merge,
+// and division/merge-sweep work does. Per-shard solves are scheduled with a deterministic fan-in
 // (results land in slots indexed by shard), so answers and block counts are
 // independent of worker count, batch composition, schedule, and cache
 // state. Answers equal one-shot RunExactMaxRS bit for bit whenever weight
@@ -153,25 +156,27 @@ struct MaxRSServerOptions {
   /// a query may still finish successfully if it completes between polls.
   int64_t deadline_ms = 0;
 
-  /// Per-channel in-memory byte cap for routed records: a channel holding
-  /// more than this spills the excess to one Env part file. 0 forces every
-  /// record through a spill file (the materialization worst case);
-  /// SIZE_MAX never spills. The spill decision is a pure function of the
-  /// bytes produced, never of consumer timing, so block counts stay
-  /// schedule-independent.
+  /// Per-channel in-memory byte cap for routed records and for each
+  /// shard's slab channel (its tuples, held until the combine — so up to
+  /// S x this per query): a channel holding more than this spills the
+  /// excess to one Env part file. 0 forces every record through a spill
+  /// file (the materialization worst case); SIZE_MAX never spills. The
+  /// spill decision is a pure function of the bytes produced, never of
+  /// consumer timing, so block counts stay schedule-independent.
   size_t stream_channel_bytes = 1 << 20;
 
   /// Write-behind (io/record_io.h) on per-query output streams: spill
-  /// writers, per-shard scratch, and the cross-shard merge output flush
+  /// writers, the span file, and per-shard division scratch flush
   /// their data blocks on the shared IoExecutor while the producer keeps
   /// running — the write-side dual of read_ahead. Answers and block
   /// counts are bit-identical either way.
   bool write_behind = false;
 
   /// Double-buffered read-ahead (io/prefetch_reader.h) on every sequential
-  /// per-query stream: shard routing scans, the cross-shard MergeSweep
-  /// inputs, and the root slab-file scan. Answers and per-query block
-  /// counts are bit-identical either way at any shard/worker count.
+  /// per-query file stream: shard routing scans, the span file's two
+  /// readers in the cross-shard MergeSweep, and per-shard division
+  /// scratch. Answers and per-query block counts are bit-identical either
+  /// way at any shard/worker count.
   bool read_ahead = false;
 
   /// Shard skipping via the dataset's aggregate index; see

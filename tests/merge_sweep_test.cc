@@ -11,6 +11,7 @@
 #include "core/records.h"
 #include "io/env.h"
 #include "io/record_io.h"
+#include "io/record_stream.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -41,17 +42,19 @@ TEST_F(MergeSweepTest, TwoSlabsNoSpans) {
   // Slab 0: x in [0, 100); slab 1: x in [100, 200).
   std::vector<PieceRecord> left = {{10, 60, 0, 10, 1.0}, {30, 90, 5, 15, 1.0}};
   std::vector<PieceRecord> right = {{110, 160, 2, 12, 1.0}};
-  std::vector<ChildSlab> children(2);
-  children[0].x_range = {0, 100};
-  children[1].x_range = {100, 200};
+  std::vector<Interval> ranges(2);
+  ranges[0] = {0, 100};
+  ranges[1] = {100, 200};
 
   ASSERT_TRUE(
-      WriteRecordFile(*env_, "s0", PlaneSweep(left, children[0].x_range)).ok());
+      WriteRecordFile(*env_, "s0", PlaneSweep(left, ranges[0])).ok());
   ASSERT_TRUE(
-      WriteRecordFile(*env_, "s1", PlaneSweep(right, children[1].x_range)).ok());
+      WriteRecordFile(*env_, "s1", PlaneSweep(right, ranges[1])).ok());
   ASSERT_TRUE(WriteRecordFile(*env_, "spans", std::vector<SpanRecord>{}).ok());
 
-  ASSERT_TRUE(MergeSweep(*env_, children, {"s0", "s1"}, "spans", "out").ok());
+  ASSERT_TRUE(
+      testing::MergeSlabFiles(*env_, ranges, {"s0", "s1"}, "spans", "out")
+          .ok());
   auto merged = ReadRecordFile<SlabTuple>(*env_, "out");
   ASSERT_TRUE(merged.ok());
 
@@ -69,20 +72,22 @@ TEST_F(MergeSweepTest, SpanningWeightLiftsAChild) {
   // A span over child 1 must raise its tuples by the span weight while
   // active, including at span-only event ys.
   std::vector<PieceRecord> in_child = {{120, 150, 10, 20, 1.0}};
-  std::vector<ChildSlab> children(2);
-  children[0].x_range = {0, 100};
-  children[1].x_range = {100, 200};
+  std::vector<Interval> ranges(2);
+  ranges[0] = {0, 100};
+  ranges[1] = {100, 200};
   ASSERT_TRUE(WriteRecordFile(
-                  *env_, "s0", PlaneSweep({}, children[0].x_range))
+                  *env_, "s0", PlaneSweep({}, ranges[0]))
                   .ok());
   ASSERT_TRUE(WriteRecordFile(*env_, "s1",
-                              PlaneSweep(in_child, children[1].x_range))
+                              PlaneSweep(in_child, ranges[1]))
                   .ok());
   // Span covers child 1 for y in [15, 25): overlaps the piece on [15, 20).
   std::vector<SpanRecord> spans = {{15, 25, 3.0, 1, 1}};
   ASSERT_TRUE(WriteRecordFile(*env_, "spans", spans).ok());
 
-  ASSERT_TRUE(MergeSweep(*env_, children, {"s0", "s1"}, "spans", "out").ok());
+  ASSERT_TRUE(
+      testing::MergeSlabFiles(*env_, ranges, {"s0", "s1"}, "spans", "out")
+          .ok());
   auto merged = ReadRecordFile<SlabTuple>(*env_, "out");
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(Best(*merged).first, 4.0);  // 1 (piece) + 3 (span)
@@ -97,14 +102,16 @@ TEST_F(MergeSweepTest, SpanningWeightLiftsAChild) {
 TEST_F(MergeSweepTest, AdjacentEqualIntervalsMerge) {
   // Two children each fully covered by the same spanning weight and nothing
   // else: their max-intervals touch at the boundary and merge.
-  std::vector<ChildSlab> children(2);
-  children[0].x_range = {0, 100};
-  children[1].x_range = {100, 200};
-  ASSERT_TRUE(WriteRecordFile(*env_, "s0", PlaneSweep({}, children[0].x_range)).ok());
-  ASSERT_TRUE(WriteRecordFile(*env_, "s1", PlaneSweep({}, children[1].x_range)).ok());
+  std::vector<Interval> ranges(2);
+  ranges[0] = {0, 100};
+  ranges[1] = {100, 200};
+  ASSERT_TRUE(WriteRecordFile(*env_, "s0", PlaneSweep({}, ranges[0])).ok());
+  ASSERT_TRUE(WriteRecordFile(*env_, "s1", PlaneSweep({}, ranges[1])).ok());
   std::vector<SpanRecord> spans = {{0, 10, 2.0, 0, 1}};
   ASSERT_TRUE(WriteRecordFile(*env_, "spans", spans).ok());
-  ASSERT_TRUE(MergeSweep(*env_, children, {"s0", "s1"}, "spans", "out").ok());
+  ASSERT_TRUE(
+      testing::MergeSlabFiles(*env_, ranges, {"s0", "s1"}, "spans", "out")
+          .ok());
   auto merged = ReadRecordFile<SlabTuple>(*env_, "out");
   ASSERT_TRUE(merged.ok());
   ASSERT_FALSE(merged->empty());
@@ -119,9 +126,9 @@ TEST_F(MergeSweepTest, OutputSortedByYWithOneTuplePerEvent) {
   auto objects = testing::RandomIntObjects(100, 300, 17);
   std::vector<PieceRecord> left, right;
   std::vector<SpanRecord> spans;
-  std::vector<ChildSlab> children(2);
-  children[0].x_range = {0, 150};
-  children[1].x_range = {150, 400};
+  std::vector<Interval> ranges(2);
+  ranges[0] = {0, 150};
+  ranges[1] = {150, 400};
   for (const auto& o : objects) {
     PieceRecord p{o.x, o.x + 20, o.y, o.y + 20, 1.0};
     if (p.x_hi <= 150) {
@@ -137,10 +144,12 @@ TEST_F(MergeSweepTest, OutputSortedByYWithOneTuplePerEvent) {
                    [](const SpanRecord& a, const SpanRecord& b) {
                      return a.y_lo < b.y_lo;
                    });
-  ASSERT_TRUE(WriteRecordFile(*env_, "s0", PlaneSweep(left, children[0].x_range)).ok());
-  ASSERT_TRUE(WriteRecordFile(*env_, "s1", PlaneSweep(right, children[1].x_range)).ok());
+  ASSERT_TRUE(WriteRecordFile(*env_, "s0", PlaneSweep(left, ranges[0])).ok());
+  ASSERT_TRUE(WriteRecordFile(*env_, "s1", PlaneSweep(right, ranges[1])).ok());
   ASSERT_TRUE(WriteRecordFile(*env_, "spans", spans).ok());
-  ASSERT_TRUE(MergeSweep(*env_, children, {"s0", "s1"}, "spans", "out").ok());
+  ASSERT_TRUE(
+      testing::MergeSlabFiles(*env_, ranges, {"s0", "s1"}, "spans", "out")
+          .ok());
   auto merged = ReadRecordFile<SlabTuple>(*env_, "out");
   ASSERT_TRUE(merged.ok());
   for (size_t i = 1; i < merged->size(); ++i) {
@@ -159,21 +168,21 @@ TEST_F(MergeSweepTest, MinObjectivePicksSmallestEffectiveInterval) {
   // covers child 0 only. Under the min objective the merged tuples must
   // track the *least* covered interval: child 1's zero.
   std::vector<PieceRecord> left = {{10, 60, 0, 10, 5.0}};
-  std::vector<ChildSlab> children(2);
-  children[0].x_range = {0, 100};
-  children[1].x_range = {100, 200};
+  std::vector<Interval> ranges(2);
+  ranges[0] = {0, 100};
+  ranges[1] = {100, 200};
   ASSERT_TRUE(WriteRecordFile(*env_, "s0",
-                              PlaneSweep(left, children[0].x_range,
+                              PlaneSweep(left, ranges[0],
                                          SweepObjective::kMinimize))
                   .ok());
   ASSERT_TRUE(WriteRecordFile(*env_, "s1",
-                              PlaneSweep({}, children[1].x_range,
+                              PlaneSweep({}, ranges[1],
                                          SweepObjective::kMinimize))
                   .ok());
   std::vector<SpanRecord> spans = {{2, 8, 2.0, 0, 0}};
   ASSERT_TRUE(WriteRecordFile(*env_, "spans", spans).ok());
-  ASSERT_TRUE(MergeSweep(*env_, children, {"s0", "s1"}, "spans", "out",
-                         SweepObjective::kMinimize)
+  ASSERT_TRUE(testing::MergeSlabFiles(*env_, ranges, {"s0", "s1"}, "spans",
+                                      "out", SweepObjective::kMinimize)
                   .ok());
   auto merged = ReadRecordFile<SlabTuple>(*env_, "out");
   ASSERT_TRUE(merged.ok());
@@ -186,8 +195,8 @@ TEST_F(MergeSweepTest, MinObjectivePicksSmallestEffectiveInterval) {
   // the minimum must rise to the span weight.
   std::vector<SpanRecord> wide_spans = {{2, 8, 2.0, 0, 1}};
   ASSERT_TRUE(WriteRecordFile(*env_, "spans2", wide_spans).ok());
-  ASSERT_TRUE(MergeSweep(*env_, children, {"s0", "s1"}, "spans2", "out2",
-                         SweepObjective::kMinimize)
+  ASSERT_TRUE(testing::MergeSlabFiles(*env_, ranges, {"s0", "s1"}, "spans2",
+                                      "out2", SweepObjective::kMinimize)
                   .ok());
   auto merged2 = ReadRecordFile<SlabTuple>(*env_, "out2");
   ASSERT_TRUE(merged2.ok());
@@ -202,10 +211,10 @@ TEST_F(MergeSweepTest, MinObjectivePicksSmallestEffectiveInterval) {
 }
 
 TEST_F(MergeSweepTest, EmptyEverything) {
-  std::vector<ChildSlab> children(3);
-  children[0].x_range = {0, 10};
-  children[1].x_range = {10, 20};
-  children[2].x_range = {20, 30};
+  std::vector<Interval> ranges(3);
+  ranges[0] = {0, 10};
+  ranges[1] = {10, 20};
+  ranges[2] = {20, 30};
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(WriteRecordFile(*env_, "s" + std::to_string(i),
                                 std::vector<SlabTuple>{})
@@ -213,7 +222,9 @@ TEST_F(MergeSweepTest, EmptyEverything) {
   }
   ASSERT_TRUE(WriteRecordFile(*env_, "spans", std::vector<SpanRecord>{}).ok());
   ASSERT_TRUE(
-      MergeSweep(*env_, children, {"s0", "s1", "s2"}, "spans", "out").ok());
+      testing::MergeSlabFiles(*env_, ranges, {"s0", "s1", "s2"}, "spans",
+                              "out")
+          .ok());
   auto merged = ReadRecordFile<SlabTuple>(*env_, "out");
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(merged->empty());
@@ -287,6 +298,32 @@ std::vector<SlabTuple> ReferenceMergeSweep(
   return out;
 }
 
+/// An in-memory source over a tuple vector.
+class VectorSource final : public RecordSource<SlabTuple> {
+ public:
+  explicit VectorSource(const std::vector<SlabTuple>* records)
+      : records_(records) {}
+  Status Read(SlabTuple* out) override {
+    if (next_ == records_->size()) return Status::NotFound("end of stream");
+    *out = (*records_)[next_++];
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<SlabTuple>* records_;
+  size_t next_ = 0;
+};
+
+/// An in-memory sink collecting every appended tuple.
+struct VectorSink final : public RecordSink<SlabTuple> {
+  Status Append(const SlabTuple& t) override {
+    records.push_back(t);
+    return Status::OK();
+  }
+  Status Close(const Status& status) override { return status; }
+  std::vector<SlabTuple> records;
+};
+
 /// Reads every block of `name`, framing included.
 std::vector<char> FileBytes(Env& env, const std::string& name) {
   auto file = env.Open(name);
@@ -317,9 +354,13 @@ class MergeSweepDifferentialTest
 // ys collide across inputs (-0.0 and 0.0 included), effective sums tie on
 // adjacent children whose intervals touch (the tie-extension walk), and
 // sums mix non-integer, negative, signed-zero and (in a few seeds) infinite
-// values, with NaN ys closing some child files in those seeds. Some children are known-empty (""), some have an empty slab-file,
-// and some cases have an empty span file. The output file must match the
-// reference byte for byte.
+// values, with NaN ys closing some child files in those seeds. Some
+// children are known-empty (null), some have an empty slab-file, and some
+// cases have an empty span file. The file schedule (slab-files in, a
+// slab-file out) must match the reference byte for byte. The same children
+// are then merged again as in-memory sources and spilling channels, into an
+// in-memory sink — the root and serve-combine schedule — and every tuple
+// must memcmp-equal the file path's.
 TEST_P(MergeSweepDifferentialTest, ByteIdenticalToLinearScan) {
   const size_t m = GetParam().m;
   const SweepObjective objective = GetParam().objective;
@@ -386,8 +427,9 @@ TEST_P(MergeSweepDifferentialTest, ByteIdenticalToLinearScan) {
     }
     ASSERT_TRUE(WriteRecordFile(*env, "spans", spans).ok());
 
-    ASSERT_TRUE(
-        MergeSweep(*env, ranges, names, "spans", "out", objective).ok());
+    ASSERT_TRUE(testing::MergeSlabFiles(*env, ranges, names, "spans", "out",
+                                        objective)
+                    .ok());
     const std::vector<SlabTuple> expected =
         ReferenceMergeSweep(ranges, tuples, spans, objective);
     ASSERT_TRUE(WriteRecordFile(*env, "expected", expected).ok());
@@ -405,6 +447,39 @@ TEST_P(MergeSweepDifferentialTest, ByteIdenticalToLinearScan) {
     }
     ASSERT_EQ(FileBytes(*env, "out"), FileBytes(*env, "expected"))
         << "seed=" << seed;
+
+    // Stream schedule: even children are in-memory sources, odd ones
+    // channels with a zero memory cap (every record goes through a spill
+    // file), known-empty children stay null.
+    std::vector<std::unique_ptr<VectorSource>> vectors;
+    std::vector<std::unique_ptr<RecordChannel<SlabTuple>>> channels;
+    std::vector<RecordSource<SlabTuple>*> children(m, nullptr);
+    for (size_t i = 0; i < m; ++i) {
+      if (names[i].empty()) continue;
+      if (i % 2 == 0) {
+        vectors.push_back(std::make_unique<VectorSource>(&tuples[i]));
+        children[i] = vectors.back().get();
+        continue;
+      }
+      channels.push_back(std::make_unique<RecordChannel<SlabTuple>>(
+          *env, "spill" + std::to_string(i), /*memory_cap_bytes=*/0));
+      for (const SlabTuple& t : tuples[i]) {
+        ASSERT_TRUE(channels.back()->Append(t).ok());
+      }
+      ASSERT_TRUE(channels.back()->Close(Status::OK()).ok());
+      ASSERT_EQ(channels.back()->spilled(), !tuples[i].empty());
+      children[i] = channels.back().get();
+    }
+    VectorSink streamed;
+    ASSERT_TRUE(
+        MergeSweep(*env, ranges, children, "spans", &streamed, objective).ok());
+    ASSERT_EQ(streamed.records.size(), got->size()) << "seed=" << seed;
+    for (size_t t = 0; t < got->size(); ++t) {
+      ASSERT_EQ(std::memcmp(&streamed.records[t], &(*got)[t],
+                            sizeof(SlabTuple)),
+                0)
+          << "seed=" << seed << " tuple " << t;
+    }
   }
 }
 

@@ -166,8 +166,12 @@ TEST_P(DivideMergeRoundTripTest, ComposingChildrenReproducesGlobalSweep) {
               .ok());
       child_files.push_back(name);
     }
-    ASSERT_TRUE(MergeSweep(*env, division->children, child_files,
-                           division->span_file, "merged")
+    std::vector<Interval> ranges;
+    for (const ChildSlab& child : division->children) {
+      ranges.push_back(child.x_range);
+    }
+    ASSERT_TRUE(testing::MergeSlabFiles(*env, ranges, child_files,
+                                        division->span_file, "merged")
                     .ok());
     auto merged = ReadRecordFile<SlabTuple>(*env, "merged");
     ASSERT_TRUE(merged.ok());

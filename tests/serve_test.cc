@@ -468,6 +468,67 @@ TEST(ServeTest, ColdQuerySkipsTheSortPhase) {
   EXPECT_GT(cold_io, 0u);
 }
 
+TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
+  // Pins the exact per-query serve cost (docs/IO_MODEL.md): with every
+  // shard inside its base case and a rect narrower than every shard (so no
+  // piece spans a whole shard), a cold lone query reads each routed shard
+  // file once and the empty span file twice (MergeSweep's bottom and top
+  // readers), and writes only that span file. The shard tuples and the
+  // root sweep travel through memory: no slab-file, no root file.
+  std::vector<SpatialObject> objects;
+  auto env = MakeEnvWithDataset(&objects);
+  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));
+  ASSERT_TRUE(handle.ok());
+  constexpr double kWidth = 100;
+  constexpr double kHeight = 150;
+  uint64_t shard_blocks = 0;
+  for (const ShardInfo& shard : handle->shards()) {
+    const double extent = shard.x_range.hi - shard.x_range.lo;
+    if (std::isfinite(extent)) {
+      ASSERT_LT(kWidth, extent);
+    }
+    for (const std::string& name : {shard.y_file, shard.x_file}) {
+      auto file = env->Open(name);
+      ASSERT_TRUE(file.ok());
+      shard_blocks += (*file)->NumBlocks();
+    }
+  }
+  uint64_t span_blocks = 0;
+  {
+    auto scratch = NewMemEnv(env->block_size());
+    ASSERT_TRUE(
+        WriteRecordFile(*scratch, "spans", std::vector<SpanRecord>{}).ok());
+    auto file = scratch->Open("spans");
+    ASSERT_TRUE(file.ok());
+    span_blocks = (*file)->NumBlocks();
+  }
+  auto one_shot =
+      RunExactMaxRS(*env, kDatasetFile, OneShotOptions(kWidth, kHeight));
+  ASSERT_TRUE(one_shot.ok());
+
+  MaxRSServerOptions options = ServerOptions(1);
+  options.pruning_mode = ServePruningMode::kOff;  // every shard is routed
+  MaxRSServer server(*env, *handle, options);
+  auto cold = server.Submit(kWidth, kHeight);
+  ASSERT_TRUE(cold.ok());
+  ExpectBitIdentical(*cold, *one_shot);
+  EXPECT_EQ(cold->stats.total_spans, 0u);
+  EXPECT_EQ(cold->stats.merges, 1u);  // only the cross-shard MergeSweep
+  EXPECT_EQ(cold->stats.io.blocks_read, shard_blocks + 2 * span_blocks);
+  EXPECT_EQ(cold->stats.io.blocks_written, span_blocks);
+
+  // The worst case: with a zero channel cap every routed record and every
+  // shard tuple spills once. Same answer, and never fewer blocks.
+  options.stream_channel_bytes = 0;
+  MaxRSServer spilling(*env, *handle, options);
+  auto spilled = spilling.Submit(kWidth, kHeight);
+  ASSERT_TRUE(spilled.ok());
+  ExpectBitIdentical(*spilled, *one_shot);
+  EXPECT_GE(spilled->stats.io.blocks_read, cold->stats.io.blocks_read);
+  EXPECT_GE(spilled->stats.io.blocks_written, cold->stats.io.blocks_written);
+  EXPECT_GT(spilled->stats.io.total(), cold->stats.io.total());
+}
+
 TEST(ServeTest, WarmQueryPerformsZeroBlockTransfers) {
   auto env = MakeEnvWithDataset(nullptr);
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));

@@ -2,9 +2,13 @@
 #ifndef MAXRS_TESTS_TEST_UTIL_H_
 #define MAXRS_TESTS_TEST_UTIL_H_
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/merge_sweep.h"
 #include "geom/geometry.h"
+#include "io/record_stream.h"
 #include "util/rng.h"
 
 namespace maxrs {
@@ -27,6 +31,33 @@ inline std::vector<SpatialObject> RandomIntObjects(size_t n, uint64_t extent,
     objects.push_back({x, y, w});
   }
   return objects;
+}
+
+/// MergeSweep over child slab-files into the slab-file `out` — the file
+/// schedule of an inner recursion node. An empty name is a known-empty
+/// (null) child.
+inline Status MergeSlabFiles(
+    Env& env, const std::vector<Interval>& ranges,
+    const std::vector<std::string>& child_files, const std::string& span_file,
+    const std::string& out,
+    SweepObjective objective = SweepObjective::kMaximize) {
+  std::vector<std::unique_ptr<FileRecordSource<SlabTuple>>> files;
+  std::vector<RecordSource<SlabTuple>*> children;
+  for (const std::string& name : child_files) {
+    if (name.empty()) {
+      children.push_back(nullptr);
+      continue;
+    }
+    MAXRS_ASSIGN_OR_RETURN(FileRecordSource<SlabTuple> file,
+                           FileRecordSource<SlabTuple>::Make(env, name));
+    files.push_back(
+        std::make_unique<FileRecordSource<SlabTuple>>(std::move(file)));
+    children.push_back(files.back().get());
+  }
+  MAXRS_ASSIGN_OR_RETURN(FileRecordSink<SlabTuple> sink,
+                         FileRecordSink<SlabTuple>::Make(env, out));
+  return sink.Close(
+      MergeSweep(env, ranges, children, span_file, &sink, objective));
 }
 
 }  // namespace testing
