@@ -1,7 +1,10 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
 #include "datagen/dataset_io.h"
 #include "util/check.h"
@@ -11,7 +14,7 @@ namespace bench {
 
 RunOutcome RunAlgorithm(Algorithm algo, const std::vector<SpatialObject>& objects,
                         double range, size_t memory_bytes,
-                        size_t num_threads, bool read_ahead) {
+                        size_t num_threads) {
   auto env = NewMemEnv(kBlockSize);
   MAXRS_CHECK_OK(WriteDataset(*env, "dataset", objects));
   env->stats().Reset();
@@ -24,7 +27,6 @@ RunOutcome RunAlgorithm(Algorithm algo, const std::vector<SpatialObject>& object
       options.rect_height = range;
       options.memory_bytes = memory_bytes;
       options.num_threads = num_threads;
-      options.read_ahead = read_ahead;
       auto result = RunExactMaxRS(*env, "dataset", options);
       MAXRS_CHECK_OK(result.status());
       outcome.io = result->stats.io.total();
@@ -103,8 +105,33 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
   return args;
 }
 
+namespace {
+
+std::string MachineFingerprint() {
+  std::string fingerprint =
+      "nproc=" + std::to_string(std::thread::hardware_concurrency());
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (start == std::string::npos) break;
+    std::string model = line.substr(start);
+    // Kept JSON-safe without escaping: quotes and backslashes are dropped.
+    model.erase(std::remove_if(model.begin(), model.end(),
+                               [](char c) { return c == '"' || c == '\\'; }),
+                model.end());
+    fingerprint += "; " + model;
+    break;
+  }
+  return fingerprint;
+}
+
+}  // namespace
+
 bool WriteBenchJson(const std::string& path,
                     const std::vector<BenchRecord>& records) {
+  const std::string machine = MachineFingerprint();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -118,10 +145,11 @@ bool WriteBenchJson(const std::string& path,
                  "  {\"bench\": \"%s\", \"algo\": \"%s\", \"dataset\": \"%s\","
                  " \"n\": %" PRIu64 ", \"threads\": %zu,"
                  " \"memory_bytes\": %zu, \"wall_seconds\": %.6f,"
-                 " \"io_blocks\": %" PRIu64 ", \"total_weight\": %.6f",
+                 " \"io_blocks\": %" PRIu64 ", \"total_weight\": %.6f,"
+                 " \"machine\": \"%s\"",
                  r.bench.c_str(), r.algo.c_str(), r.dataset.c_str(), r.n,
                  r.threads, r.memory_bytes, r.wall_seconds, r.io_blocks,
-                 r.total_weight);
+                 r.total_weight, machine.c_str());
     if (r.p99_ms > 0.0) {
       // Latency records (bench_workload): tail percentiles + throughput.
       std::fprintf(f,

@@ -52,12 +52,11 @@ struct RunOutcome {
 };
 
 /// Stages `objects` into a fresh 4KB-block MemEnv and runs `algo`.
-/// `num_threads` feeds the parallel execution engine and `read_ahead` the
-/// async prefetch layer; the baselines are serial/synchronous and ignore
-/// both.
+/// `num_threads` feeds the parallel execution engine; the baselines are
+/// serial and ignore it.
 RunOutcome RunAlgorithm(Algorithm algo, const std::vector<SpatialObject>& objects,
                         double range, size_t memory_bytes,
-                        size_t num_threads = 1, bool read_ahead = false);
+                        size_t num_threads = 1);
 
 /// One measurement for the machine-readable perf log (--json). The schema is
 /// deliberately flat so downstream tooling can diff runs per
@@ -80,8 +79,11 @@ struct BenchRecord {
   double p99_ms = 0.0;
 };
 
-/// Writes `records` to `path` as a JSON array (overwrites). Returns false
-/// (and prints to stderr) if the file cannot be written.
+/// Writes `records` to `path` as a JSON array (overwrites). Each record is
+/// stamped with a "machine" field, "nproc=N; <CPU model name>" (the model
+/// from /proc/cpuinfo, omitted where that is unavailable): wall-time fields
+/// are comparable only between records with equal fingerprints. Returns
+/// false (and prints to stderr) if the file cannot be written.
 bool WriteBenchJson(const std::string& path,
                     const std::vector<BenchRecord>& records);
 

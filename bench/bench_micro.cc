@@ -9,18 +9,13 @@
 //   --n=250000,1000000     comma-separated cardinalities (uniform data)
 //   --threads=1,2,8        comma-separated thread counts for ExactMaxRS
 //   --baselines            also run Naive and aSB-Tree (serial, t=1)
-//   --read_ahead           run ExactMaxRS with async read-ahead; records
-//                          are keyed "ExactMaxRS+ra" so artifacts with and
-//                          without the flag never collide in compare_bench
 //   --json=PATH            output path (default BENCH_micro.json)
 //   --quick                small cardinality / thread set for CI smoke
 //   --seed=N               dataset seed
 //
 // The bench also asserts the parallel engine's core contract on real data:
 // identical total_weight for every thread count and identical I/O at every
-// thread count (the engine parallelizes the schedule, never the work —
-// with --read_ahead the same holds for the prefetch layer by construction,
-// and the I/O-invariance CHECK keeps running).
+// thread count (the engine parallelizes the schedule, never the work).
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -40,9 +35,7 @@ int main(int argc, char** argv) {
   const bool quick = flags.GetBool("quick", false);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const bool baselines = flags.GetBool("baselines", false);
-  const bool read_ahead = flags.GetBool("read_ahead", false);
-  const std::string exact_name =
-      read_ahead ? "ExactMaxRS+ra" : "ExactMaxRS";
+  const char* exact_name = AlgoName(Algorithm::kExactMaxRS);
   const std::string json_path = flags.GetString("json", "BENCH_micro.json");
   const std::vector<uint64_t> cardinalities = ParseU64List(
       flags.GetString("n", quick ? "50000" : "250000,1000000"));
@@ -64,7 +57,7 @@ int main(int argc, char** argv) {
       const size_t t = static_cast<size_t>(thread_counts[i]);
       const RunOutcome out =
           RunAlgorithm(Algorithm::kExactMaxRS, objects, kDefaultRange,
-                       kBufferSynthetic, t, read_ahead);
+                       kBufferSynthetic, t);
       outcomes[i] = out;
       if (i > 0) {
         // The parallel engine contract, checked on live data: same answer,
@@ -74,7 +67,7 @@ int main(int argc, char** argv) {
         MAXRS_CHECK_MSG(out.io == outcomes[0].io,
                         "thread count changed the I/O count");
       }
-      std::printf("%-14s%10zu%16.4f%16" PRIu64 "\n", exact_name.c_str(), t,
+      std::printf("%-14s%10zu%16.4f%16" PRIu64 "\n", exact_name, t,
                   out.seconds, out.io);
       records.push_back({"bench_micro", exact_name, "uniform", n, t,
                          kBufferSynthetic, out.seconds, out.io,

@@ -18,7 +18,9 @@ and exits non-zero when the NEW run regresses against the BASE run:
 
 Wall time is machine-dependent, so CI compares committed baselines with
 --io-only (block counts only); the wall check is for same-machine A/B runs.
-See docs/BENCHMARKING.md for the workflow.
+Every record carries a `machine` fingerprint (nproc and CPU model); unless
+both artifacts carry one and the two are equal, the wall and p99 checks are
+skipped with a note saying why. See docs/BENCHMARKING.md for the workflow.
 
 A second mode renders the perf trajectory: --plot draws io_blocks per config
 across any number of artifacts (committed baselines, fresh CI runs — in the
@@ -74,6 +76,15 @@ def load_records(path):
             sys.exit(2)
         keyed[key] = r
     return keyed
+
+
+def machine_of(records):
+    """The artifact's machine fingerprint, or None if any record lacks one
+    or the records disagree."""
+    machines = {r.get("machine") for r in records.values()}
+    if len(machines) != 1 or None in machines:
+        return None
+    return machines.pop()
 
 
 def fmt_key(key):
@@ -251,6 +262,20 @@ def main():
         sys.stderr.write("no common configs between the two artifacts\n")
         sys.exit(2)
 
+    # Wall and p99 are compared only between runs on the same machine.
+    check_timing = not args.io_only
+    if check_timing:
+        machine_base, machine_new = machine_of(base), machine_of(new)
+        if machine_base is None or machine_new is None:
+            check_timing = False
+            print("note: skipping wall and p99 checks: "
+                  + ("the base" if machine_base is None else "the new")
+                  + " artifact has no single machine fingerprint")
+        elif machine_base != machine_new:
+            check_timing = False
+            print(f"note: skipping wall and p99 checks: machines differ "
+                  f"({machine_base!r} vs {machine_new!r})")
+
     header = (f"{'config':<58}{'wall base':>12}{'wall new':>12}{'Δwall':>9}"
               f"{'io base':>12}{'io new':>12}{'Δio':>9}")
     print(header)
@@ -276,15 +301,15 @@ def main():
                          f"--json={args.artifacts[0]}")
         # Sub-millisecond configs (e.g. warm cache rounds) are pure noise on
         # the wall axis; the I/O check still covers them.
-        if not args.io_only and wall_b > 1e-3 and dwall > args.wall_tol:
+        if check_timing and wall_b > 1e-3 and dwall > args.wall_tol:
             regressions.append(f"wall regression on {fmt_key(key)}: "
                                f"{wall_b:.4f}s -> {wall_n:.4f}s "
                                f"({dwall:+.1%} > {args.wall_tol:.0%})")
         # Latency records (bench_workload) also carry tail percentiles;
-        # p99 is machine-dependent like wall time, so the same --io-only
-        # escape applies and the same tolerance governs.
+        # p99 is machine-dependent like wall time, so the same gate applies
+        # and the same tolerance governs.
         p99_b, p99_n = b.get("p99_ms", 0.0), n.get("p99_ms", 0.0)
-        if not args.io_only and p99_b > 0.0 and p99_n > 0.0:
+        if check_timing and p99_b > 0.0 and p99_n > 0.0:
             dp99 = (p99_n - p99_b) / p99_b
             if dp99 > args.wall_tol:
                 regressions.append(f"p99 latency regression on "
@@ -313,7 +338,7 @@ def main():
             print(f"STALE BASELINE: {r}")
         sys.exit(1)
     print(f"\nno regressions across {len(common)} config(s)"
-          + (" (I/O only)" if args.io_only else ""))
+          + ("" if check_timing else " (I/O only)"))
     sys.exit(0)
 
 

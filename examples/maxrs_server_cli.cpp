@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
           "usage: maxrs_server_cli --input=points.csv --queries=WxH[,WxH...]\n"
           "       maxrs_server_cli --demo [--n=100000]\n"
           "flags: --workers=K --shards=S --repeat=R --cache=E --memory-kb=M\n"
-          "       --read_ahead\n"
           "       --no_pruning (disable aggregate-index shard skipping)\n"
           "       --pool-kb=N (shared buffer pool over the dataset files;\n"
           "                    0 = off)\n"
@@ -116,16 +115,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // One parse shared by ingest and serve: the two halves must never run
-  // with different read-ahead settings.
-  const bool read_ahead = flags.GetBool("read_ahead", false);
-
   // Ingest once: the last external sorts this dataset will ever need.
   DatasetHandleOptions ingest_options;
   ingest_options.shard_count = static_cast<size_t>(flags.GetInt("shards", 0));
   ingest_options.memory_bytes = memory_bytes;
   ingest_options.num_threads = workers;
-  ingest_options.read_ahead = read_ahead;
   auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
   if (!handle.ok()) {
     std::fprintf(stderr, "ingest failed: %s\n",
@@ -172,7 +166,6 @@ int main(int argc, char** argv) {
   MaxRSServerOptions server_options;
   server_options.num_workers = workers;
   server_options.memory_bytes = memory_bytes;
-  server_options.read_ahead = read_ahead;
   server_options.cache_entries =
       static_cast<size_t>(flags.GetInt("cache", 16));
   server_options.deadline_ms =

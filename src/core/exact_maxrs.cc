@@ -9,7 +9,6 @@
 #include "core/merge_sweep.h"
 #include "core/plane_sweep.h"
 #include "io/external_sort.h"
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/record_stream.h"
 #include "io/temp_manager.h"
@@ -185,8 +184,7 @@ class Driver {
     channels.reserve(num_children);
     for (size_t k = 0; k < num_children; ++k) {
       channels.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-          env_, temps_.NewName("spill"), options_.stream_channel_bytes,
-          options_.write_behind));
+          env_, temps_.NewName("spill"), options_.stream_channel_bytes));
     }
     std::string span_file = temps_.NewName("spans");
     uint64_t num_spans = 0;
@@ -196,10 +194,8 @@ class Driver {
     // channel would hang its consumer forever.
     auto route_and_close = [&]() -> Status {
       Status st = [&]() -> Status {
-        MAXRS_ASSIGN_OR_RETURN(
-            RecordWriter<SpanRecord> span_writer,
-            RecordWriter<SpanRecord>::Make(env_, span_file,
-                                           options_.write_behind));
+        MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> span_writer,
+                               RecordWriter<SpanRecord>::Make(env_, span_file));
         auto emit_piece = [&](size_t k, const PieceRecord& piece) {
           return channels[k]->Append(piece);
         };
@@ -324,8 +320,7 @@ class Driver {
   Status BaseCase(const std::string& piece_file, const std::string& edge_file,
                   const Interval& slab, RecordSink<SlabTuple>* out) {
     MAXRS_ASSIGN_OR_RETURN(std::vector<PieceRecord> pieces,
-                           ReadRecordFilePrefetched<PieceRecord>(
-                               env_, piece_file, options_.read_ahead));
+                           ReadRecordFile<PieceRecord>(env_, piece_file));
     temps_.Release(piece_file);
     temps_.Release(edge_file);
     return StreamBaseCase(std::move(pieces), slab, out);
@@ -376,8 +371,7 @@ class Driver {
     std::string name = temps_.NewName("slab");
     Status st = [&]() -> Status {
       MAXRS_ASSIGN_OR_RETURN(FileRecordSink<SlabTuple> sink,
-                             FileRecordSink<SlabTuple>::Make(
-                                 env_, name, options_.write_behind));
+                             FileRecordSink<SlabTuple>::Make(env_, name));
       return sink.Close(solve(&sink));
     }();
     if (!st.ok()) {
@@ -399,14 +393,12 @@ class Driver {
       files.reserve(child_slab_files.size());
       for (const std::string& name : child_slab_files) {
         MAXRS_ASSIGN_OR_RETURN(FileRecordSource<SlabTuple> file,
-                               FileRecordSource<SlabTuple>::Make(
-                                   env_, name, options_.read_ahead));
+                               FileRecordSource<SlabTuple>::Make(env_, name));
         files.push_back(std::move(file));
         children.push_back(&files.back());
       }
       return MergeSweep(env_, ranges, children, span_file, out,
-                        options_.objective, options_.read_ahead,
-                        options_.cancel);
+                        options_.objective, options_.cancel);
     }();
     for (const std::string& f : child_slab_files) temps_.Release(f);
     MAXRS_RETURN_IF_ERROR(st);
@@ -457,9 +449,9 @@ Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
     // materializing per-child piece files. Results, stats, and division
     // decisions are bit-identical to the materialized path below.
     Status st = [&]() -> Status {
-      MAXRS_ASSIGN_OR_RETURN(FileRecordSource<PieceRecord> source,
-                             FileRecordSource<PieceRecord>::Make(
-                                 env, input.piece_file, options.read_ahead));
+      MAXRS_ASSIGN_OR_RETURN(
+          FileRecordSource<PieceRecord> source,
+          FileRecordSource<PieceRecord>::Make(env, input.piece_file));
       core_internal::EdgeFileProvider provider =
           [&input]() -> Result<std::string> { return {input.edge_file}; };
       return driver.StreamSolve(&source, provider, input.x_range, /*depth=*/0,
@@ -564,9 +556,8 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   }
   const bool minimize = options.objective == SweepObjective::kMinimize;
 
-  MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> objects,
-                         PrefetchingReader<SpatialObject>::Make(
-                             env, object_file, options.read_ahead));
+  MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> objects,
+                         RecordReader<SpatialObject>::Make(env, object_file));
   const uint64_t n = objects.total();
   stats->input_objects = n;
 
@@ -575,9 +566,8 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   // This needs one extra counted scan to find the box.
   Interval root_slab{-kInf, kInf};
   if (minimize) {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> scan,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, object_file, options.read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> scan,
+                           RecordReader<SpatialObject>::Make(env, object_file));
     Rect box{kInf, -kInf, kInf, -kInf};
     SpatialObject o{};
     bool any = false;
@@ -655,8 +645,7 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   // so with a pool they run concurrently (and each parallelizes internally);
   // both comparators are total orders, making the sorted files — and hence
   // everything downstream — canonical for any thread count.
-  ExternalSortOptions sort_options{options.memory_bytes, pool.get(),
-                                   options.read_ahead};
+  ExternalSortOptions sort_options{options.memory_bytes, pool.get()};
   std::string sorted_pieces = temps.NewName("pieces");
   std::string sorted_edges = temps.NewName("edges");
   {

@@ -82,8 +82,7 @@ class LeftmostMaxTree {
 Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
                   const std::vector<RecordSource<SlabTuple>*>& children,
                   const std::string& span_file, RecordSink<SlabTuple>* output,
-                  SweepObjective objective, bool read_ahead,
-                  const CancelToken* cancel) {
+                  SweepObjective objective, const CancelToken* cancel) {
   const size_t m = child_ranges.size();
   MAXRS_CHECK(m >= 1 && children.size() == m && output != nullptr);
 
@@ -96,12 +95,10 @@ Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
   // Two independent sequential scans over the span file: one delivering
   // bottom events (y_lo order), one delivering top events (y_hi order; equal
   // to y_lo order because all spans have the original height d2).
-  MAXRS_ASSIGN_OR_RETURN(
-      FileRecordSource<SpanRecord> bottom_file,
-      FileRecordSource<SpanRecord>::Make(env, span_file, read_ahead));
-  MAXRS_ASSIGN_OR_RETURN(
-      FileRecordSource<SpanRecord> top_file,
-      FileRecordSource<SpanRecord>::Make(env, span_file, read_ahead));
+  MAXRS_ASSIGN_OR_RETURN(FileRecordSource<SpanRecord> bottom_file,
+                         FileRecordSource<SpanRecord>::Make(env, span_file));
+  MAXRS_ASSIGN_OR_RETURN(FileRecordSource<SpanRecord> top_file,
+                         FileRecordSource<SpanRecord>::Make(env, span_file));
   PeekedSource<SpanRecord> bottoms(&bottom_file);
   PeekedSource<SpanRecord> tops(&top_file);
   MAXRS_RETURN_IF_ERROR(bottoms.Advance());

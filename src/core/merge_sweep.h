@@ -57,16 +57,14 @@ namespace maxrs {
 ///
 /// Every child is read at most once, front to back, and `output` receives
 /// each tuple exactly once, in y order; `output` is not closed (its owner
-/// closes it with the final status). With `read_ahead`, the two span
-/// readers double-buffer their next block via the shared IoExecutor
-/// (io/prefetch_reader.h); output and block counts are identical either
-/// way. A non-null `cancel` token is polled once per sweep event; an
-/// expired token aborts the merge with kDeadlineExceeded.
+/// closes it with the final status). A non-null `cancel` token is polled
+/// once per sweep event; an expired token aborts the merge with
+/// kDeadlineExceeded.
 Status MergeSweep(Env& env, const std::vector<Interval>& child_ranges,
                   const std::vector<RecordSource<SlabTuple>*>& children,
                   const std::string& span_file, RecordSink<SlabTuple>* output,
                   SweepObjective objective = SweepObjective::kMaximize,
-                  bool read_ahead = false, const CancelToken* cancel = nullptr);
+                  const CancelToken* cancel = nullptr);
 
 }  // namespace maxrs
 

@@ -89,7 +89,9 @@ class BufferPool {
   /// file, the frame is zero-filled without a counted read (fresh append).
   Result<PageHandle> Fetch(BlockFile& file, uint64_t block, bool zero_fill_new = false);
 
-  /// Writes back all dirty blocks of `file` (or all files if nullptr).
+  /// Writes back all dirty blocks of `file` (or all files if nullptr),
+  /// pinned ones included: a pin holder must not write a block's bytes
+  /// while another thread may flush it.
   Status FlushAll(BlockFile* file = nullptr);
 
   /// Flushes and forgets all blocks of `file`; must not have pinned pages.

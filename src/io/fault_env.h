@@ -52,9 +52,8 @@ class FaultEnv : public Env {
   IoStats& stats() override { return base_->stats(); }
 
   /// Returns true if the current operation must fail (internal use by the
-  /// wrapped files). Lock-free CAS countdown: background prefetch workers
-  /// (io/prefetch_reader.h) issue counted reads concurrently with the
-  /// compute thread, and exactly one of the racing operations must take
+  /// wrapped files). Lock-free CAS countdown: pool workers issue counted
+  /// I/O concurrently, and exactly one of the racing operations must take
   /// the armed fault.
   bool ShouldFail() {
     uint64_t current = remaining_.load(std::memory_order_relaxed);

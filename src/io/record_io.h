@@ -6,23 +6,12 @@
 // memory budget M — the standard EM-model streaming primitive with O(1/B)
 // amortized I/O per record (cost accounting: docs/IO_MODEL.md).
 //
-// RecordWriter optionally double-buffers its block flushes on the shared
-// IoExecutor ("write-behind", the dual of prefetch_reader.h's read-ahead):
-// while records of block k+1 are being serialized, block k is being written
-// by a background worker. At most one write is ever in flight and it is
-// joined before the next one is issued, so the on-disk block sequence (and
-// the IoStats count — each block written exactly once, by the worker) is
-// bit-identical to the synchronous schedule. A background write error is
-// parked and surfaced at the next Append/Finish; Finish always joins and
-// then writes the header synchronously, so a finished file is fully
-// persisted. Destroying an unfinished writer joins any in-flight write.
-//
 // T must be trivially copyable and fit in one block.
 //
 // Checksums (format v2, the write default): every data block's CRC32C is
 // recorded — inline in the header block while they fit, then in
 // self-checksummed trailer blocks appended after the data — and verified by
-// both readers on every data-block read, surfacing kCorruption with the
+// the reader on every data-block read, surfacing kCorruption with the
 // block index. Data blocks keep their full record capacity, so block counts
 // (and the IO_MODEL invariants) are unchanged for any file of up to
 // ~(block_size-32)/4 data blocks; larger files pay exactly the trailer
@@ -35,13 +24,11 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "io/env.h"
-#include "io/io_executor.h"
 #include "util/check.h"
 #include "util/crc32c.h"
 #include "util/status.h"
@@ -102,9 +89,7 @@ struct BlockChecksums {
 /// (trailer blocks, if any, are read — counted — and verified here). An
 /// empty file is a valid zero-record stream. A truncated file (fewer blocks
 /// than the header promises) and any checksum mismatch surface as clean
-/// kCorruption. Shared by RecordReader and PrefetchingReader
-/// (prefetch_reader.h) so the two readers can never diverge on what a valid
-/// file is.
+/// kCorruption.
 inline Status ReadAndValidateHeader(BlockFile& file, uint64_t record_size,
                                     uint64_t* total, BlockChecksums* sums) {
   sums->enabled = false;
@@ -180,8 +165,8 @@ inline Status ReadAndValidateHeader(BlockFile& file, uint64_t record_size,
 }
 
 /// Verifies data block `block` (1-based file index) against the table; a
-/// no-op when checksums are disabled. Both readers call this on every block
-/// they make current.
+/// no-op when checksums are disabled. RecordReader calls this on every block
+/// it makes current.
 inline Status VerifyBlockChecksum(const BlockChecksums& sums,
                                   const BlockFile& file, uint64_t block,
                                   const char* data, size_t n) {
@@ -194,18 +179,6 @@ inline Status VerifyBlockChecksum(const BlockChecksums& sums,
   return Status::OK();
 }
 
-/// Drains a sequential reader (RecordReader or PrefetchingReader — anything
-/// with total/Next/final_status) into a vector. The single implementation
-/// behind the ReadRecordFile* conveniences.
-template <typename T, typename Reader>
-Result<std::vector<T>> DrainToVector(Reader& reader) {
-  std::vector<T> records;
-  records.reserve(reader.total());
-  T rec{};
-  while (reader.Next(&rec)) records.push_back(rec);
-  MAXRS_RETURN_IF_ERROR(reader.final_status());
-  return {std::move(records)};
-}
 }  // namespace record_internal
 
 /// Appends records of type T to a fresh file. Call Finish() to persist the
@@ -216,55 +189,21 @@ class RecordWriter {
 
  public:
   /// Creates the file `name` in `env` and returns a writer for it.
-  /// Write-behind is opt-in (default false, matching every read_ahead
-  /// option in the library): without it the writer performs the exact
-  /// synchronous block schedule and never touches the executor. `executor`
-  /// defaults to the shared IoExecutor::Default(), resolved lazily on the
-  /// first background flush.
-  static Result<RecordWriter<T>> Make(Env& env, const std::string& name,
-                                      bool write_behind = false,
-                                      IoExecutor* executor = nullptr) {
+  static Result<RecordWriter<T>> Make(Env& env, const std::string& name) {
     auto file_or = env.Create(name);
     if (!file_or.ok()) return {file_or.status()};
-    return {
-        RecordWriter<T>(std::move(file_or).value(), write_behind, executor)};
+    return {RecordWriter<T>(std::move(file_or).value())};
   }
 
-  explicit RecordWriter(std::unique_ptr<BlockFile> file,
-                        bool write_behind = false,
-                        IoExecutor* executor = nullptr)
+  explicit RecordWriter(std::unique_ptr<BlockFile> file)
       : file_(std::move(file)),
         per_block_(file_->block_size() / sizeof(T)),
-        buf_(file_->block_size()),
-        write_behind_(write_behind),
-        executor_(executor) {
+        buf_(file_->block_size()) {
     MAXRS_CHECK_MSG(per_block_ > 0, "record does not fit in a block");
   }
 
-  /// Joins any in-flight background write (its error, if any, is discarded
-  /// — an unfinished stream is not a valid record file regardless) so no
-  /// background task can outlive the writer's buffers.
-  ~RecordWriter() { (void)JoinInflight(); }
-
   RecordWriter(RecordWriter&&) noexcept = default;
-  RecordWriter& operator=(RecordWriter&& other) noexcept {
-    if (this != &other) {
-      (void)JoinInflight();
-      file_ = std::move(other.file_);
-      per_block_ = other.per_block_;
-      buf_ = std::move(other.buf_);
-      write_behind_ = other.write_behind_;
-      executor_ = other.executor_;
-      inflight_ = std::move(other.inflight_);
-      spare_ = std::move(other.spare_);
-      crcs_ = std::move(other.crcs_);
-      in_buf_ = other.in_buf_;
-      count_ = other.count_;
-      next_block_ = other.next_block_;
-      finished_ = other.finished_;
-    }
-    return *this;
-  }
+  RecordWriter& operator=(RecordWriter&&) noexcept = default;
 
   Status Append(const T& record) {
     MAXRS_DCHECK(!finished_);
@@ -275,13 +214,12 @@ class RecordWriter {
     return Status::OK();
   }
 
-  /// Flushes buffered records (joining any background write first), writes
-  /// any checksum-trailer blocks, and writes the header synchronously.
-  /// Idempotent. After an OK Finish every block of the file is persisted.
+  /// Flushes buffered records, writes any checksum-trailer blocks, and writes
+  /// the header. Idempotent. After an OK Finish every block of the file is
+  /// persisted.
   Status Finish() {
     if (finished_) return Status::OK();
     if (in_buf_ > 0) MAXRS_RETURN_IF_ERROR(FlushBlock());
-    MAXRS_RETURN_IF_ERROR(JoinInflight());
     const size_t bs = file_->block_size();
     std::vector<char> hbuf(bs, 0);
     // Overflow CRCs beyond the header's inline table land in trailer blocks
@@ -321,88 +259,22 @@ class RecordWriter {
   Status FlushBlock() {
     // Data blocks start at 1; block 0 is reserved for the header. Reserve it
     // lazily (uncounted zero-fill would be wrong: header write is a real I/O
-    // performed in Finish, so here we only ensure the index exists). Always
-    // synchronous, and always ahead of the first background data write, so
-    // the file grows strictly sequentially in both schedules. Probed only
-    // before the first data block: later a background write may be extending
-    // the file, and reading its size then would race with it.
+    // performed in Finish, so here we only ensure the index exists), so the
+    // file grows strictly sequentially.
     if (next_block_ == 1 && file_->NumBlocks() == 0) {
       std::vector<char> zero(file_->block_size(), 0);
       MAXRS_RETURN_IF_ERROR(file_->WriteBlock(0, zero.data()));
     }
-    // The block's CRC is taken now, before the buffer can be handed to a
-    // background flush: it must checksum exactly the bytes being written.
     crcs_.push_back(Crc32c(buf_.data(), buf_.size()));
-    if (write_behind_) {
-      // One write in flight at most: join the previous flush (surfacing its
-      // parked error here, on the Append that overflowed the next block)
-      // before issuing this one. Sequential issue order means the file is
-      // extended in block order exactly as the synchronous schedule does.
-      MAXRS_RETURN_IF_ERROR(JoinInflight());
-      IssueWriteBehind();
-    } else {
-      MAXRS_RETURN_IF_ERROR(file_->WriteBlock(next_block_, buf_.data()));
-    }
+    MAXRS_RETURN_IF_ERROR(file_->WriteBlock(next_block_, buf_.data()));
     ++next_block_;
     in_buf_ = 0;
     return Status::OK();
   }
 
-  void IssueWriteBehind() {
-    // The shared executor is resolved lazily, here — the only path gated on
-    // write_behind_ — so synchronous writers never spawn its threads.
-    if (executor_ == nullptr) executor_ = &IoExecutor::Default();
-    std::shared_ptr<prefetch_internal::BlockFetch> fetch;
-    if (spare_ != nullptr) {
-      fetch = std::move(spare_);
-      spare_.reset();
-      fetch->done = false;
-      fetch->status = Status::OK();
-    } else {
-      fetch = std::make_shared<prefetch_internal::BlockFetch>();
-      fetch->buf.resize(file_->block_size());
-    }
-    // The slot takes the serialized block; the writer keeps the recycled
-    // buffer for the next block — the steady state allocates nothing.
-    fetch->buf.swap(buf_);
-    std::shared_ptr<BlockFile> file = file_;
-    const uint64_t block = next_block_;
-    inflight_ = fetch;
-    executor_->Submit([fetch, file, block] {
-      Status st = file->WriteBlock(block, fetch->buf.data());
-      std::lock_guard<std::mutex> lock(fetch->mu);
-      fetch->status = std::move(st);
-      fetch->done = true;
-      fetch->cv.notify_all();
-    });
-  }
-
-  // Waits for the in-flight write (if any), recycles its slot, and returns
-  // its status — the parked-error surfacing point.
-  Status JoinInflight() {
-    if (inflight_ == nullptr) return Status::OK();
-    std::shared_ptr<prefetch_internal::BlockFetch> fetch = std::move(inflight_);
-    inflight_.reset();
-    {
-      std::unique_lock<std::mutex> lock(fetch->mu);
-      fetch->cv.wait(lock, [&fetch] { return fetch->done; });
-    }
-    Status st = fetch->status;
-    spare_ = std::move(fetch);
-    return st;
-  }
-
-  // shared_ptr (not unique_ptr): in-flight flush tasks co-own the file so
-  // the handle outlives any write the worker already started.
-  std::shared_ptr<BlockFile> file_;
+  std::unique_ptr<BlockFile> file_;
   size_t per_block_;
   std::vector<char> buf_;
-  bool write_behind_ = false;
-  // Null until the first background flush; synchronous writers never
-  // resolve (or construct) the shared executor.
-  IoExecutor* executor_ = nullptr;
-  std::shared_ptr<prefetch_internal::BlockFetch> inflight_;
-  std::shared_ptr<prefetch_internal::BlockFetch> spare_;
   // CRC32C of every data block flushed so far, in block order; persisted by
   // Finish into the header's inline table plus trailer blocks.
   std::vector<uint32_t> crcs_;
@@ -503,7 +375,12 @@ Status WriteRecordFile(Env& env, const std::string& name,
 template <typename T>
 Result<std::vector<T>> ReadRecordFile(Env& env, const std::string& name) {
   MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader, RecordReader<T>::Make(env, name));
-  return record_internal::DrainToVector<T>(reader);
+  std::vector<T> records;
+  records.reserve(reader.total());
+  T rec{};
+  while (reader.Next(&rec)) records.push_back(rec);
+  MAXRS_RETURN_IF_ERROR(reader.final_status());
+  return {std::move(records)};
 }
 
 }  // namespace maxrs

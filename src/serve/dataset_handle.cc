@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "io/external_sort.h"
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/temp_manager.h"
 #include "util/stopwatch.h"
@@ -85,8 +84,7 @@ Status IngestInto(Env& env, const std::string& object_file,
     if (options.num_threads > 1) {
       pool = std::make_unique<ThreadPool>(options.num_threads);
     }
-    ExternalSortOptions sort_options{options.memory_bytes, pool.get(),
-                                     options.read_ahead};
+    ExternalSortOptions sort_options{options.memory_bytes, pool.get()};
     {
       TaskGroup sorts(pool.get());
       sorts.Run([&] {
@@ -114,17 +112,15 @@ Status IngestInto(Env& env, const std::string& object_file,
       info.x_file = ShardXName(prefix, shards->size());
       MAXRS_ASSIGN_OR_RETURN(
           RecordWriter<SpatialObject> writer,
-          RecordWriter<SpatialObject>::Make(env, info.x_file,
-                                            options.write_behind));
+          RecordWriter<SpatialObject>::Make(env, info.x_file));
       x_writer = std::move(writer);
       shards->push_back(std::move(info));
       aggs->push_back(ShardAgg{});
       return Status::OK();
     };
     {
-      MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                             PrefetchingReader<SpatialObject>::Make(
-                                 env, x_sorted, options.read_ahead));
+      MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> reader,
+                             RecordReader<SpatialObject>::Make(env, x_sorted));
       MAXRS_RETURN_IF_ERROR(open_shard(-kInf));
       SpatialObject o{};
       double prev_x = 0.0;
@@ -164,13 +160,11 @@ Status IngestInto(Env& env, const std::string& object_file,
       for (const ShardInfo& info : *shards) {
         MAXRS_ASSIGN_OR_RETURN(
             RecordWriter<SpatialObject> writer,
-            RecordWriter<SpatialObject>::Make(env, info.y_file,
-                                              options.write_behind));
+            RecordWriter<SpatialObject>::Make(env, info.y_file));
         y_writers.push_back(std::move(writer));
       }
-      MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                             PrefetchingReader<SpatialObject>::Make(
-                                 env, y_sorted, options.read_ahead));
+      MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> reader,
+                             RecordReader<SpatialObject>::Make(env, y_sorted));
       SpatialObject o{};
       bool any = false;
       while (reader.Next(&o)) {
@@ -205,8 +199,7 @@ Status IngestInto(Env& env, const std::string& object_file,
     // the published name — a torn ingest leaves only the orphan .tmp.
     MAXRS_ASSIGN_OR_RETURN(
         RecordWriter<ShardManifestRecord> manifest,
-        RecordWriter<ShardManifestRecord>::Make(env, TempManifestName(prefix),
-                                                options.write_behind));
+        RecordWriter<ShardManifestRecord>::Make(env, TempManifestName(prefix)));
     MAXRS_RETURN_IF_ERROR(manifest.Append(
         ShardManifestRecord{0, kManifestFormatVersion, num_objects, 0.0, 0.0}));
     if (num_objects > 0) {

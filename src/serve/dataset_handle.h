@@ -73,19 +73,6 @@ struct DatasetHandleOptions {
   /// and parallelize internally, exactly as in RunExactMaxRS).
   size_t num_threads = 1;
 
-  /// Double-buffered read-ahead (io/prefetch_reader.h) on the ingest's
-  /// sequential scans: both external sorts plus the shard cut and routing
-  /// passes. Shard files, manifest, and block counts are bit-identical
-  /// either way.
-  bool read_ahead = false;
-
-  /// Write-behind (io/record_io.h) on the ingest's output streams: the
-  /// shard x/y files and the manifest flush their data blocks on the
-  /// shared IoExecutor while the routing pass keeps running — the
-  /// write-side dual of read_ahead, with the same bit-identity guarantee
-  /// for file contents and block counts.
-  bool write_behind = false;
-
   /// Env namespace the shard files and manifest live under. Also the
   /// dataset's identity for DatasetHandle::Open.
   std::string prefix = "maxrs_dataset";

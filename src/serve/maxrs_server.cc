@@ -13,7 +13,6 @@
 #include "core/division.h"
 #include "core/merge_sweep.h"
 #include "core/records.h"
-#include "io/prefetch_reader.h"
 #include "io/record_io.h"
 #include "io/record_stream.h"
 #include "io/temp_manager.h"
@@ -126,9 +125,8 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
     MergingSource<EdgeRecord, decltype(&EdgeXLess)> edges(
         std::move(edge_column), &EdgeXLess);
     edge_file = temps.NewName("q_edges");
-    MAXRS_ASSIGN_OR_RETURN(
-        RecordWriter<EdgeRecord> writer,
-        RecordWriter<EdgeRecord>::Make(env, edge_file, options.write_behind));
+    MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
+                           RecordWriter<EdgeRecord>::Make(env, edge_file));
     EdgeRecord e{};
     while (edges.Next(&e)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
@@ -185,7 +183,7 @@ struct BatchQuery {
 class BatchChannels {
  public:
   BatchChannels(Env& env, TempFileManager& temps, size_t num_queries,
-                size_t num_shards, size_t cap_bytes, bool write_behind)
+                size_t num_shards, size_t cap_bytes)
       : num_shards_(num_shards) {
     pieces_.reserve(num_queries * num_shards * num_shards);
     edges_left_.reserve(num_queries * num_shards * num_shards);
@@ -200,19 +198,16 @@ class BatchChannels {
         for (size_t t = 0; t < num_shards; ++t) {
           const std::string cell = tag + "_" + std::to_string(t);
           pieces_.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-              env, temps.NewName(qtag + "chp" + cell), cap_bytes,
-              write_behind));
+              env, temps.NewName(qtag + "chp" + cell), cap_bytes));
           edges_left_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-              env, temps.NewName(qtag + "chl" + cell), cap_bytes,
-              write_behind));
+              env, temps.NewName(qtag + "chl" + cell), cap_bytes));
           edges_right_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-              env, temps.NewName(qtag + "chr" + cell), cap_bytes,
-              write_behind));
+              env, temps.NewName(qtag + "chr" + cell), cap_bytes));
         }
         spans_.push_back(std::make_unique<RecordChannel<SpanRecord>>(
-            env, temps.NewName(qtag + "chs" + tag), cap_bytes, write_behind));
+            env, temps.NewName(qtag + "chs" + tag), cap_bytes));
         slabs_.push_back(std::make_unique<RecordChannel<SlabTuple>>(
-            env, temps.NewName(qtag + "cht" + tag), cap_bytes, write_behind));
+            env, temps.NewName(qtag + "cht" + tag), cap_bytes));
       }
     }
   }
@@ -291,8 +286,7 @@ Status RouteSourceShard(Env& env, BatchChannels& channels,
                         const std::vector<ShardInfo>& shards,
                         const std::vector<double>& bounds,
                         const std::vector<Interval>& ranges, size_t source,
-                        const std::vector<BatchQuery>& queries,
-                        bool read_ahead) {
+                        const std::vector<BatchQuery>& queries) {
   const size_t num_shards = shards.size();
   const size_t k = queries.size();
 
@@ -317,9 +311,9 @@ Status RouteSourceShard(Env& env, BatchChannels& channels,
 
   // Pass 1: the shared y-file scan — all k transforms per object.
   Status piece_status = [&]() -> Status {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].y_file, read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(
+        RecordReader<SpatialObject> reader,
+        RecordReader<SpatialObject>::Make(env, shards[source].y_file));
     SpatialObject o{};
     while (reader.Next(&o)) {
       MAXRS_RETURN_IF_ERROR(all_expired());
@@ -364,9 +358,9 @@ Status RouteSourceShard(Env& env, BatchChannels& channels,
   // shard (a rect half-width shifts them arbitrarily far); each half-row
   // stays x-sorted because it is a filtered monotone shift of this scan.
   Status edge_status = [&]() -> Status {
-    MAXRS_ASSIGN_OR_RETURN(PrefetchingReader<SpatialObject> reader,
-                           PrefetchingReader<SpatialObject>::Make(
-                               env, shards[source].x_file, read_ahead));
+    MAXRS_ASSIGN_OR_RETURN(
+        RecordReader<SpatialObject> reader,
+        RecordReader<SpatialObject>::Make(env, shards[source].x_file));
     SpatialObject o{};
     while (reader.Next(&o)) {
       MAXRS_RETURN_IF_ERROR(all_expired());
@@ -468,10 +462,8 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
       for (size_t s : rows) span_sources.push_back(channels.span(q, s));
       MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
           std::move(span_sources), &SpanYLess);
-      MAXRS_ASSIGN_OR_RETURN(
-          RecordWriter<SpanRecord> writer,
-          RecordWriter<SpanRecord>::Make(env, span_file,
-                                         options.write_behind));
+      MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> writer,
+                             RecordWriter<SpanRecord>::Make(env, span_file));
       SpanRecord span{};
       while (spans.Next(&span)) {
         MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
@@ -481,8 +473,7 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
       MAXRS_RETURN_IF_ERROR(writer.Finish());
       num_spans = writer.count();
       return MergeSweep(env, ranges, children, span_file, &root,
-                        SweepObjective::kMaximize, options.read_ahead,
-                        options.cancel);
+                        SweepObjective::kMaximize, options.cancel);
     }();
     temps.Release(span_file);
     MAXRS_RETURN_IF_ERROR(st);
@@ -702,11 +693,8 @@ MaxRSOptions MaxRSServer::MakeQueryOptions(double width, double height,
   query_options.work_prefix = options_.work_prefix;
   // Queries parallelize across workers and across shard subtasks, not
   // inside one slab solve: the serial solve is the deterministic one, and
-  // it keeps per-query memory at one M (plus one extra block per open
-  // stream while a read-ahead fetch is in flight — see IO_MODEL.md).
+  // it keeps per-query memory at one M.
   query_options.num_threads = 1;
-  query_options.read_ahead = options_.read_ahead;
-  query_options.write_behind = options_.write_behind;
   query_options.stream_channel_bytes = options_.stream_channel_bytes;
   return query_options;
 }
@@ -1201,15 +1189,13 @@ void MaxRSServer::ExecuteBatchStreaming(
     // k columns per target. The latch is waited on before `channels` leaves
     // scope on every path: producers hold raw pointers into it.
     BatchChannels channels(env, temps, k, num_shards,
-                           options_.stream_channel_bytes,
-                           options_.write_behind);
+                           options_.stream_channel_bytes);
     std::vector<Status> producer_status(num_shards);
     JoinLatch producers_done(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       pool_->Submit([&, s] {
         producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                              ranges, s, queries,
-                                              options_.read_ahead);
+                                              ranges, s, queries);
         producers_done.CountDown();
       });
     }
@@ -1300,8 +1286,7 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
     // Rows that never route are never closed — consumers only ever merge
     // routed rows, so nobody waits on them.
     BatchChannels channels(env, temps, k, num_shards,
-                           options_.stream_channel_bytes,
-                           options_.write_behind);
+                           options_.stream_channel_bytes);
     std::vector<Status> producer_status(num_shards);
     std::vector<char> is_routed(num_shards, 0);
     auto submit_producers = [&](const std::vector<size_t>& wave,
@@ -1309,8 +1294,7 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
       for (size_t s : wave) {
         pool_->Submit([&, s, latch] {
           producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                                ranges, s, queries,
-                                                options_.read_ahead);
+                                                ranges, s, queries);
           latch->CountDown();
         });
       }

@@ -88,47 +88,6 @@ TEST_P(ExternalSortTest, TotalOrderComparatorYieldsCanonicalOutput) {
   }
 }
 
-TEST(ExternalSortReadAheadTest, ReadAheadMatchesSynchronousSortExactly) {
-  // The async prefetch layer reschedules fetches, never the work: with
-  // read_ahead on, the sorted output, the run/pass structure, and the
-  // block transfers are all bit-identical to the synchronous sort — at a
-  // multi-pass budget so run formation, every merge pass, and the fan-in
-  // readers all go through PrefetchingReader.
-  auto records = RandomRecords(4000, 23);
-
-  sort_internal::SortRunInfo sync_info, ra_info;
-  auto sync_env = NewMemEnv(512);
-  ASSERT_TRUE(WriteRecordFile(*sync_env, "in", records).ok());
-  ASSERT_TRUE(ExternalSort<KeyRec>(*sync_env, "in", "out", KeyPayloadLess,
-                                   ExternalSortOptions{1 << 10}, &sync_info)
-                  .ok());
-
-  auto ra_env = NewMemEnv(512);
-  ASSERT_TRUE(WriteRecordFile(*ra_env, "in", records).ok());
-  ExternalSortOptions ra_options{1 << 10};
-  ra_options.read_ahead = true;
-  ASSERT_TRUE(ExternalSort<KeyRec>(*ra_env, "in", "out", KeyPayloadLess,
-                                   ra_options, &ra_info)
-                  .ok());
-
-  EXPECT_EQ(ra_info.initial_runs, sync_info.initial_runs);
-  EXPECT_EQ(ra_info.merge_passes, sync_info.merge_passes);
-  EXPECT_EQ(ra_env->stats().Snapshot().blocks_read,
-            sync_env->stats().Snapshot().blocks_read);
-  EXPECT_EQ(ra_env->stats().Snapshot().blocks_written,
-            sync_env->stats().Snapshot().blocks_written);
-
-  auto sync_out = ReadRecordFile<KeyRec>(*sync_env, "out");
-  auto ra_out = ReadRecordFile<KeyRec>(*ra_env, "out");
-  ASSERT_TRUE(sync_out.ok());
-  ASSERT_TRUE(ra_out.ok());
-  ASSERT_EQ(sync_out->size(), ra_out->size());
-  for (size_t i = 0; i < sync_out->size(); ++i) {
-    ASSERT_EQ((*sync_out)[i].key, (*ra_out)[i].key) << i;
-    ASSERT_EQ((*sync_out)[i].payload, (*ra_out)[i].payload) << i;
-  }
-}
-
 TEST(ExternalSortParallelTest, PoolMatchesSerialRunAndPassCounts) {
   // The pool reschedules the sort; it must not change the run/pass structure
   // or the I/O. 1KB memory over 4000 records forces multi-pass merging.

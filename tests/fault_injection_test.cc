@@ -96,25 +96,19 @@ TEST_P(ExactMaxRSFaultTest, SurfacesFaultsAtEveryStage) {
   options.fanout = 3;
   options.base_case_max_pieces = 64;
 
-  // Both block schedules (synchronous and double-buffered read-ahead, where
-  // the fault may land on an in-flight background fetch) crossed with both
-  // division modes (materialized part files and streaming channels at a
-  // zero cap, where the fault lands on spill traffic). Every combination
-  // must surface the fault as a Status at the caller, never crash a worker.
+  // Both division modes (materialized part files and streaming channels at
+  // a zero cap, where the fault lands on spill traffic) must surface the
+  // fault as a Status at the caller, never crash a worker.
   for (bool streaming : {false, true}) {
-    for (bool read_ahead : {false, true}) {
-      options.streaming_division = streaming;
-      options.stream_channel_bytes = 0;
-      options.read_ahead = read_ahead;
-      env.ArmAfter(GetParam());
-      auto result = RunExactMaxRS(env, "data", options);
-      env.Disarm();
-      ASSERT_FALSE(result.ok())
-          << "fault at op " << GetParam() << " swallowed (read_ahead="
-          << read_ahead << ", streaming=" << streaming << ")";
-      EXPECT_EQ(result.status().code(), Status::Code::kIOError)
-          << "read_ahead=" << read_ahead << ", streaming=" << streaming;
-    }
+    options.streaming_division = streaming;
+    options.stream_channel_bytes = 0;
+    env.ArmAfter(GetParam());
+    auto result = RunExactMaxRS(env, "data", options);
+    env.Disarm();
+    ASSERT_FALSE(result.ok()) << "fault at op " << GetParam()
+                              << " swallowed (streaming=" << streaming << ")";
+    EXPECT_EQ(result.status().code(), Status::Code::kIOError)
+        << "streaming=" << streaming;
   }
 }
 
@@ -139,36 +133,29 @@ TEST(StreamingSpillFaultTest, SpillFaultSurfacesAtSubmitWithoutWedgingServer) {
   auto handle = DatasetHandle::Ingest(env, "data", ingest);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-  for (bool write_behind : {false, true}) {
-    MaxRSServerOptions options;
-    options.memory_bytes = 1 << 13;
-    options.num_workers = 2;
-    options.cache_entries = 0;
-    options.stream_channel_bytes = 0;
-    options.write_behind = write_behind;
-    MaxRSServer server(env, *handle, options);
+  MaxRSServerOptions options;
+  options.memory_bytes = 1 << 13;
+  options.num_workers = 2;
+  options.cache_entries = 0;
+  options.stream_channel_bytes = 0;
+  MaxRSServer server(env, *handle, options);
 
-    // Healthy run first: pins the answer and proves the sweep's failures
-    // below are injected, not latent.
-    auto want = server.Submit(24, 24);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
+  // Healthy run first: pins the answer and proves the sweep's failures
+  // below are injected, not latent.
+  auto want = server.Submit(24, 24);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-    for (uint64_t k : {3u, 15u, 40u, 90u, 250u}) {
-      env.ArmAfter(k);
-      auto result = server.Submit(24, 24);
-      env.Disarm();
-      ASSERT_FALSE(result.ok()) << "spill-path fault at op " << k
-                                << " swallowed (write_behind=" << write_behind
-                                << ")";
-      EXPECT_EQ(result.status().code(), Status::Code::kIOError)
-          << "op " << k << ", write_behind=" << write_behind;
-      auto after = server.Submit(24, 24);
-      ASSERT_TRUE(after.ok())
-          << "server wedged after fault at op " << k
-          << " (write_behind=" << write_behind << "): "
-          << after.status().ToString();
-      EXPECT_EQ(after->total_weight, want->total_weight);
-    }
+  for (uint64_t k : {3u, 15u, 40u, 90u, 250u}) {
+    env.ArmAfter(k);
+    auto result = server.Submit(24, 24);
+    env.Disarm();
+    ASSERT_FALSE(result.ok())
+        << "spill-path fault at op " << k << " swallowed";
+    EXPECT_EQ(result.status().code(), Status::Code::kIOError) << "op " << k;
+    auto after = server.Submit(24, 24);
+    ASSERT_TRUE(after.ok()) << "server wedged after fault at op " << k << ": "
+                            << after.status().ToString();
+    EXPECT_EQ(after->total_weight, want->total_weight);
   }
 }
 

@@ -357,7 +357,9 @@ TEST(NetServerTest, ConcurrentClientsMatchInProcessSubmitBitExactly) {
 
   constexpr int kClients = 4;
   std::vector<std::thread> clients;
-  std::vector<bool> passed(kClients, false);
+  // char, not bool: vector<bool> packs entries into shared words, so
+  // clients writing neighbouring entries would race.
+  std::vector<char> passed(kClients, 0);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       LineClient client(net.port());

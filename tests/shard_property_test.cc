@@ -121,18 +121,16 @@ TEST(ShardPropertyTest, BitIdenticalAcrossShardAndWorkerCounts) {
   }
 }
 
-TEST(ShardPropertyTest, ReadAheadBitIdenticalAndIoIdenticalAcrossShards) {
-  // The async read-ahead layer must be invisible in everything but wall
-  // time: per query, the answer AND the IoStats block counts match the
-  // synchronous server bit-for-bit at every shard and worker count (the
-  // prefetch layer's acceptance criterion on the serve path, pinning the
-  // shard routing scans, part merges, cross-shard MergeSweep, and root
-  // scan all at once).
+TEST(ShardPropertyTest, BitIdenticalAndIoIdenticalAcrossWorkers) {
+  // Per query, the answer AND the IoStats block counts of a fresh ingest
+  // and server match the serial server bit-for-bit at every shard and
+  // worker count (pinning the shard routing scans, the per-shard solves and
+  // the cross-shard MergeSweep all at once).
   constexpr size_t kN = 2816;
   const double kRects[][2] = {{260, 140}, {800, 800}};
   const uint64_t kSeed = 3;
   for (size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
-    // Synchronous reference answers + per-query I/O on a fresh env.
+    // Serial reference answers + per-query I/O on a fresh env.
     std::vector<MaxRSResult> reference;
     {
       auto env = MakeEnv(kSeed, kN);
@@ -152,20 +150,18 @@ TEST(ShardPropertyTest, ReadAheadBitIdenticalAndIoIdenticalAcrossShards) {
 
     for (size_t workers : kWorkerCounts) {
       auto env = MakeEnv(kSeed, kN);
-      DatasetHandleOptions ingest = IngestOptions(shards);
-      ingest.read_ahead = true;  // ingest passes double-buffer too
-      auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
+      auto handle =
+          DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(shards));
       ASSERT_TRUE(handle.ok()) << handle.status().ToString();
       ASSERT_EQ(handle->shards().size(), shards);
       MaxRSServerOptions options = ServerOptions(workers);
       options.cache_entries = 0;
-      options.read_ahead = true;
       MaxRSServer server(*env, *handle, options);
       for (size_t q = 0; q < 2; ++q) {
         auto served = server.Submit(kRects[q][0], kRects[q][1]);
         ASSERT_TRUE(served.ok())
             << served.status().ToString() << " (" << shards << " shards, "
-            << workers << " workers, read_ahead)";
+            << workers << " workers)";
         ExpectBitIdentical(*served, reference[q]);
         EXPECT_EQ(served->stats.io.blocks_read,
                   reference[q].stats.io.blocks_read)

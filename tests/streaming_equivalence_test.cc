@@ -8,9 +8,8 @@
 // not move:
 //
 //   - bit-identical answers to one-shot RunExactMaxRS across shard counts
-//     {1, 2, 7, 16, 64} x worker counts {1, 2, 8} x read_ahead on/off,
-//     with per-query I/O deterministic within each configuration
-//     (independent of workers and read_ahead);
+//     {1, 2, 7, 16, 64} x worker counts {1, 2, 8}, with per-query I/O
+//     deterministic within each shard count (independent of workers);
 //   - a memory-cap sweep from cap=0 (every routed record spills — the
 //     materialization worst case) through mid-stream-crossing caps to
 //     cap=SIZE_MAX (pure in-memory hand-off): identical answers at every
@@ -82,7 +81,7 @@ std::vector<MaxRSResult> OneShotAnswers(Env& env) {
   return answers;
 }
 
-TEST(StreamingEquivalenceTest, MatchesOneShotAcrossShardWorkerReadAhead) {
+TEST(StreamingEquivalenceTest, MatchesOneShotAcrossShardAndWorkerCounts) {
   constexpr size_t kN = 2816;  // realizes all 64 shards (shard_property_test)
   const uint64_t kSeed = 3;
   for (size_t shards : kShardCounts) {
@@ -96,36 +95,29 @@ TEST(StreamingEquivalenceTest, MatchesOneShotAcrossShardWorkerReadAhead) {
 
     const std::vector<MaxRSResult> oracle = OneShotAnswers(*env);
 
-    // Every worker count x read_ahead: bit-identical answers, I/O
-    // deterministic across the whole sub-matrix.
+    // Every worker count: bit-identical answers, I/O deterministic across
+    // worker counts.
     std::vector<IoStatsSnapshot> streaming_io(2);
     bool first_config = true;
     for (size_t workers : kWorkerCounts) {
-      for (bool read_ahead : {false, true}) {
-        MaxRSServerOptions options = BaseServerOptions(workers);
-        options.read_ahead = read_ahead;
-        MaxRSServer server(*env, *handle, options);
-        for (size_t q = 0; q < 2; ++q) {
-          auto served = server.Submit(kRects[q][0], kRects[q][1]);
-          ASSERT_TRUE(served.ok())
-              << served.status().ToString() << " (" << shards << " shards, "
-              << workers << " workers, read_ahead=" << read_ahead << ")";
-          ExpectBitIdentical(*served, oracle[q]);
-          if (first_config) {
-            streaming_io[q] = served->stats.io;
-          } else {
-            EXPECT_EQ(served->stats.io.blocks_read,
-                      streaming_io[q].blocks_read)
-                << shards << " shards, " << workers << " workers, read_ahead="
-                << read_ahead << ", query " << q;
-            EXPECT_EQ(served->stats.io.blocks_written,
-                      streaming_io[q].blocks_written)
-                << shards << " shards, " << workers << " workers, read_ahead="
-                << read_ahead << ", query " << q;
-          }
+      MaxRSServer server(*env, *handle, BaseServerOptions(workers));
+      for (size_t q = 0; q < 2; ++q) {
+        auto served = server.Submit(kRects[q][0], kRects[q][1]);
+        ASSERT_TRUE(served.ok())
+            << served.status().ToString() << " (" << shards << " shards, "
+            << workers << " workers)";
+        ExpectBitIdentical(*served, oracle[q]);
+        if (first_config) {
+          streaming_io[q] = served->stats.io;
+        } else {
+          EXPECT_EQ(served->stats.io.blocks_read, streaming_io[q].blocks_read)
+              << shards << " shards, " << workers << " workers, query " << q;
+          EXPECT_EQ(served->stats.io.blocks_written,
+                    streaming_io[q].blocks_written)
+              << shards << " shards, " << workers << " workers, query " << q;
         }
-        first_config = false;
       }
+      first_config = false;
     }
   }
 }
@@ -134,9 +126,9 @@ TEST(StreamingEquivalenceTest, SpillCapSweepIdenticalAtEverySpillLevel) {
   // cap=0 spills every routed record (streaming degraded to materialization
   // through single spill files), mid caps cross the threshold mid-stream,
   // kNoCap never touches the Env for routing. Answers must be identical at
-  // every level; I/O per level must be deterministic across worker counts
-  // and write_behind, and the cap=0 run must spend strictly more than the
-  // never-spill run (proving the cap actually gates Env traffic).
+  // every level; I/O per level must be deterministic across worker counts,
+  // and the cap=0 run must spend strictly more than the never-spill run
+  // (proving the cap actually gates Env traffic).
   constexpr size_t kN = 2816;
   constexpr size_t kShards = 7;
   auto env = MakeEnv(11, kN);
@@ -154,29 +146,26 @@ TEST(StreamingEquivalenceTest, SpillCapSweepIdenticalAtEverySpillLevel) {
     std::vector<IoStatsSnapshot> io_per_query(2);
     bool first_config = true;
     for (size_t workers : {size_t{1}, size_t{4}}) {
-      for (bool write_behind : {false, true}) {
-        MaxRSServerOptions options = BaseServerOptions(workers);
-        options.stream_channel_bytes = cap;
-        options.write_behind = write_behind;
-        MaxRSServer server(*env, *handle, options);
-        for (size_t q = 0; q < 2; ++q) {
-          auto served = server.Submit(kRects[q][0], kRects[q][1]);
-          ASSERT_TRUE(served.ok())
-              << served.status().ToString() << " (cap " << cap << ", "
-              << workers << " workers, write_behind=" << write_behind << ")";
-          ExpectBitIdentical(*served, oracle[q]);
-          if (first_config) {
-            io_per_query[q] = served->stats.io;
-          } else {
-            EXPECT_EQ(served->stats.io.blocks_read, io_per_query[q].blocks_read)
-                << "cap " << cap << ", " << workers << " workers, query " << q;
-            EXPECT_EQ(served->stats.io.blocks_written,
-                      io_per_query[q].blocks_written)
-                << "cap " << cap << ", " << workers << " workers, query " << q;
-          }
+      MaxRSServerOptions options = BaseServerOptions(workers);
+      options.stream_channel_bytes = cap;
+      MaxRSServer server(*env, *handle, options);
+      for (size_t q = 0; q < 2; ++q) {
+        auto served = server.Submit(kRects[q][0], kRects[q][1]);
+        ASSERT_TRUE(served.ok())
+            << served.status().ToString() << " (cap " << cap << ", "
+            << workers << " workers)";
+        ExpectBitIdentical(*served, oracle[q]);
+        if (first_config) {
+          io_per_query[q] = served->stats.io;
+        } else {
+          EXPECT_EQ(served->stats.io.blocks_read, io_per_query[q].blocks_read)
+              << "cap " << cap << ", " << workers << " workers, query " << q;
+          EXPECT_EQ(served->stats.io.blocks_written,
+                    io_per_query[q].blocks_written)
+              << "cap " << cap << ", " << workers << " workers, query " << q;
         }
-        first_config = false;
       }
+      first_config = false;
     }
     if (cap == 0) io_at_zero_cap = io_per_query[0].total();
     if (cap == kNoCap) io_at_no_cap = io_per_query[0].total();
