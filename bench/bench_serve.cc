@@ -3,10 +3,10 @@
 // (every query executes the full per-query pipeline, "serve_cold") and
 // warm (every query is an LRU hit, "serve_warm") — at 1/2/8 workers,
 // emitted as BENCH_serve.json. A round pair re-runs the cold workload on a
-// clustered dataset with the aggregate-index pruning on
-// ("serve_cold_pruned") and off ("serve_cold_unpruned"), so the perf
-// history tracks the block-transfer win of index-pruned serving where the
-// bound actually bites, and a batched round ("serve_cold_batched") tracks
+// clustered dataset served with its aggregate index ("serve_cold_pruned")
+// and re-opened without it ("serve_cold_unpruned"), so the perf history
+// tracks the block-transfer win of index-pruned serving where the bound
+// actually bites, and a batched round ("serve_cold_batched") tracks
 // the shared-scan amortization. Together with BENCH_micro.json this is the
 // repo's machine-readable perf trajectory (docs/BENCHMARKING.md;
 // compare_bench.py --plot renders it).
@@ -21,7 +21,7 @@
 //   --seed=N           dataset seed
 //
 // The bench asserts the serve contract on live data: per-query results are
-// identical at every worker count, batch size, pruning mode, and cache
+// identical at every worker count, batch size, index presence, and cache
 // state, and a warm round performs zero block transfers.
 #include <cinttypes>
 #include <cmath>
@@ -245,10 +245,12 @@ int main(int argc, char** argv) {
   // the aggregate-index bound genuinely bites. The workload mixes selective
   // rects with one full-extent rect (whose expanded window reaches every
   // shard, so no bound can prune it — it must still come back exact). Each
-  // worker count runs an un-pruned oracle round first, then the pruned
-  // round, pinning bit-identical weights and monotone block counts on live
-  // data; the committed serve_cold_pruned / serve_cold_unpruned baselines
-  // make the pruning win a tracked number.
+  // worker count runs an un-pruned round first — the same dataset re-opened
+  // without its index file, so every shard bound is +inf and every shard is
+  // routed and solved — then the pruned round over the ingest handle,
+  // pinning bit-identical weights and monotone block counts on live data;
+  // the committed serve_cold_pruned / serve_cold_unpruned baselines make
+  // the pruning win a tracked number.
   const auto clustered = MakeClustered(n, seed);
   auto pruned_rects = MakeWorkload(num_queries);
   pruned_rects[0] = {1e6, 1e6};
@@ -264,6 +266,11 @@ int main(int argc, char** argv) {
     ingest_options.num_threads = workers;
     auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
     MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
+    // The ingest handle keeps the index it loaded; only the re-open lacks it.
+    MAXRS_CHECK_OK(env->Delete(handle->prefix() + "/agg_index"));
+    auto unindexed = DatasetHandle::Open(*env, handle->prefix());
+    MAXRS_CHECK_MSG(unindexed.ok() && unindexed->agg_index() == nullptr,
+                    "index-less re-open failed");
 
     MaxRSServerOptions base_options;
     base_options.num_workers = workers;
@@ -273,9 +280,7 @@ int main(int argc, char** argv) {
 
     uint64_t unpruned_io = 0;
     for (const bool prune : {false, true}) {
-      MaxRSServerOptions server_options = base_options;
-      if (!prune) server_options.pruning_mode = ServePruningMode::kOff;
-      MaxRSServer server(*env, *handle, server_options);
+      MaxRSServer server(*env, prune ? *handle : *unindexed, base_options);
       const IoStatsSnapshot before = env->stats().Snapshot();
       double wall = 0.0;
       const std::vector<double> weights =

@@ -12,9 +12,8 @@
 // your own data. --threads=T runs the exact solver on the parallel engine
 // (identical answer and I/O count at any thread count).
 // --algo=serve ingests into a sharded DatasetHandle and answers through the
-// serve layer's index-pruned execution (--shards=S, --no_pruning to compare
-// against un-pruned serving) — same answer, fewer query-time blocks when
-// the rect is selective.
+// serve layer's index-pruned execution (--shards=S) — same answer, fewer
+// query-time blocks when the rect is selective.
 #include <cstdio>
 #include <string>
 
@@ -120,9 +119,6 @@ int main(int argc, char** argv) {
       }
       MaxRSServerOptions server_options;
       server_options.memory_bytes = memory;
-      if (flags.GetBool("no_pruning", false)) {
-        server_options.pruning_mode = ServePruningMode::kOff;
-      }
       MaxRSServer server(*env, *handle, server_options);
       auto result = server.Submit(width, height);
       if (!result.ok()) {

@@ -3,7 +3,7 @@
 // a MaxRSServer behind the loopback TCP listener (src/net), and serves the
 // line protocol:
 //
-//   MAXRS <w> <h> [deadline_ms=N] [pruning=auto|off]
+//   MAXRS <w> <h> [deadline_ms=N]
 //   STATS | PING | QUIT
 //
 // Two modes:

@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
           "usage: maxrs_server_cli --input=points.csv --queries=WxH[,WxH...]\n"
           "       maxrs_server_cli --demo [--n=100000]\n"
           "flags: --workers=K --shards=S --repeat=R --cache=E --memory-kb=M\n"
-          "       --no_pruning (disable aggregate-index shard skipping)\n"
           "       --pool-kb=N (shared buffer pool over the dataset files;\n"
           "                    0 = off)\n"
           "       --deadline_ms=D (per-query deadline; 0 = none)\n"
@@ -170,9 +169,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("cache", 16));
   server_options.deadline_ms =
       static_cast<int64_t>(flags.GetInt("deadline_ms", 0));
-  if (flags.GetBool("no_pruning", false)) {
-    server_options.pruning_mode = ServePruningMode::kOff;
-  }
   server_options.buffer_pool_bytes =
       static_cast<size_t>(flags.GetInt("pool-kb", 0)) << 10;
   MaxRSServer server(*serve_env, *handle, server_options);
@@ -246,11 +242,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counters.corruptions),
               static_cast<unsigned long long>(io.reads_retried),
               static_cast<unsigned long long>(io.writes_retried));
+  const bool bounded = handle->agg_index() != nullptr &&
+                       handle->agg_index()->pruning_safe();
   std::printf("pruning: %llu shards pruned at plan time, %llu skipped by "
-              "bound, %llu queries served un-pruned\n",
+              "bound%s\n",
               static_cast<unsigned long long>(io.shards_pruned),
               static_cast<unsigned long long>(io.bound_skips),
-              static_cast<unsigned long long>(counters.unpruned));
+              bounded ? "" : " (no usable aggregate index: every bound +inf)");
   if (server_options.buffer_pool_bytes > 0) {
     const BufferPoolStats pool = server.pool_stats();
     std::printf("buffer pool: %llu hits (free), %llu misses, "

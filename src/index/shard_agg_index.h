@@ -13,9 +13,9 @@
 //     weights are non-negative when pruning_safe(). Shards whose bound
 //     cannot beat the best weight already found are never routed or solved.
 //   - The per-shard aggregates are persisted next to the manifest
-//     (DatasetHandle, format v3) and validated on open; a corrupt or
-//     missing index degrades the server to un-pruned serving — never a
-//     wrong answer.
+//     (DatasetHandle, format v3) and validated on open. Without a usable
+//     index — corrupt, missing, or not pruning_safe() — the server bounds
+//     every shard at +inf and prunes nothing: never a wrong answer.
 //
 // Upper-bound comparisons are exact when weights are exactly summable
 // (integers); with arbitrary reals the tree sum and the sweep sum may

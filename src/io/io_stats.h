@@ -29,8 +29,8 @@ struct IoStatsSnapshot {
   /// routing; `bound_skips` counts shards whose routed input was discarded
   /// unsolved because a better candidate arrived mid-query. Neither is a
   /// block transfer, so neither contributes to total() — they annotate why
-  /// blocks_read is *lower* than the un-pruned schedule (docs/IO_MODEL.md,
-  /// "Index-pruned serving").
+  /// blocks_read is *lower* than routing and solving every shard
+  /// (docs/IO_MODEL.md, "Index-pruned serving").
   uint64_t shards_pruned = 0;
   uint64_t bound_skips = 0;
   /// Source-shard scans *not performed* because batched execution

@@ -129,14 +129,6 @@ Result<Command> ParseCommand(const std::string& line) {
                        "' is not a non-negative integer");
       }
       command.spec.deadline_ms = deadline;
-    } else if (key == "pruning") {
-      if (value == "auto") {
-        command.spec.pruning = ServePruningMode::kAuto;
-      } else if (value == "off") {
-        command.spec.pruning = ServePruningMode::kOff;
-      } else {
-        return Invalid("pruning must be auto|off, got '" + value + "'");
-      }
     } else {
       return Invalid("unknown option '" + key + "'");
     }
@@ -182,7 +174,6 @@ std::string FormatStats(const ServerCounters& counters,
       << " corruptions=" << counters.corruptions
       << " batches=" << counters.batches
       << " batched_queries=" << counters.batched_queries
-      << " unpruned=" << counters.unpruned
       << " blocks_read=" << io.blocks_read
       << " blocks_written=" << io.blocks_written
       << " reads_retried=" << io.reads_retried
@@ -229,7 +220,6 @@ Status ParseStats(const std::string& line, ServerCounters* counters,
     else if (key == "corruptions") counters->corruptions = v;
     else if (key == "batches") counters->batches = v;
     else if (key == "batched_queries") counters->batched_queries = v;
-    else if (key == "unpruned") counters->unpruned = v;
     else if (key == "blocks_read") io->blocks_read = v;
     else if (key == "blocks_written") io->blocks_written = v;
     else if (key == "reads_retried") io->reads_retried = v;

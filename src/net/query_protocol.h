@@ -2,7 +2,7 @@
 // protocol over TCP (one '\n'-terminated command per line, one
 // '\n'-terminated response line per command, strictly in command order).
 //
-//   MAXRS <w> <h> [deadline_ms=N] [pruning=auto|off]
+//   MAXRS <w> <h> [deadline_ms=N]
 //       -> OK <x> <y> <weight> <served_from> <batch_size>
 //   STATS -> STATS k=v k=v ...      (ServerCounters + aggregate IoStats)
 //   PING  -> PONG
@@ -44,8 +44,8 @@ enum class CommandType {
 struct Command {
   /// Which command the line carried.
   CommandType type = CommandType::kPing;
-  /// The parsed query (kMaxRS only): dimensions plus any per-query
-  /// overrides the client supplied.
+  /// The parsed query (kMaxRS only): dimensions plus the per-query
+  /// deadline override, if the client supplied one.
   QuerySpec spec;
 };
 

@@ -181,8 +181,8 @@ class DatasetHandle {
   /// The aggregate shard index (per-shard MBR + weight aggregates), or
   /// nullptr when the dataset has none: pre-v3 manifests, and v3 datasets
   /// whose index file failed to open or validate. A null index only costs
-  /// pruning — MaxRSServer degrades to un-pruned serving and the answers
-  /// are unchanged.
+  /// pruning — MaxRSServer bounds every shard at +inf, so it routes and
+  /// solves every shard, and the answers are unchanged.
   const ShardAggIndex* agg_index() const { return agg_index_.get(); }
 
   /// Why agg_index() is null when the manifest promised one: kCorruption /

@@ -95,10 +95,10 @@ class JoinLatch {
 // base-case shard abandons the column untouched — what those channels
 // buffered or spilled is a pure function of the routed records, so block
 // counts stay deterministic. Callers pass exactly the rows they actually
-// routed (the pruned execution drops never-routed rows — their channels
-// never close, waiting on them would hang, and by construction they could
-// only have carried empty streams, so dropping them leaves the merged
-// stream byte-identical), with each row's two sorted edge half-streams.
+// routed (never-routed rows are dropped — their channels never close,
+// waiting on them would hang, and by construction they could only have
+// carried empty streams, so dropping them leaves the merged stream
+// byte-identical), with each row's two sorted edge half-streams.
 Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                std::vector<RecordSource<PieceRecord>*>
                                    piece_column,
@@ -146,15 +146,15 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
 }
 
 // Forwards a shard's tuples to its slab channel, folding each sum into the
-// shard's best (core/records.h SlabBest) on the way: the pruned
-// execution's incumbent, with no re-scan.
+// query's best (core/records.h SlabBest) on the way: the branch-and-bound
+// incumbent, with no re-scan.
 class ShardTupleSink final : public RecordSink<SlabTuple> {
  public:
   ShardTupleSink(RecordSink<SlabTuple>* out, SlabBest* best)
       : out_(out), best_(best) {}
 
   Status Append(const SlabTuple& t) override {
-    if (best_ != nullptr) best_->Offer(t.sum);
+    best_->Offer(t.sum);
     return out_->Append(t);
   }
   Status Close(const Status& status) override { return out_->Close(status); }
@@ -237,11 +237,11 @@ class BatchChannels {
   // Solves query q's target shard t from the given routed source rows, in
   // ascending order — the canonical merge order — into the shard's slab
   // channel, and closes that channel with the solve's final status on
-  // every path. A non-null `best_out` receives the maximum tuple sum.
+  // every path. `best_out` receives the maximum tuple sum.
   Status SolveTarget(Env& env, TempFileManager& temps, size_t q, size_t t,
                      const std::vector<size_t>& rows, const Interval& slab,
                      const MaxRSOptions& options, MaxRSStats* stats,
-                     SlabBest* best_out = nullptr) {
+                     SlabBest* best_out) {
     std::vector<RecordSource<PieceRecord>*> piece_column;
     std::vector<RecordSource<EdgeRecord>*> edge_column;
     piece_column.reserve(rows.size());
@@ -424,8 +424,8 @@ void FoldRoutingFailure(const std::vector<Status>& producer_status,
 // Phase C of query q, once every solve of q has joined: drain the span
 // channels of the routed `rows` (all closed by now — they act as
 // deterministic buffers) into one SpanYLess-merged span file, and run the
-// cross-shard MergeSweep over ALL shard ranges — shards the pruned
-// execution never solved are null, known-empty children (zero I/O) — from
+// cross-shard MergeSweep over ALL shard ranges — shards the execution
+// pruned or skipped are null, known-empty children (zero I/O) — from
 // the shards' slab channels straight into the answer tracker. A
 // single-shard dataset has no cross-shard combine: its one shard's tuples
 // are the root. Stats fold the per-shard blocks (skipped and empty shards'
@@ -447,7 +447,7 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
     children[t] = channels.solved_tuples(q, t);
   }
   if (num_shards == 1) {
-    // Pruning needs two shards, so the one shard was solved.
+    // The one shard is the seed, and the seed is always solved.
     SlabTuple t{};
     while (children[0]->Next(&t)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
@@ -556,20 +556,25 @@ void FinishBatch(Env& env, TempFileManager& temps,
 }
 
 // ---------------------------------------------------------------------------
-// Index-pruned execution (ServePruningMode::kAuto): the aggregate shard
-// index (index/shard_agg_index.h) turns the shared-scan execution into a
-// branch-and-bound. For each target shard t, UB(t) — the total weight of
-// all objects a rectangle centered in t's slab could possibly cover — is an
-// upper bound on any placement in t, computed from the index with zero I/O.
-// The execution is phased: route only the sources the most promising shard
-// (the seed) needs, solve the seed to get an achievable incumbent weight,
-// discard every shard whose bound cannot beat it, route the remaining
-// sources the survivors need, and solve the survivors best-bound-first,
-// re-checking each bound against the growing incumbent. The final
-// cross-shard MergeSweep runs over ALL shard ranges with null (known-empty)
-// children standing in for skipped shards.
+// Index-pruned execution: the aggregate shard index (index/shard_agg_index.h)
+// turns the shared-scan execution into a branch-and-bound. For each target
+// shard t, UB(t) — the total weight of all objects a rectangle centered in
+// t's slab could possibly cover — is an upper bound on any placement in t,
+// computed from the index with zero I/O. The execution is phased: route
+// only the sources the most promising shard (the seed) needs, solve the
+// seed to get an achievable incumbent weight, discard every shard whose
+// bound cannot beat it, route the remaining sources the survivors need, and
+// solve the survivors best-bound-first, re-checking each bound against the
+// growing incumbent. The final cross-shard MergeSweep runs over ALL shard
+// ranges with null (known-empty) children standing in for skipped shards.
 //
-// Soundness (why answers are bit-identical to the un-pruned execution):
+// A dataset without a usable index (none, or weights unsafe to bound) runs
+// the same schedule with every bound at +inf: every source feeds every
+// target, so wave 1 routes every source, nothing is pruned or skipped, and
+// every shard is solved — seed first, then the rest in index order.
+//
+// Soundness (why answers are bit-identical to routing and solving every
+// shard):
 //   - UB(t) counts every object within w/2 of t's slab — a superset of
 //     anything a placement in t covers — so with non-negative weights
 //     (pruning_safe()) no placement in t can weigh more than UB(t).
@@ -581,30 +586,32 @@ void FinishBatch(Env& env, TempFileManager& temps,
 //     maximum in root-stream order) is preserved exactly.
 //   - A surviving shard's solve sees every source whose expanded x-MBR
 //     reaches its slab — all sources that could route anything to it — so
-//     its tuple stream is byte-identical to the un-pruned one, and every
+//     its tuple stream is byte-identical to an unpruned solve's, and every
 //     boundary span covering a surviving shard comes from a routed source.
 //   - Skipped shards contribute no root tuples, but all of their placements
 //     weigh strictly less than the incumbent (≤ final max), so the winning
 //     tuple — and, with TopTupleTracker's stratum coalescing, its full
 //     winning run — is unchanged.
-// I/O never exceeds the un-pruned execution: routing a source and solving a
-// shard read/write exactly what the un-pruned execution would, and pruning
-// only removes whole routes/solves.
+// I/O never exceeds routing and solving every shard: routing a source and
+// solving a shard read/write the same blocks whichever shards survive, and
+// pruning only removes whole routes/solves.
 // ---------------------------------------------------------------------------
 
 // Weight upper bound of every target shard for rect width `width`: the
 // index-aggregated weight of all objects whose x lies within w/2 of the
 // shard's slab (closed window — boundary objects count; over-approximating
-// is sound, under-approximating would not be).
-std::vector<double> ShardUpperBounds(const ShardAggIndex& index,
+// is sound, under-approximating would not be). +inf everywhere without an
+// index.
+std::vector<double> ShardUpperBounds(const ShardAggIndex* index,
                                      const std::vector<ShardInfo>& shards,
                                      double width) {
+  if (index == nullptr) return std::vector<double>(shards.size(), kInf);
   const double half_w = width / 2.0;
   std::vector<double> ub;
   ub.reserve(shards.size());
   for (const ShardInfo& shard : shards) {
-    ub.push_back(index.WindowWeight(shard.x_range.lo - half_w,
-                                    shard.x_range.hi + half_w));
+    ub.push_back(index->WindowWeight(shard.x_range.lo - half_w,
+                                     shard.x_range.hi + half_w));
   }
   return ub;
 }
@@ -623,11 +630,13 @@ size_t ArgMaxUpperBound(const std::vector<double>& ub) {
 // Whether source shard `s` can route anything (pieces, edges, or spans) to
 // a target with slab `slab`: its object x-MBR expanded by w/2 must reach
 // the slab. Closed-interval test — conservatively routes boundary-touching
-// sources (an empty routed row costs no blocks).
-bool SourceFeedsTarget(const ShardAggIndex& index, size_t s,
+// sources (an empty routed row costs no blocks). Always true without an
+// index.
+bool SourceFeedsTarget(const ShardAggIndex* index, size_t s,
                        const Interval& slab, double width) {
+  if (index == nullptr) return true;
   const double half_w = width / 2.0;
-  return index.Intersects(s, slab.lo - half_w, slab.hi + half_w);
+  return index->Intersects(s, slab.lo - half_w, slab.hi + half_w);
 }
 
 }  // namespace
@@ -805,9 +814,6 @@ std::future<Result<QueryResponse>> MaxRSServer::SubmitInternal(
   // the pending entry, so a missing entry here means a second cache lookup
   // is authoritative — without it, a duplicate arriving in the gap between
   // the leader's cache insert and promise fulfillment would re-execute.
-  // The pruning override is NOT part of the key: it never changes the
-  // answer, so a leader running under another mode still serves this
-  // caller.
   std::future<Result<QueryResponse>> future;
   std::shared_ptr<Request> request;
   {
@@ -831,8 +837,7 @@ std::future<Result<QueryResponse>> MaxRSServer::SubmitInternal(
       }
       request = std::make_shared<Request>(
           spec.width, spec.height,
-          std::chrono::milliseconds(std::max<int64_t>(0, *deadline_ms)),
-          spec.pruning.value_or(options_.pruning_mode));
+          std::chrono::milliseconds(std::max<int64_t>(0, *deadline_ms)));
       future = request->promise.get_future();
       pending_.emplace(key, request);
     }
@@ -928,9 +933,6 @@ void MaxRSServer::WorkerLoop() {
 
 bool MaxRSServer::ShapeCompatible(const Request& anchor,
                                   const Request& candidate) {
-  // A batch executes under one pruning mode — its executor is chosen once
-  // — so requests carrying different effective overrides never share one.
-  if (candidate.pruning != anchor.pruning) return false;
   // Rects within this aspect band share a scan profitably: a batch-mate
   // whose width dwarfs the anchor's would route most of its pieces across
   // many shards while the anchor's stay local, and the shared channels
@@ -1109,26 +1111,11 @@ void MaxRSServer::ExecuteBatch(std::vector<std::shared_ptr<Request>> batch) {
   }
   if (live.empty()) return;
 
-  // ShapeCompatible keeps batches pruning-homogeneous, so live[0]'s
-  // effective mode speaks for every batch member.
-  const bool pruned = PruningActiveFor(live[0]->pruning);
-  if (!pruned && live[0]->pruning == ServePruningMode::kAuto &&
-      dataset_.shards().size() > 1) {
-    // Pruning was wanted but the dataset cannot support it (no usable
-    // aggregate index, or weights unsafe to bound): count the degradation.
-    // Only the shard skipping is lost — answers are unchanged.
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.unpruned += live.size();
-  }
   auto execute = [&](const std::vector<std::shared_ptr<Request>>& requests) {
     std::vector<Result<MaxRSResult>> results(
         requests.size(),
         Result<MaxRSResult>(Status::Unavailable("batch slot unset")));
-    if (pruned) {
-      ExecuteBatchStreamingPruned(requests, &results);
-    } else {
-      ExecuteBatchStreaming(requests, &results);
-    }
+    ExecuteBatchStreaming(requests, &results);
     return results;
   };
 
@@ -1165,6 +1152,12 @@ void MaxRSServer::ExecuteBatchStreaming(
   const IoStatsSnapshot io_before = env.stats().Snapshot();
   Stopwatch timer;
 
+  // Bounds need an index whose weights are safe to bound; without one,
+  // null means every bound is +inf (see "Index-pruned execution").
+  const ShardAggIndex* index =
+      dataset_.agg_index() != nullptr && dataset_.agg_index()->pruning_safe()
+          ? dataset_.agg_index()
+          : nullptr;
   const std::vector<ShardInfo>& shards = dataset_.shards();
   const size_t num_shards = shards.size();
   const std::vector<double>& bounds = dataset_.interior_bounds();
@@ -1178,93 +1171,11 @@ void MaxRSServer::ExecuteBatchStreaming(
     query_options[q] =
         MakeQueryOptions(batch[q]->width, batch[q]->height, &batch[q]->cancel);
   }
-  std::vector<size_t> all_rows(num_shards);
-  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-
-  std::vector<Status> per_query(k, Status::OK());
-  std::vector<std::vector<MaxRSStats>> shard_stats(
-      k, std::vector<MaxRSStats>(num_shards));
-  {
-    // Channels, then producers, then consumers — the liveness order, with
-    // k columns per target. The latch is waited on before `channels` leaves
-    // scope on every path: producers hold raw pointers into it.
-    BatchChannels channels(env, temps, k, num_shards,
-                           options_.stream_channel_bytes);
-    std::vector<Status> producer_status(num_shards);
-    JoinLatch producers_done(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool_->Submit([&, s] {
-        producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                              ranges, s, queries);
-        producers_done.CountDown();
-      });
-    }
-    // Each of the S source scans runs once instead of k times.
-    if (k > 1) env.stats().RecordScansShared((k - 1) * num_shards);
-
-    // Consumers: ONE TaskGroup PER QUERY, not one for the batch — a group
-    // no-ops its queued tasks after the first error, and one query's
-    // deadline must only stop ITS solves, never a batch-mate's.
-    {
-      std::vector<std::unique_ptr<TaskGroup>> groups;
-      groups.reserve(k);
-      for (size_t q = 0; q < k; ++q) {
-        groups.push_back(std::make_unique<TaskGroup>(pool_.get()));
-        for (size_t t = 0; t < num_shards; ++t) {
-          groups[q]->Run([&, q, t]() -> Status {
-            return channels.SolveTarget(env, temps, q, t, all_rows,
-                                        ranges[t], query_options[q],
-                                        &shard_stats[q][t]);
-          });
-        }
-      }
-      for (size_t q = 0; q < k; ++q) per_query[q] = groups[q]->Wait();
-    }
-    // Join the producers unconditionally: consumers done does not imply
-    // producers done (base-case consumers abandon their edge columns).
-    producers_done.Wait();
-    FoldRoutingFailure(producer_status, all_rows, &per_query);
-
-    // Phase C per query, sequential on the batch worker.
-    for (size_t q = 0; q < k; ++q) {
-      (*results)[q] =
-          per_query[q].ok()
-              ? CombineShards(env, temps, channels, q, all_rows, ranges,
-                              shard_stats[q], dataset_.num_objects(),
-                              query_options[q])
-              : Result<MaxRSResult>(per_query[q]);
-    }
-  }  // destroys the channels (and any spill files)
-  FinishBatch(env, temps, io_before, timer, queries, results);
-}
-
-void MaxRSServer::ExecuteBatchStreamingPruned(
-    const std::vector<std::shared_ptr<Request>>& batch,
-    std::vector<Result<MaxRSResult>>* results) {
-  Env& env = *exec_env_;
-  TempFileManager temps(env, options_.work_prefix);
-  const IoStatsSnapshot io_before = env.stats().Snapshot();
-  Stopwatch timer;
-
-  const ShardAggIndex& index = *dataset_.agg_index();
-  const std::vector<ShardInfo>& shards = dataset_.shards();
-  const size_t num_shards = shards.size();  // >= 2 (PruningActiveFor)
-  const std::vector<double>& bounds = dataset_.interior_bounds();
-  const std::vector<Interval>& ranges = dataset_.slab_ranges();
-  const size_t k = batch.size();
-  std::vector<BatchQuery> queries(k);
-  std::vector<MaxRSOptions> query_options(k);
-  for (size_t q = 0; q < k; ++q) {
-    queries[q] = BatchQuery{batch[q]->width, batch[q]->height,
-                            &batch[q]->cancel};
-    query_options[q] =
-        MakeQueryOptions(batch[q]->width, batch[q]->height, &batch[q]->cancel);
-  }
 
   // Per-query plans (zero I/O), then TWO routing waves over the UNIONS of
-  // the per-query source sets. Soundness of the union: a routed source a
-  // lone pruned execution would NOT have routed for query q routes nothing
-  // to any of q's consumed targets (SourceFeedsTarget is exactly the
+  // the per-query source sets. Soundness of the union: a routed source
+  // that q run alone would NOT have routed routes nothing to any of q's
+  // consumed targets (SourceFeedsTarget is exactly the
   // can-route-anything test), so q's merged streams — and its incumbents,
   // skips, and answer — are byte-identical to running q alone; the extra
   // sources' boundary spans can only cover q's pruned (known-empty)
@@ -1418,13 +1329,6 @@ void MaxRSServer::ExecuteBatchStreamingPruned(
     }
   }  // destroys the channels (and any spill files)
   FinishBatch(env, temps, io_before, timer, queries, results);
-}
-
-bool MaxRSServer::PruningActiveFor(ServePruningMode mode) const {
-  if (mode == ServePruningMode::kOff) return false;
-  if (dataset_.shards().size() < 2) return false;
-  const ShardAggIndex* index = dataset_.agg_index();
-  return index != nullptr && index->pruning_safe();
 }
 
 }  // namespace maxrs

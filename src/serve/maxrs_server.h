@@ -8,13 +8,12 @@
 // duplicate of a query already executing attaches to the leader's pending
 // slot instead of executing again), otherwise enqueues the request on a
 // bounded MPMC queue (util/mpmc_queue.h) and blocks on (or returns) its
-// future. A QuerySpec may override the deadline and the pruning mode per
-// query; overrides never change the answer, only how it is computed.
+// future. A QuerySpec may override the deadline per query.
 // `num_workers` dedicated worker threads pop requests — up to `batch_max`
 // shape-compatible ones at a time — and execute them as one batch. A lone
-// query is simply a batch of one: there is exactly one executor, in an
-// index-pruned and an un-pruned variant. The x-slab shards ARE the
-// top-level division of the paper's distribution sweep:
+// query is simply a batch of one: there is exactly one executor. The
+// x-slab shards ARE the top-level division of the paper's distribution
+// sweep:
 //
 //   route       per source shard, ONE pass over its y-sorted objects
 //               transforms every query's pieces and routes them by extent —
@@ -26,6 +25,12 @@
 //               streams and run division + plane-sweep *inside the shard*
 //               (core_internal::SolveSlabStream), emitting the shard's
 //               tuples into a slab channel          — O(shard) per task
+//               The solves are a branch-and-bound over the per-shard
+//               weight upper bounds of the dataset's aggregate index: the
+//               most promising shard is solved first, and a shard whose
+//               bound cannot beat the best placement found so far is
+//               never routed or solved at all. Without a usable index
+//               every bound is +inf and every shard is solved.
 //   combine     per query, once its solves have joined, one cross-shard
 //               MergeSweep over the S slab channels and the boundary span
 //               file, straight into the answer tracker — one linear sweep
@@ -78,24 +83,6 @@
 #include "util/thread_pool.h"
 
 namespace maxrs {
-
-/// Whether query execution consults the dataset's aggregate shard index
-/// (index/shard_agg_index.h) to skip shards that provably cannot contain
-/// the optimal placement.
-enum class ServePruningMode {
-  /// Prune whenever it is provably answer-preserving: the dataset has a
-  /// valid aggregate index, every weight is non-negative and finite (an
-  /// index property), and there is more than one shard. Anything else
-  /// silently degrades to the un-pruned execution (counted by
-  /// ServerCounters::unpruned) — answers are identical either way, pruning
-  /// only skips work. The default: on a query where nothing prunes, the
-  /// phased pruned execution performs exactly the same I/O as the
-  /// un-pruned one, so enabling kAuto never costs blocks.
-  kAuto,
-  /// Never prune; every shard is routed and solved. The equivalence oracle
-  /// for kAuto.
-  kOff,
-};
 
 /// Canonical bit pattern of one cache-key dimension. Semantically equal
 /// dimensions must map onto one key, so -0.0 folds onto +0.0 and every NaN
@@ -165,12 +152,6 @@ struct MaxRSServerOptions {
   /// consumer timing, so block counts stay schedule-independent.
   size_t stream_channel_bytes = 1 << 20;
 
-  /// Shard skipping via the dataset's aggregate index; see
-  /// ServePruningMode. Branch-and-bound over the per-shard
-  /// weight upper bounds: shards whose bound cannot beat the best
-  /// placement found so far are never routed or solved at all.
-  ServePruningMode pruning_mode = ServePruningMode::kAuto;
-
   /// Maximum number of distinct in-flight queries one worker may drain
   /// from the queue and execute as a single shared-scan batch: one pass
   /// over each source shard's object order routes pieces and edges for
@@ -233,25 +214,14 @@ struct ServerCounters {
                                 ///< more distinct queries off one routing
                                 ///< scan per source shard).
   uint64_t batched_queries = 0; ///< Queries executed inside those batches.
-  uint64_t unpruned = 0;        ///< Multi-shard executions that
-                                ///< wanted index pruning (kAuto) but ran
-                                ///< un-pruned: the dataset has no usable
-                                ///< aggregate index (pre-v3 manifest,
-                                ///< corrupt index file) or its weights are
-                                ///< unsafe to bound (negative/non-finite).
-                                ///< Answers are unaffected.
 };
 
 /// One MaxRS query as submitted by a caller: the rectangle dimensions plus
-/// optional per-query overrides of the server-wide execution knobs. An
-/// unset override inherits the corresponding MaxRSServerOptions value, so
-/// `QuerySpec{w, h}` behaves exactly like the legacy positional Submit.
-/// Validated in one place (Submit/SubmitAsync): dimensions must be positive
-/// and finite, a set deadline must be non-negative. Overrides never change
-/// the answer — pruned and un-pruned execution are bit-identical by
-/// contract — which is what keeps the result cache and in-flight dedup
-/// keyed on (width, height) alone sound even when two callers ask for the
-/// same rect under different modes.
+/// an optional per-query deadline override. An unset override inherits
+/// MaxRSServerOptions::deadline_ms, so `QuerySpec{w, h}` behaves exactly
+/// like the legacy positional Submit. Validated in one place
+/// (Submit/SubmitAsync): dimensions must be positive and finite, a set
+/// deadline must be non-negative.
 struct QuerySpec {
   /// Query rectangle width; must be positive and finite.
   double width = 0.0;
@@ -261,9 +231,6 @@ struct QuerySpec {
   /// (queue wait included). Unset inherits MaxRSServerOptions::deadline_ms;
   /// 0 disables the deadline for this query.
   std::optional<int64_t> deadline_ms;
-  /// Per-query pruning override; unset inherits
-  /// MaxRSServerOptions::pruning_mode.
-  std::optional<ServePruningMode> pruning;
 };
 
 /// Where a QueryResponse's answer came from.
@@ -279,7 +246,7 @@ enum class ServedFrom {
 /// One answered query: the MaxRS result plus the serving metadata the
 /// legacy Result<MaxRSResult> surface could not express.
 struct QueryResponse {
-  /// The answer, bit-identical at any shard/worker/batch/cache/mode
+  /// The answer, bit-identical at any shard/worker/batch/cache
   /// configuration (result.stats describes the execution that produced it).
   /// Equal to one-shot RunExactMaxRS bit for bit when weight sums are exact
   /// in double arithmetic; with non-integer weights the total may differ
@@ -377,22 +344,15 @@ class MaxRSServer {
   }
 
  private:
-  /// One queued query: its dimensions, its EFFECTIVE pruning mode
-  /// (the per-query override already resolved against the server options
-  /// at submit time), its cancellation token, and the promise the leader's
-  /// Submit waits on. The worker fulfills the promise exactly once. The
-  /// token's deadline starts at Submit, so time spent queued counts
-  /// against it.
+  /// One queued query: its dimensions, its cancellation token, and the
+  /// promise the leader's Submit waits on. The worker fulfills the promise
+  /// exactly once. The token's deadline starts at Submit, so time spent
+  /// queued counts against it.
   struct Request {
-    Request(double w, double h, std::chrono::milliseconds deadline,
-            ServePruningMode p)
-        : width(w),
-          height(h),
-          pruning(p),
-          cancel(CancelToken::WithTimeout(deadline)) {}
+    Request(double w, double h, std::chrono::milliseconds deadline)
+        : width(w), height(h), cancel(CancelToken::WithTimeout(deadline)) {}
     double width;
     double height;
-    ServePruningMode pruning;
     CancelToken cancel;
     std::promise<Result<QueryResponse>> promise;
     // Promises of deduplicated followers attached to this leader. Guarded
@@ -452,24 +412,21 @@ class MaxRSServer {
   /// only rects shape-compatible with the highest-priority one; the rest
   /// are staged for the next batch. Empty result = shut down and drained.
   std::vector<std::shared_ptr<Request>> FormBatch();
-  /// Whether `candidate` may share a batch with `anchor`: identical
-  /// effective pruning mode (a batch executes under ONE mode), and width
-  /// and height each within kBatchShapeRatio of the anchor's, so pruning
-  /// bounds and routing fan-out stay comparable across the batch.
+  /// Whether `candidate` may share a batch with `anchor`: width and height
+  /// each within kBatchShapeRatio of the anchor's, so pruning bounds and
+  /// routing fan-out stay comparable across the batch.
   static bool ShapeCompatible(const Request& anchor, const Request& candidate);
   /// The one dispatch point: runs one formed batch (k >= 1) end to end and
   /// fulfills every promise. Fails requests that expired in the queue,
-  /// picks the pruned or un-pruned executor (PruningActiveFor), re-runs a
-  /// query that failed with a retryable error once, alone, through the same
-  /// executor (counted in `degraded`), and completes every request.
+  /// re-runs a query that failed with a retryable error once, alone,
+  /// through the same executor (counted in `degraded`), and completes
+  /// every request.
   void ExecuteBatch(std::vector<std::shared_ptr<Request>> batch);
-  /// Shared-scan execution of `batch` (all k >= 1 queries off one routing
-  /// pass per source shard), un-pruned / index-pruned. Results land in
-  /// `results` slots parallel to `batch`.
+  /// The executor: index-pruned shared-scan execution of `batch` (all
+  /// k >= 1 queries off at most one routing pass per source shard), with
+  /// every shard bound at +inf when the dataset has no usable aggregate
+  /// index. Results land in `results` slots parallel to `batch`.
   void ExecuteBatchStreaming(
-      const std::vector<std::shared_ptr<Request>>& batch,
-      std::vector<Result<MaxRSResult>>* results);
-  void ExecuteBatchStreamingPruned(
       const std::vector<std::shared_ptr<Request>>& batch,
       std::vector<Result<MaxRSResult>>* results);
   /// Post-execution bookkeeping of every executed request: counters, cache admission (on the canonical key), publish-then-erase
@@ -481,11 +438,6 @@ class MaxRSServer {
   /// `refused` and retires the pending slot — the shed/shutdown path.
   void FailRequest(const std::shared_ptr<Request>& request,
                    const Status& refused);
-  /// Whether a query with effective pruning mode `mode` runs the
-  /// index-pruned phased execution: the mode is kAuto, there is more than
-  /// one shard, and the dataset's aggregate index exists and is
-  /// pruning-safe.
-  bool PruningActiveFor(ServePruningMode mode) const;
   std::optional<MaxRSResult> CacheLookup(const CacheKey& key);
   void CacheInsert(const CacheKey& key, const MaxRSResult& result);
   /// The admission decision on a canonical cache key (AdmitsToCache after
@@ -533,9 +485,7 @@ class MaxRSServer {
   // leader's token); the worker erases the entry (after publishing to the
   // cache) and moves the waiter list out under the same lock before
   // fulfilling any promise, so late duplicates hit the cache instead and
-  // no attach can race a fulfillment. Two specs with the same rect but
-  // different pruning overrides share one leader: overrides never change
-  // the answer, so dedup on (width, height) stays sound.
+  // no attach can race a fulfillment.
   mutable std::mutex pending_mu_;
   std::unordered_map<CacheKey, std::shared_ptr<Request>, CacheKeyHash>
       pending_;

@@ -128,20 +128,16 @@ void CheckAllImplementationsAgree(const std::vector<SpatialObject>& objects,
     ingest_options.prefix = "fuzz_sharded";
     auto handle = DatasetHandle::Ingest(*env, "fuzz_data", ingest_options);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    // Three serve legs of the same per-shard solve: streaming channels
-    // (the default) and streaming with a cap of zero so every routed
-    // record takes the spill path — both with index pruning active (kAuto,
-    // the default) — plus pruning forced off, so pruned and un-pruned
-    // serving are fuzzed against the same oracle on every configuration.
+    // Two serve legs of the same per-shard solve: streaming channels (the
+    // default) and streaming with a cap of zero so every routed record
+    // takes the spill path.
     struct ServeLeg {
       const char* name;
       size_t channel_bytes;
-      ServePruningMode pruning;
     };
     const ServeLeg legs[] = {
-        {"streaming", 1 << 20, ServePruningMode::kAuto},
-        {"streaming/spill", 0, ServePruningMode::kAuto},
-        {"streaming/no-prune", 1 << 20, ServePruningMode::kOff},
+        {"streaming", 1 << 20},
+        {"streaming/spill", 0},
     };
     for (const ServeLeg& leg : legs) {
       MaxRSServerOptions server_options;
@@ -149,7 +145,6 @@ void CheckAllImplementationsAgree(const std::vector<SpatialObject>& objects,
       server_options.fanout = c.fanout;
       server_options.base_case_max_pieces = c.base_max;
       server_options.stream_channel_bytes = leg.channel_bytes;
-      server_options.pruning_mode = leg.pruning;
       MaxRSServer server(*env, *handle, server_options);
       auto served = server.Submit(c.rect_w, c.rect_h);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
@@ -263,9 +258,10 @@ INSTANTIATE_TEST_SUITE_P(
 // rarely fires there (equal-count shards all look alike). This leg fuzzes
 // the configurations pruning exists for: a heavy strip holds most of the
 // mass and is wide in x relative to the rect, so slab-local tuples see it
-// and whole background shards fall below the incumbent. Pruned (kAuto) and
-// un-pruned (kOff) serving must agree bit-for-bit with the brute-force
-// oracle on every draw, pruned I/O must never exceed un-pruned, and the
+// and whole background shards fall below the incumbent. Pruned serving and
+// un-pruned serving (the same dataset re-opened without its index file)
+// must agree bit-for-bit with the brute-force oracle on every draw, pruned
+// I/O must never exceed un-pruned, and the
 // sweep must actually prune somewhere or the corpus is vacuous.
 // ---------------------------------------------------------------------------
 
@@ -301,25 +297,26 @@ TEST(MaxRSPrunedServeFuzzTest, PrunedAndUnprunedAgreeOnSkewedCorpus) {
     ingest_options.prefix = "pruned_fuzz_ds";
     auto handle = DatasetHandle::Ingest(*env, "pruned_fuzz", ingest_options);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    // The un-pruned leg serves the same dataset without its index file.
+    auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
+    ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
 
     uint64_t unpruned_io = 0;
-    for (const ServePruningMode pruning :
-         {ServePruningMode::kOff, ServePruningMode::kAuto}) {
+    for (const bool prune : {false, true}) {
       MaxRSServerOptions server_options;
       server_options.memory_bytes = 32 << 10;
-      server_options.pruning_mode = pruning;
-      MaxRSServer server(*env, *handle, server_options);
+      MaxRSServer server(*env, prune ? *handle : *unindexed, server_options);
       auto served = server.Submit(rect_w, rect_h);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
       ASSERT_EQ(served->total_weight, oracle.total_weight)
-          << (pruning == ServePruningMode::kAuto ? "pruned" : "un-pruned")
-          << " serving diverged (" << handle->shards().size() << " shards)";
+          << (prune ? "pruned" : "un-pruned") << " serving diverged ("
+          << handle->shards().size() << " shards)";
       ASSERT_EQ(
           CoveredWeight(objects,
                         Rect::Centered(served->location, rect_w, rect_h)),
           oracle.total_weight)
           << "serve witness wrong";
-      if (pruning == ServePruningMode::kOff) {
+      if (!prune) {
         unpruned_io = served->stats.io.total();
       } else {
         EXPECT_LE(served->stats.io.total(), unpruned_io)

@@ -96,23 +96,19 @@ class LineClient {
 // --- Wire grammar (pure parse/format; no server involved) ---
 
 TEST(QueryProtocolTest, ParsesMaxRSWithOverrides) {
-  auto cmd = ParseCommand(
-      "MAXRS 120.5 80 deadline_ms=250 pruning=off");
+  auto cmd = ParseCommand("MAXRS 120.5 80 deadline_ms=250");
   ASSERT_TRUE(cmd.ok()) << cmd.status().ToString();
   EXPECT_EQ(cmd->type, CommandType::kMaxRS);
   EXPECT_EQ(cmd->spec.width, 120.5);
   EXPECT_EQ(cmd->spec.height, 80.0);
   ASSERT_TRUE(cmd->spec.deadline_ms.has_value());
   EXPECT_EQ(*cmd->spec.deadline_ms, 250);
-  ASSERT_TRUE(cmd->spec.pruning.has_value());
-  EXPECT_EQ(*cmd->spec.pruning, ServePruningMode::kOff);
 }
 
 TEST(QueryProtocolTest, BareMaxRSLeavesOverridesUnset) {
   auto cmd = ParseCommand("MAXRS 10 20");
   ASSERT_TRUE(cmd.ok());
   EXPECT_FALSE(cmd->spec.deadline_ms.has_value());
-  EXPECT_FALSE(cmd->spec.pruning.has_value());
 }
 
 TEST(QueryProtocolTest, ToleratesTrailingCarriageReturn) {
@@ -131,7 +127,7 @@ TEST(QueryProtocolTest, RejectsMalformedCommands) {
       "MAXRS 10 20 30",               // stray positional argument
       "MAXRS 10 20 deadline_ms=-5",   // negative deadline
       "MAXRS 10 20 deadline_ms=abc",  // non-integer deadline
-      "MAXRS 10 20 pruning=maybe",    // unknown enum value
+      "MAXRS 10 20 pruning=off",      // removed option
       "MAXRS 10 20 routing=materialized",  // removed option
       "MAXRS 10 20 color=red",        // unknown option key
       "PING now",                     // arity violation

@@ -1,13 +1,15 @@
 // Pruning-equivalence battery for index-pruned serving
-// (serve/maxrs_server.h, ServePruningMode; index/shard_agg_index.h).
+// (serve/maxrs_server.h; index/shard_agg_index.h).
 //
 // The aggregate shard index lets the server skip shards whose weight upper
 // bound cannot beat the best candidate found so far — but pruning is only
 // admissible if it is invisible in the answer and strictly helpful in the
 // I/O ledger:
 //
-//   - bit-identical answers to un-pruned serving — itself checked against
-//     one-shot RunExactMaxRS — across shard counts {1, 2, 7, 16, 64} x
+//   - bit-identical answers to un-pruned serving — the same dataset
+//     re-opened without its index file, so every shard bound is +inf —
+//     itself checked against one-shot RunExactMaxRS — across shard counts
+//     {1, 2, 7, 16, 64} x
 //     worker counts {1, 2, 8}, with per-query block counts deterministic
 //     within each shard count and never above the un-pruned pipeline's;
 //   - on weight-skewed data with a selective rect, cold queries at >= 16
@@ -16,12 +18,12 @@
 //     must grow sublinearly in the shard count;
 //   - the pruning counters themselves are part of the determinism
 //     contract: repeated cold runs of one configuration report the same
-//     shards_pruned / bound_skips, and an un-pruned server reports zero.
+//     shards_pruned / bound_skips, and an index-less server reports zero.
 //
 // Data is weight-skewed (a heavy strip holds most of the mass) so
 // the bound genuinely bites at high shard counts; at 1-2 shards the same
-// battery degenerates to the no-pruning case and pins that the phased
-// executor is I/O-identical to the flat one.
+// battery degenerates to the no-pruning case and pins that the index
+// never costs blocks.
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -101,14 +103,15 @@ TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardAndWorkerCounts) {
     ASSERT_EQ(handle->shards().size(), shards);
     ASSERT_NE(handle->agg_index(), nullptr);
 
-    // Un-pruned oracle: answers (bit-identical to one-shot — integer
-    // weights keep every sum exact), per-query block counts, and zero
-    // pruning counters.
+    // Un-pruned oracle, served from the index-less re-open: answers
+    // (bit-identical to one-shot — integer weights keep every sum exact),
+    // per-query block counts, and zero pruning counters.
     std::vector<MaxRSResult> oracle;
     {
-      MaxRSServerOptions options = BaseServerOptions(1);
-      options.pruning_mode = ServePruningMode::kOff;
-      MaxRSServer server(*env, *handle, options);
+      auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
+      ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
+      ASSERT_EQ(unindexed->agg_index(), nullptr);
+      MaxRSServer server(*env, *unindexed, BaseServerOptions(1));
       for (const auto& rect : kRects) {
         auto r = server.Submit(rect[0], rect[1]);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -133,9 +136,7 @@ TEST(PruningEquivalenceTest, MatchesUnprunedAcrossShardAndWorkerCounts) {
     std::vector<IoStatsSnapshot> pruned_io(2);
     bool first_config = true;
     for (size_t workers : kWorkerCounts) {
-      MaxRSServerOptions options = BaseServerOptions(workers);
-      ASSERT_EQ(options.pruning_mode, ServePruningMode::kAuto);
-      MaxRSServer server(*env, *handle, options);
+      MaxRSServer server(*env, *handle, BaseServerOptions(workers));
       for (size_t q = 0; q < 2; ++q) {
         auto served = server.Submit(kRects[q][0], kRects[q][1]);
         ASSERT_TRUE(served.ok())
@@ -186,9 +187,9 @@ TEST(PruningEquivalenceTest, SelectiveRectPrunesAndColdIoSublinear) {
     auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-    MaxRSServerOptions unpruned = BaseServerOptions(1);
-    unpruned.pruning_mode = ServePruningMode::kOff;
-    MaxRSServer unpruned_server(*env, *handle, unpruned);
+    auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
+    ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
+    MaxRSServer unpruned_server(*env, *unindexed, BaseServerOptions(1));
     auto reference = unpruned_server.Submit(kRectW, kRectH);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 

@@ -335,44 +335,38 @@ TEST(ServeStressTest, ExpiredLoneQueryStopsItsRoutingScan) {
     }
   }
 
-  for (ServePruningMode pruning :
-       {ServePruningMode::kAuto, ServePruningMode::kOff}) {
-    SCOPED_TRACE(pruning == ServePruningMode::kAuto ? "pruned" : "un-pruned");
-    MaxRSServerOptions options;
-    options.num_workers = 1;
-    options.memory_bytes = 64 * 1024;
-    options.cache_entries = 0;
-    options.pruning_mode = pruning;
-    MaxRSServer server(env, *handle, options);
+  MaxRSServerOptions options;
+  options.num_workers = 1;
+  options.memory_bytes = 64 * 1024;
+  options.cache_entries = 0;
+  MaxRSServer server(env, *handle, options);
 
-    const IoStatsSnapshot before_full = env.stats().Snapshot();
-    ASSERT_TRUE(server.Submit(60.0, 340.0).ok());
-    const uint64_t full_reads =
-        (env.stats().Snapshot() - before_full).blocks_read;
+  const IoStatsSnapshot before_full = env.stats().Snapshot();
+  ASSERT_TRUE(server.Submit(60.0, 340.0).ok());
+  const uint64_t full_reads =
+      (env.stats().Snapshot() - before_full).blocks_read;
 
-    QuerySpec spec;
-    spec.width = 60.0;
-    spec.height = 340.0;
-    spec.deadline_ms = 200;
-    const IoStatsSnapshot before = env.stats().Snapshot();
-    env.CloseGate();
-    std::thread wedged([&] {
-      auto result = server.Submit(spec);
-      EXPECT_EQ(result.status().code(), Status::Code::kDeadlineExceeded)
-          << result.status().ToString();
-    });
-    env.WaitUntilBlocked();  // executing, past the in-queue expiry check
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    env.OpenGate();
-    wedged.join();
-    const uint64_t expired_reads =
-        (env.stats().Snapshot() - before).blocks_read;
-    EXPECT_LT(expired_reads, full_reads);
-    EXPECT_LT(2 * expired_reads, scan_blocks)
-        << "expired query read " << expired_reads << " blocks; one routing "
-        << "scan is " << scan_blocks;
-    EXPECT_EQ(server.counters().deadlines, 1u);
-  }
+  QuerySpec spec;
+  spec.width = 60.0;
+  spec.height = 340.0;
+  spec.deadline_ms = 200;
+  const IoStatsSnapshot before = env.stats().Snapshot();
+  env.CloseGate();
+  std::thread wedged([&] {
+    auto result = server.Submit(spec);
+    EXPECT_EQ(result.status().code(), Status::Code::kDeadlineExceeded)
+        << result.status().ToString();
+  });
+  env.WaitUntilBlocked();  // executing, past the in-queue expiry check
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  env.OpenGate();
+  wedged.join();
+  const uint64_t expired_reads = (env.stats().Snapshot() - before).blocks_read;
+  EXPECT_LT(expired_reads, full_reads);
+  EXPECT_LT(2 * expired_reads, scan_blocks)
+      << "expired query read " << expired_reads << " blocks; one routing "
+      << "scan is " << scan_blocks;
+  EXPECT_EQ(server.counters().deadlines, 1u);
 }
 
 TEST(ServeStressTest, ShutdownUnderLoadFailsFollowersCleanly) {

@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -352,6 +353,43 @@ TEST(ServeTest, BitIdenticalAcrossWorkerCountsAndShardCounts) {
   }
 }
 
+TEST(ServeTest, MixedSignWeightsServeExactlyWithoutPruning) {
+  // Negative weights make the aggregate index unsafe to bound with, so the
+  // executor runs with every shard bound at +inf: it must route and solve
+  // every shard, prune nothing, and still match one-shot bit for bit.
+  auto env = NewMemEnv(4096);
+  std::vector<SpatialObject> objects =
+      testing::RandomIntObjects(3000, /*extent=*/2000, /*seed=*/29);
+  Rng rng(31);
+  for (SpatialObject& o : objects) {
+    o.w = static_cast<double>(rng.UniformU64(11)) - 5.0;  // [-5, 5]
+  }
+  ASSERT_TRUE(WriteDataset(*env, kDatasetFile, objects).ok());
+  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(7));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ASSERT_NE(handle->agg_index(), nullptr);
+  ASSERT_FALSE(handle->agg_index()->pruning_safe());
+
+  const double kRects[][2] = {{50, 50}, {120, 300}, {400, 90}, {900, 900}};
+  for (size_t workers : {1u, 4u}) {
+    MaxRSServerOptions options = ServerOptions(workers);
+    options.cache_entries = 0;  // every submit executes
+    MaxRSServer server(*env, *handle, options);
+    for (const auto& rect : kRects) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, rect " +
+                   std::to_string(rect[0]) + "x" + std::to_string(rect[1]));
+      auto one_shot =
+          RunExactMaxRS(*env, kDatasetFile, OneShotOptions(rect[0], rect[1]));
+      ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+      auto served = server.Submit(rect[0], rect[1]);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ExpectBitIdentical(*served, *one_shot);
+      EXPECT_EQ(served->stats.io.shards_pruned, 0u);
+      EXPECT_EQ(served->stats.io.bound_skips, 0u);
+    }
+  }
+}
+
 TEST(ServeTest, MultiPassMergeWhenShardsExceedFanIn) {
   // 16KB budget = 4 blocks = fan-in 3, below the 4 shards: a per-query
   // budget too small to hold one block per shard must not change the
@@ -506,9 +544,11 @@ TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
       RunExactMaxRS(*env, kDatasetFile, OneShotOptions(kWidth, kHeight));
   ASSERT_TRUE(one_shot.ok());
 
+  // Without its index every shard bound is +inf, so every shard is routed.
+  auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
+  ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
   MaxRSServerOptions options = ServerOptions(1);
-  options.pruning_mode = ServePruningMode::kOff;  // every shard is routed
-  MaxRSServer server(*env, *handle, options);
+  MaxRSServer server(*env, *unindexed, options);
   auto cold = server.Submit(kWidth, kHeight);
   ASSERT_TRUE(cold.ok());
   ExpectBitIdentical(*cold, *one_shot);
@@ -520,7 +560,7 @@ TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
   // The worst case: with a zero channel cap every routed record and every
   // shard tuple spills once. Same answer, and never fewer blocks.
   options.stream_channel_bytes = 0;
-  MaxRSServer spilling(*env, *handle, options);
+  MaxRSServer spilling(*env, *unindexed, options);
   auto spilled = spilling.Submit(kWidth, kHeight);
   ASSERT_TRUE(spilled.ok());
   ExpectBitIdentical(*spilled, *one_shot);
@@ -951,53 +991,6 @@ TEST(ServeTest, QuerySpecValidationIsTheSingleGate) {
   // Rejections never reached the execution path.
   EXPECT_EQ((env->stats().Snapshot() - before).total(), 0u);
   EXPECT_EQ(server.counters().submitted, 0u);
-}
-
-TEST(ServeTest, PerQueryModeOverridesAreBitIdenticalToDefaults) {
-  // The soundness property behind the (w,h)-only cache key: a pruning
-  // override changes the execution strategy, never the answer.
-  // Weight-skewed data (the pruning_equivalence_test recipe: every third
-  // point in a heavy strip) at 16 shards guarantees the kAuto baseline
-  // genuinely prunes, so the pruning=off override has something to turn
-  // off.
-  auto env = NewMemEnv(4096);
-  std::vector<SpatialObject> objects =
-      testing::RandomIntObjects(2816, /*extent=*/6000, /*seed=*/19);
-  for (size_t i = 0; i < objects.size(); i += 3) {
-    objects[i].x = 4000.0 + std::floor(objects[i].x / 3.0);
-    objects[i].y = std::floor(objects[i].y / 20.0);
-    objects[i].w = 50.0;
-  }
-  ASSERT_TRUE(WriteDataset(*env, kDatasetFile, objects).ok());
-  DatasetHandleOptions ingest;
-  ingest.shard_count = 16;
-  ingest.memory_bytes = 512 * 1024;
-  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
-  ASSERT_TRUE(handle.ok());
-  MaxRSServerOptions options = ServerOptions(2);
-  options.cache_entries = 0;  // force a genuine execution per submit
-  MaxRSServer server(*env, *handle, options);
-
-  QuerySpec defaults;
-  defaults.width = 200;
-  defaults.height = 200;
-  auto baseline = server.Submit(defaults);
-  ASSERT_TRUE(baseline.ok());
-  EXPECT_EQ(baseline->served_from, ServedFrom::kExecuted);
-
-  const uint64_t unpruned_before = server.counters().unpruned;
-  QuerySpec unpruned = defaults;
-  unpruned.pruning = ServePruningMode::kOff;
-  auto via_unpruned = server.Submit(unpruned);
-  ASSERT_TRUE(via_unpruned.ok());
-  ExpectBitIdentical(baseline->result, via_unpruned->result);
-  // The override reached the execution layer: the off-run's own I/O
-  // attribution shows zero shard-skipping while the kAuto baseline pruned.
-  EXPECT_EQ(via_unpruned->io.shards_pruned + via_unpruned->io.bound_skips, 0u);
-  EXPECT_GT(baseline->io.shards_pruned + baseline->io.bound_skips, 0u);
-  // A deliberate pruning=off is a choice, not a degradation: the kAuto
-  // fallback counter must not move.
-  EXPECT_EQ(server.counters().unpruned, unpruned_before);
 }
 
 TEST(ServeTest, DeadlineOverrideBoundsAFollowerWithUnboundedDefaults) {

@@ -9,6 +9,7 @@
 #include "core/merge_sweep.h"
 #include "geom/geometry.h"
 #include "io/record_stream.h"
+#include "serve/dataset_handle.h"
 #include "util/rng.h"
 
 namespace maxrs {
@@ -58,6 +59,19 @@ inline Status MergeSlabFiles(
                          FileRecordSink<SlabTuple>::Make(env, out));
   return sink.Close(
       MergeSweep(env, ranges, children, span_file, &sink, objective));
+}
+
+/// Re-opens the dataset ingested under `handle.prefix()` after deleting its
+/// aggregate-index file. The returned handle has agg_index() == nullptr, so
+/// a server over it bounds every shard at +inf: it routes and solves every
+/// shard and prunes nothing. `handle` keeps the index it already loaded.
+inline Result<DatasetHandle> ReopenWithoutIndex(Env& env,
+                                                const DatasetHandle& handle) {
+  Status deleted = env.Delete(handle.prefix() + "/agg_index");
+  if (!deleted.ok() && deleted.code() != Status::Code::kNotFound) {
+    return deleted;
+  }
+  return DatasetHandle::Open(env, handle.prefix());
 }
 
 }  // namespace testing
