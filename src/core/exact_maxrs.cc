@@ -306,11 +306,22 @@ class Driver {
  private:
   /// In-memory base case over an already-buffered piece vector: the stream
   /// ended (or could not be split) within the memory budget, so no piece or
-  /// edge file is ever materialized for this node.
+  /// edge file is ever materialized for this node. Forwards only the tuples
+  /// whose (x_lo, x_hi, sum) bits differ from the last one forwarded: a
+  /// slab-file tuple holds until the next one (core/records.h), so a repeat
+  /// carries nothing. A parent MergeSweep then sees every one of its input
+  /// states unchanged at the dropped y, so its own tuple there would only
+  /// have repeated its predecessor, which the answer trackers coalesce.
   Status StreamBaseCase(std::vector<PieceRecord> pieces, const Interval& slab,
                         RecordSink<SlabTuple>* out) {
+    const SlabTuple* last = nullptr;
     for (const SlabTuple& t : PlaneSweep(pieces, slab, options_.objective)) {
+      if (last != nullptr && SameBits(t.x_lo, last->x_lo) &&
+          SameBits(t.x_hi, last->x_hi) && SameBits(t.sum, last->sum)) {
+        continue;
+      }
       MAXRS_RETURN_IF_ERROR(out->Append(t));
+      last = &t;
     }
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_->base_cases;

@@ -191,10 +191,12 @@ namespace core_internal {
 /// on `input` confined to `input.x_range` and appends the slab's SlabTuple
 /// stream (y-ascending) to `out`, from the base case or from the root
 /// MergeSweep — no slab-file is written for the slab itself, only for the
-/// inner recursion nodes. `out` is not closed: its owner closes it with the
-/// final status. Consumes (deletes) both input files. All piece x-extents
-/// must lie within `input.x_range` and `input.num_pieces` must match the
-/// piece file (trusted, not probed).
+/// inner recursion nodes. A base case appends PlaneSweep's tuples minus
+/// each one whose (x_lo, x_hi, sum) bits repeat its predecessor's; a
+/// MergeSweep appends one tuple per event y. `out` is not closed: its owner
+/// closes it with the final status. Consumes (deletes) both input files.
+/// All piece x-extents must lie within `input.x_range` and
+/// `input.num_pieces` must match the piece file (trusted, not probed).
 Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
                  const MaxRSOptions& options, MaxRSStats* stats,
                  ThreadPool* pool, RecordSink<SlabTuple>* out);
@@ -245,9 +247,12 @@ class TopTupleTracker {
   /// events that did not change the max-interval — they are coalesced into
   /// a single run, so the reported region's y-extent depends only on where
   /// the max-interval actually changes, not on how many events subdivided
-  /// it. (This is what keeps index-pruned serving bit-identical: pruned
-  /// schedules drop events from shards that never held the optimum, which
-  /// can merge such splits but never move a run's boundaries.)
+  /// it. This is what lets the tuple streams differ in their repeats and
+  /// still give one answer: the base case forwards only tuples that differ
+  /// from their predecessor, so a MergeSweep above it emits fewer repeats
+  /// than PlaneSweep over the same pieces, and pruned serving schedules
+  /// drop events from shards that never held the optimum. Either can merge
+  /// such splits but never move a run's boundaries.
   void Visit(const SlabTuple& t);
   /// Closes the stream and returns the k best regions, best first.
   std::vector<RankedRegion> Finish();

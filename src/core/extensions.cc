@@ -49,13 +49,21 @@ namespace {
 
 /// Streaming minimum-stratum tracker restricted to a y-window: tuples whose
 /// stratum misses [window_lo, window_hi) are skipped, partially covered
-/// strata are clamped. Mirrors TopTupleTracker for the min objective.
+/// strata are clamped. Mirrors TopTupleTracker for the min objective,
+/// coalescing of repeated tuples included: the external pipeline forwards
+/// only tuples that change (exact_maxrs.h, TopTupleTracker), so a stratum
+/// must end where the min-interval changes for RunMinRS and MinRSInMemory
+/// to report one region.
 class MinTupleTracker {
  public:
   MinTupleTracker(double window_lo, double window_hi)
       : window_lo_(window_lo), window_hi_(window_hi) {}
 
   void Visit(const SlabTuple& t) {
+    if (have_pending_ && t.sum == pending_.sum && t.x_lo == pending_.x_lo &&
+        t.x_hi == pending_.x_hi) {
+      return;
+    }
     if (have_pending_) Offer(pending_, t.y);
     pending_ = t;
     have_pending_ = true;

@@ -6,6 +6,13 @@
 // <y, [x1,x2), sum> per distinct event y — the max-interval of the slab for
 // the stratum starting at y (Def. 6). This is the external counterpart of
 // Imai & Asano's optimal in-memory algorithm [11] restricted to a slab.
+//
+// A tuple often repeats its predecessor's interval and sum: the events at
+// its y changed the slab away from the max-interval. The segment tree then
+// answers from its memo without searching (core/segment_tree.h), and the
+// recursion's base case forwards only the tuples that change (Algorithm 2
+// line 9 needs no more, since a slab-file tuple holds until the next one).
+// PlaneSweep itself returns every tuple, one per event y.
 #ifndef MAXRS_CORE_PLANE_SWEEP_H_
 #define MAXRS_CORE_PLANE_SWEEP_H_
 

@@ -36,6 +36,12 @@ inline uint64_t DoubleOrderKey(double v) {
   return (bits & (1ULL << 63)) ? ~bits : bits | (1ULL << 63);
 }
 
+/// True iff `a` and `b` have one bit pattern: unlike ==, tells -0.0 from
+/// +0.0 and matches a NaN with itself.
+inline bool SameBits(double a, double b) {
+  return DoubleOrderKey(a) == DoubleOrderKey(b);
+}
+
 /// Total order on pieces for the y pre-sort: y_lo (the sweep key) first,
 /// then every remaining field. A total order makes the unstable run-
 /// formation sort (std::sort) and the external merge produce one canonical

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/records.h"
 #include "util/check.h"
 
 namespace maxrs {
@@ -50,11 +51,19 @@ inline void SegmentTree::Pull(size_t node, size_t left, size_t right) {
 // take the addition lazily, and every partially covered node is recomputed
 // from its children after both are final. Only distinct nodes are touched,
 // so the floating-point result matches the recursive order bit for bit.
+//
+// The memo (header comment) is forgotten when [first, last] meets the leaves
+// its search read, and otherwise watched on the recomputed path: covered
+// nodes then lie outside those leaves, and a path node keeps its `add`.
 void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
   MAXRS_DCHECK(first <= last && last < num_leaves_);
+  const size_t read_lo = memo_.read_lo, read_hi = memo_.read_hi;
+  if (first <= read_hi && read_lo <= last) memo_.valid = false;
+  const bool watch = memo_.valid;
   struct PathNode {
     size_t node;
     size_t right;
+    bool read;  // The node's range meets the leaves the memo's search read.
   };
   PathNode path[kMaxPathNodes];
   size_t depth = 0;
@@ -64,11 +73,12 @@ void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
     n.max += w;
     n.min += w;
   };
-  // Records a partially covered node; returns its right child.
-  auto partial = [&](size_t node, size_t lo, size_t mid) {
+  // Records a partially covered node over [lo, hi]; returns its right
+  // child.
+  auto partial = [&](size_t node, size_t lo, size_t mid, size_t hi) {
     const size_t right = node + 2 * (mid - lo + 1);
     MAXRS_DCHECK(depth < kMaxPathNodes);
-    path[depth++] = {node, right};
+    path[depth++] = {node, right, watch && lo <= read_hi && read_lo <= hi};
     return right;
   };
 
@@ -76,7 +86,7 @@ void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
   // Shared path: descend while the range lies inside one child.
   while (!(first <= lo && hi <= last)) {
     const size_t mid = lo + (hi - lo) / 2;
-    const size_t right = partial(node, lo, mid);
+    const size_t right = partial(node, lo, mid, hi);
     if (last <= mid) {
       node = node + 1, hi = mid;
     } else if (first > mid) {
@@ -87,7 +97,7 @@ void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
       size_t n = node + 1, l = lo, h = mid;
       while (first > l) {
         const size_t m = l + (h - l) / 2;
-        const size_t r = partial(n, l, m);
+        const size_t r = partial(n, l, m, h);
         if (first <= m) {
           cover(r);
           n = n + 1, h = m;
@@ -99,7 +109,7 @@ void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
       n = right, l = mid + 1, h = hi;
       while (h > last) {
         const size_t m = l + (h - l) / 2;
-        const size_t r = partial(n, l, m);
+        const size_t r = partial(n, l, m, h);
         if (last > m) {
           cover(n + 1);
           n = r, l = m + 1;
@@ -114,26 +124,41 @@ void SegmentTree::RangeAdd(size_t first, size_t last, double w) {
   cover(node);
   // Children were visited after their parents, so reverse order is bottom-up.
   while (depth > 0) {
-    --depth;
-    Pull(path[depth].node, path[depth].node + 1, path[depth].right);
+    const PathNode& p = path[--depth];
+    if (!p.read) {
+      Pull(p.node, p.node + 1, p.right);
+      continue;
+    }
+    const Node& n = nodes_[p.node];
+    const double before = memo_.want_max ? n.min : n.max;
+    Pull(p.node, p.node + 1, p.right);
+    if (!SameBits(before, memo_.want_max ? n.min : n.max)) {
+      memo_.valid = false;
+    }
   }
 }
 
 double SegmentTree::Max() const { return nodes_[0].max; }
 double SegmentTree::Min() const { return nodes_[0].min; }
 
-MaxRun SegmentTree::MaxInterval() const { return ExtremalInterval(true); }
-MaxRun SegmentTree::MinInterval() const { return ExtremalInterval(false); }
+MaxRun SegmentTree::MaxInterval() { return ExtremalInterval(true); }
+MaxRun SegmentTree::MinInterval() { return ExtremalInterval(false); }
 
-MaxRun SegmentTree::ExtremalInterval(bool want_max) const {
+MaxRun SegmentTree::ExtremalInterval(bool want_max) {
   const Node& root = nodes_[0];
   const double target = want_max ? root.max : root.min;
   const size_t first = want_max ? root.argmax : root.argmin;
+  if (memo_.valid && memo_.want_max == want_max &&
+      SameBits(memo_.run.value, target) && memo_.run.first == first) {
+    return memo_.run;
+  }
   const size_t end = first + 1 >= num_leaves_
                          ? num_leaves_
                          : FindFirstOutside(0, 0, num_leaves_ - 1, 0.0,
                                             first + 1, target, want_max);
-  return MaxRun{target, first, end - 1};
+  memo_ = Memo{true, want_max, MaxRun{target, first, end - 1}, first + 1,
+               std::min(end, num_leaves_ - 1)};
+  return memo_.run;
 }
 
 size_t SegmentTree::FindFirstOutside(size_t node, size_t lo, size_t hi,

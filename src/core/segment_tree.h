@@ -12,6 +12,19 @@
 // and its right child follows the left subtree's 2(mid-lo+1)-1 entries.
 // Every node also keeps the leftmost leaf attaining its max and its min, so
 // locating the leftmost extremal leaf costs O(1).
+//
+// The run's right end is a search for the first leaf past the root's arg
+// that falls below the root's max (rises above its min, for MinInterval).
+// That search reads only the root's value and arg, and the `add` and `min`
+// (`max`) of nodes whose range meets [arg + 1, end], where end is the leaf
+// it returns (the last leaf when it finds none). The tree remembers its last
+// result and that leaf range; a RangeAdd forgets them when its range meets
+// the leaf range or when it changes the bits of a read `min` (`max`) on its
+// recomputed path. Otherwise every value the search would read is
+// unchanged, so the remembered run is exactly what a new search returns,
+// and a query whose root value and arg also match returns it without
+// searching. Nothing about the nodes or the order of additions depends on
+// the memo, so every sum is bit-identical with or without it.
 #ifndef MAXRS_CORE_SEGMENT_TREE_H_
 #define MAXRS_CORE_SEGMENT_TREE_H_
 
@@ -47,12 +60,13 @@ class SegmentTree {
 
   /// Returns the leftmost maximal run of elementary intervals achieving
   /// Max(). "Maximal" means it cannot be extended right without dropping
-  /// below the maximum.
-  MaxRun MaxInterval() const;
+  /// below the maximum. Not const: it remembers its result (header
+  /// comment), and returns the remembered run while it is still exact.
+  MaxRun MaxInterval();
 
   /// Symmetric: the leftmost maximal run achieving Min(). Used by the MinRS
-  /// extension's min-objective sweep.
-  MaxRun MinInterval() const;
+  /// extension's min-objective sweep. Shares the one memo with MaxInterval.
+  MaxRun MinInterval();
 
   /// Number of elementary intervals the tree was built over.
   size_t num_leaves() const { return num_leaves_; }
@@ -77,10 +91,21 @@ class SegmentTree {
   size_t FindFirstOutside(size_t node, size_t lo, size_t hi, double acc,
                           size_t from, double target, bool want_max) const;
 
-  MaxRun ExtremalInterval(bool want_max) const;
+  MaxRun ExtremalInterval(bool want_max);
+
+  /// The last ExtremalInterval result and the leaves [read_lo, read_hi]
+  /// its search read (empty when read_lo > read_hi).
+  struct Memo {
+    bool valid = false;
+    bool want_max = true;
+    MaxRun run;
+    size_t read_lo = 1;
+    size_t read_hi = 0;
+  };
 
   size_t num_leaves_;
   std::vector<Node> nodes_;
+  Memo memo_;
 };
 
 }  // namespace maxrs

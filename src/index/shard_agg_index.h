@@ -19,8 +19,8 @@
 //
 // Upper-bound comparisons are exact when weights are exactly summable
 // (integers); with arbitrary reals the tree sum and the sweep sum may
-// differ in the last ulps — the same caveat the per-shard serve mode
-// already documents for bit-identity.
+// differ in the last ulps — the same caveat serve/maxrs_server.h already
+// documents for a served answer's bit-identity with one-shot.
 #ifndef MAXRS_INDEX_SHARD_AGG_INDEX_H_
 #define MAXRS_INDEX_SHARD_AGG_INDEX_H_
 

@@ -171,6 +171,33 @@ TEST(MinRSTest, ExternalMatchesInMemory) {
             external->total_weight);
 }
 
+// The region of the minimum spans its whole stratum: from where the
+// min-interval starts to where it next changes, not to the next sweep
+// event. A = (10, 10, -2) and B = (100, 13, 1) with 4 x 4 rects in the
+// box [10, 100] x [10, 13]: A's piece holds the minimum for y in [8, 12);
+// B's piece opens at y = 11 far to the right and leaves the min-interval
+// [10, 12) alone. The external pipeline forwards no tuple for such an
+// event, so a region cut at y = 11 would depend on the division tree.
+TEST(MinRSTest, RegionSpansTheWholeStratumOfTheMinimum) {
+  const std::vector<SpatialObject> objects = {{10, 10, -2.0}, {100, 13, 1.0}};
+  const MaxRSResult in_memory = MinRSInMemory(objects, 4, 4);
+  EXPECT_EQ(in_memory.total_weight, -2.0);
+  EXPECT_EQ(in_memory.region, (Rect{10, 12, 10, 12}));
+
+  auto env = NewMemEnv(512);
+  ASSERT_TRUE(WriteDataset(*env, "data", objects).ok());
+  for (const uint64_t base_max : {uint64_t{1}, uint64_t{16}}) {
+    MaxRSOptions options = SmallOptions(4);
+    options.fanout = 2;
+    options.base_case_max_pieces = base_max;  // 1: divides; 16: in memory
+    auto external = RunMinRS(*env, "data", options);
+    ASSERT_TRUE(external.ok()) << external.status().ToString();
+    EXPECT_EQ(external->total_weight, in_memory.total_weight);
+    EXPECT_EQ(external->region, in_memory.region) << "base_max " << base_max;
+    EXPECT_EQ(external->location, in_memory.location);
+  }
+}
+
 TEST(MinRSTest, EmptyAndDegenerateInputs) {
   auto env = NewMemEnv(512);
   ASSERT_TRUE(WriteDataset(*env, "empty", {}).ok());

@@ -11,6 +11,7 @@
 #include "baseline/baseline.h"
 #include "core/brute_force.h"
 #include "core/exact_maxrs.h"
+#include "core/extensions.h"
 #include "datagen/dataset_io.h"
 #include "io/env.h"
 #include "serve/dataset_handle.h"
@@ -328,6 +329,113 @@ TEST(MaxRSPrunedServeFuzzTest, PrunedAndUnprunedAgreeOnSkewedCorpus) {
   }
   EXPECT_GT(total_pruned, 0u)
       << "the skewed corpus never pruned a shard - the leg is vacuous";
+}
+
+// ---------------------------------------------------------------------------
+// Real-weight, tiny-rect corpus.
+//
+// Rects far smaller than the spacing of the points leave the extremal
+// interval alone at most sweep events, so base cases drop most of their
+// tuples as repeats of their predecessor, and a MergeSweep above them sees
+// far fewer events than PlaneSweep over all pieces. Weights are eighths:
+// not integers, zero or negative on the odd draws, yet every partial sum
+// is exact, so every division tree must give the same bits. The external
+// answers must equal the in-memory ones in weight, location and region,
+// and the served answer at 1, 3 and 8 shards must equal one-shot.
+// ---------------------------------------------------------------------------
+
+void ExpectSameRegion(const RankedRegion& a, const RankedRegion& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.total_weight, b.total_weight) << what;
+  EXPECT_EQ(a.location, b.location) << what;
+  EXPECT_EQ(a.region, b.region) << what;
+}
+
+void ExpectSameResult(const MaxRSResult& a, const MaxRSResult& b,
+                      const std::string& what) {
+  ExpectSameRegion({a.location, a.total_weight, a.region},
+                   {b.location, b.total_weight, b.region}, what);
+}
+
+TEST(MaxRSRealWeightFuzzTest, TinyRectsAgreeBitForBit) {
+  for (uint64_t index = 0; index < 12; ++index) {
+    SCOPED_TRACE("real-weight index " + std::to_string(index));
+    Rng rng(0xF0222000 + index);
+    const size_t n = 150 + rng.UniformU64(250);
+    const uint64_t extent = 200 + rng.UniformU64(400);
+    const double rect_w = static_cast<double>(1 + rng.UniformU64(8));
+    const double rect_h = static_cast<double>(1 + rng.UniformU64(8));
+    const bool mixed_sign = index % 2 == 1;
+    auto objects = testing::RandomIntObjects(n, extent, rng.NextU64());
+    for (SpatialObject& o : objects) {
+      const int64_t eighths =
+          static_cast<int64_t>(rng.UniformU64(mixed_sign ? 57 : 41)) -
+          (mixed_sign ? 16 : 0);
+      o.w = static_cast<double>(eighths) / 8.0;
+    }
+
+    auto env = NewMemEnv(512);
+    ASSERT_TRUE(WriteDataset(*env, "real_fuzz", objects).ok());
+    MaxRSOptions options;
+    options.rect_width = rect_w;
+    options.rect_height = rect_h;
+    options.memory_bytes = 8 << 10;
+    options.fanout = 2 + rng.UniformU64(5);
+    options.base_case_max_pieces = 4 + rng.UniformU64(40);
+    options.streaming_division = index % 3 == 0;
+
+    const MaxRSResult mem = ExactMaxRSInMemory(objects, rect_w, rect_h);
+    if (!mixed_sign) {
+      // The oracle tries rects whose left and bottom edges sit on objects,
+      // which finds the optimum only when no weight is negative.
+      EXPECT_EQ(mem.total_weight,
+                BruteForceMaxRS(objects, rect_w, rect_h).total_weight);
+    }
+    auto exact = RunExactMaxRS(*env, "real_fuzz", options);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    ExpectSameResult(*exact, mem, "RunExactMaxRS");
+    EXPECT_EQ(CoveredWeight(objects,
+                            Rect::Centered(exact->location, rect_w, rect_h)),
+              exact->total_weight);
+
+    auto top = RunTopKMaxRS(*env, "real_fuzz", options, 3);
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    const std::vector<RankedRegion> top_mem =
+        TopKMaxRSInMemory(objects, rect_w, rect_h, 3);
+    ASSERT_EQ(top->size(), top_mem.size());
+    for (size_t i = 0; i < top_mem.size(); ++i) {
+      ExpectSameRegion((*top)[i], top_mem[i],
+                       "RunTopKMaxRS rank " + std::to_string(i));
+    }
+
+    auto min_rs = RunMinRS(*env, "real_fuzz", options);
+    ASSERT_TRUE(min_rs.ok()) << min_rs.status().ToString();
+    const MaxRSResult min_mem = MinRSInMemory(objects, rect_w, rect_h);
+    ExpectSameResult(*min_rs, min_mem, "RunMinRS");
+    EXPECT_EQ(CoveredWeight(objects,
+                            Rect::Centered(min_rs->location, rect_w, rect_h)),
+              min_rs->total_weight);
+
+    for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+      DatasetHandleOptions ingest_options;
+      ingest_options.shard_count = shards;
+      ingest_options.memory_bytes = 64 << 10;
+      ingest_options.prefix = "real_fuzz_" + std::to_string(shards);
+      auto handle = DatasetHandle::Ingest(*env, "real_fuzz", ingest_options);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      ASSERT_EQ(handle->shards().size(), shards);
+      MaxRSServerOptions server_options;
+      server_options.memory_bytes = options.memory_bytes;
+      server_options.fanout = options.fanout;
+      server_options.base_case_max_pieces = options.base_case_max_pieces;
+      MaxRSServer server(*env, *handle, server_options);
+      auto served = server.Submit(rect_w, rect_h);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ExpectSameResult(*served, *exact,
+                       "served at " + std::to_string(shards) + " shards");
+      ASSERT_TRUE(handle->Drop().ok());
+    }
+  }
 }
 
 }  // namespace
