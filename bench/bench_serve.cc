@@ -2,14 +2,11 @@
 // MaxRSServer on a scripted workload of distinct rectangle sizes — cold
 // (every query executes the full per-query pipeline, "serve_cold") and
 // warm (every query is an LRU hit, "serve_warm") — at 1/2/8 workers,
-// emitted as BENCH_serve.json. A round pair re-runs the cold workload on a
-// clustered dataset served with its aggregate index ("serve_cold_pruned")
-// and re-opened without it ("serve_cold_unpruned"), so the perf history
-// tracks the block-transfer win of index-pruned serving where the bound
-// actually bites, and a batched round ("serve_cold_batched") tracks
-// the shared-scan amortization. Together with BENCH_micro.json this is the
-// repo's machine-readable perf trajectory (docs/BENCHMARKING.md;
-// compare_bench.py --plot renders it).
+// emitted as BENCH_serve.json. A clustered round re-runs the cold workload
+// on a weight-skewed dataset ("serve_cold_clustered"), and a batched round
+// ("serve_cold_batched") tracks the shared-scan amortization. Together
+// with BENCH_micro.json this is the repo's machine-readable perf
+// trajectory (docs/BENCHMARKING.md; compare_bench.py --plot renders it).
 //
 // Flags:
 //   --n=250000         dataset cardinality (uniform data)
@@ -21,8 +18,8 @@
 //   --seed=N           dataset seed
 //
 // The bench asserts the serve contract on live data: per-query results are
-// identical at every worker count, batch size, index presence, and cache
-// state, and a warm round performs zero block transfers.
+// identical at every worker count, batch size, and cache state, and a
+// warm round performs zero block transfers.
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -56,12 +53,10 @@ std::vector<std::pair<double, double>> MakeWorkload(size_t count) {
   return rects;
 }
 
-// Skewed dataset for the pruning rounds: half the mass sits in one
+// Skewed dataset for the clustered round: half the mass sits in one
 // rect-sized cluster near the domain's far end, the rest spreads uniformly
 // — so whole x-slabs away from the cluster hold less total weight than one
-// well-placed rect captures. That is the regime where the aggregate-index
-// upper bound genuinely skips shards; on uniform data every slab weighs
-// about the same and the bound (correctly) prunes nothing.
+// well-placed rect captures.
 std::vector<SpatialObject> MakeClustered(uint64_t n, uint64_t seed) {
   std::vector<SpatialObject> objects = MakeDistribution("uniform", n, seed);
   for (size_t i = 0; i < objects.size(); i += 2) {
@@ -241,20 +236,14 @@ int main(int argc, char** argv) {
                        kBufferSynthetic, per_query, io, weights[0]});
   }
 
-  // Pruning round: the same serve pipeline on the clustered dataset, where
-  // the aggregate-index bound genuinely bites. The workload mixes selective
-  // rects with one full-extent rect (whose expanded window reaches every
-  // shard, so no bound can prune it — it must still come back exact). Each
-  // worker count runs an un-pruned round first — the same dataset re-opened
-  // without its index file, so every shard bound is +inf and every shard is
-  // routed and solved — then the pruned round over the ingest handle,
-  // pinning bit-identical weights and monotone block counts on live data;
-  // the committed serve_cold_pruned / serve_cold_unpruned baselines make
-  // the pruning win a tracked number.
+  // Clustered round: the same cold serve pipeline on the skewed dataset.
+  // The workload mixes selective rects with one full-extent rect (whose
+  // window reaches every shard), and the weights must match across worker
+  // counts.
   const auto clustered = MakeClustered(n, seed);
-  auto pruned_rects = MakeWorkload(num_queries);
-  pruned_rects[0] = {1e6, 1e6};
-  std::vector<double> pruned_reference;
+  auto clustered_rects = MakeWorkload(num_queries);
+  clustered_rects[0] = {1e6, 1e6};
+  std::vector<double> clustered_reference;
   for (uint64_t t : thread_counts) {
     const size_t workers = static_cast<size_t>(t);
     auto env = NewMemEnv(kBlockSize);
@@ -266,63 +255,35 @@ int main(int argc, char** argv) {
     ingest_options.num_threads = workers;
     auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
     MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
-    // The ingest handle keeps the index it loaded; only the re-open lacks it.
-    MAXRS_CHECK_OK(env->Delete(handle->prefix() + "/agg_index"));
-    auto unindexed = DatasetHandle::Open(*env, handle->prefix());
-    MAXRS_CHECK_MSG(unindexed.ok() && unindexed->agg_index() == nullptr,
-                    "index-less re-open failed");
 
-    MaxRSServerOptions base_options;
-    base_options.num_workers = workers;
-    base_options.memory_bytes = kBufferSynthetic;
-    base_options.cache_entries = 0;  // cold by construction
-    base_options.cache_max_extent_fraction = 1.0;
-
-    uint64_t unpruned_io = 0;
-    for (const bool prune : {false, true}) {
-      MaxRSServer server(*env, prune ? *handle : *unindexed, base_options);
-      const IoStatsSnapshot before = env->stats().Snapshot();
-      double wall = 0.0;
-      const std::vector<double> weights =
-          RunRound(server, pruned_rects, workers, &wall);
-      const IoStatsSnapshot delta = env->stats().Snapshot() - before;
-      const uint64_t io = delta.total();
-
-      // The pruning contract, checked on live data: identical answers,
-      // never more block transfers, and on this skewed dataset the bound
-      // must actually skip shards (a silently inert index would otherwise
-      // make this round meaningless).
-      if (pruned_reference.empty()) {
-        pruned_reference = weights;
-      } else {
-        MAXRS_CHECK_MSG(weights == pruned_reference,
-                        "pruning or worker count changed a result");
-      }
-      if (!prune) {
-        unpruned_io = io;
-        MAXRS_CHECK_MSG(delta.shards_pruned == 0,
-                        "un-pruned round reported pruned shards");
-      } else {
-        MAXRS_CHECK_MSG(io <= unpruned_io,
-                        "pruned round moved more blocks than un-pruned");
-        if (shard_count >= 4) {
-          MAXRS_CHECK_MSG(delta.shards_pruned > 0,
-                          "aggregate index pruned nothing on clustered data");
-        }
-      }
-
-      const double per_query = wall / static_cast<double>(pruned_rects.size());
-      std::printf("%-12s%10zu%12.1f%14.6f%16" PRIu64 "%16" PRIu64 "\n",
-                  prune ? "cold_pruned" : "cold_unprun", workers,
-                  wall > 0.0
-                      ? static_cast<double>(pruned_rects.size()) / wall
-                      : 0.0,
-                  per_query, io / pruned_rects.size(), io);
-      records.push_back({"bench_serve",
-                         prune ? "serve_cold_pruned" : "serve_cold_unpruned",
-                         "clustered", n, workers, kBufferSynthetic, per_query,
-                         io, weights[0]});
+    MaxRSServerOptions options;
+    options.num_workers = workers;
+    options.memory_bytes = kBufferSynthetic;
+    options.cache_entries = 0;  // cold by construction
+    options.cache_max_extent_fraction = 1.0;
+    MaxRSServer server(*env, *handle, options);
+    const IoStatsSnapshot before = env->stats().Snapshot();
+    double wall = 0.0;
+    const std::vector<double> weights =
+        RunRound(server, clustered_rects, workers, &wall);
+    const uint64_t io = (env->stats().Snapshot() - before).total();
+    if (clustered_reference.empty()) {
+      clustered_reference = weights;
+    } else {
+      MAXRS_CHECK_MSG(weights == clustered_reference,
+                      "worker count changed a clustered result");
     }
+
+    const double per_query =
+        wall / static_cast<double>(clustered_rects.size());
+    std::printf("%-12s%10zu%12.1f%14.6f%16" PRIu64 "%16" PRIu64 "\n",
+                "cold_clust", workers,
+                wall > 0.0
+                    ? static_cast<double>(clustered_rects.size()) / wall
+                    : 0.0,
+                per_query, io / clustered_rects.size(), io);
+    records.push_back({"bench_serve", "serve_cold_clustered", "clustered", n,
+                       workers, kBufferSynthetic, per_query, io, weights[0]});
   }
 
   if (!WriteBenchJson(json_path, records)) return 1;

@@ -242,13 +242,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counters.corruptions),
               static_cast<unsigned long long>(io.reads_retried),
               static_cast<unsigned long long>(io.writes_retried));
-  const bool bounded = handle->agg_index() != nullptr &&
-                       handle->agg_index()->pruning_safe();
-  std::printf("pruning: %llu shards pruned at plan time, %llu skipped by "
-              "bound%s\n",
-              static_cast<unsigned long long>(io.shards_pruned),
-              static_cast<unsigned long long>(io.bound_skips),
-              bounded ? "" : " (no usable aggregate index: every bound +inf)");
   if (server_options.buffer_pool_bytes > 0) {
     const BufferPoolStats pool = server.pool_stats();
     std::printf("buffer pool: %llu hits (free), %llu misses, "

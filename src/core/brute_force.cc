@@ -7,14 +7,26 @@ namespace maxrs {
 BruteForceResult BruteForceMaxRS(const std::vector<SpatialObject>& objects,
                                  double rect_width, double rect_height) {
   BruteForceResult best;
+  std::vector<SpatialObject> column;  // objects inside the current x-range
   for (const SpatialObject& ax : objects) {
-    for (const SpatialObject& ay : objects) {
-      // Rectangle with left edge at ax.x and bottom edge at ay.y.
-      const Rect rect{ax.x, ax.x + rect_width, ay.y, ay.y + rect_height};
-      const double sum = CoveredWeight(objects, rect);
-      if (sum > best.total_weight) {
-        best.total_weight = sum;
-        best.location = rect.center();
+    for (const double x_lo : {ax.x, ax.x - rect_width}) {
+      const double x_hi = x_lo + rect_width;
+      column.clear();
+      for (const SpatialObject& o : objects) {
+        if (o.x >= x_lo && o.x < x_hi) column.push_back(o);
+      }
+      // Only the column's objects can change the covered set in y.
+      for (const SpatialObject& ay : column) {
+        for (const double y_lo : {ay.y, ay.y - rect_height}) {
+          const Rect rect{x_lo, x_hi, y_lo, y_lo + rect_height};
+          // Same objects in the same order as over all of `objects`, so the
+          // same sum bits.
+          const double sum = CoveredWeight(column, rect);
+          if (sum > best.total_weight) {
+            best.total_weight = sum;
+            best.location = rect.center();
+          }
+        }
       }
     }
   }

@@ -1,11 +1,16 @@
 // Brute-force MaxRS oracle for testing.
 //
-// The optimum of the MaxRS problem is always attained by a placement whose
-// rectangle has some object on its left edge x and some object on its bottom
-// edge y (slide any optimal rectangle left/down until its low edges hit
-// objects; with half-open cover semantics the covered set never shrinks).
-// Enumerating all O(n^2) such candidate placements and scanning the objects
-// for each is O(n^3) — fine as a test oracle for small n.
+// Under half-open cover semantics a rectangle with left edge L covers the
+// objects with o.x - w < L <= o.x, so the set of covered x-positions only
+// changes where L crosses some o.x or some o.x - w. Between consecutive such
+// breakpoints it is constant on a half-open piece (p_i, p_i+1], and the
+// piece's right end p_i+1 is itself a breakpoint. Bottom edges behave the
+// same way with o.y and o.y - h. Trying every left edge in {o.x, o.x - w}
+// and every bottom edge in {o.y, o.y - h} therefore reaches every covered
+// set, whatever the sign of the weights (with non-negative weights the
+// edges on objects alone would do). Candidates are O(n^2); each one sums
+// only the objects its left edge already covers — fine as a test oracle
+// for small n.
 #ifndef MAXRS_CORE_BRUTE_FORCE_H_
 #define MAXRS_CORE_BRUTE_FORCE_H_
 

@@ -178,8 +178,8 @@ class Driver {
       }
     }
 
-    // Pass 3: the streamed division. Per-child piece channels consumed by
-    // the recursive child solves while this thread routes into them.
+    // Pass 3: the streamed division. Per-child piece channels, filled by
+    // this node's routing and then drained by the recursive child solves.
     std::vector<std::unique_ptr<RecordChannel<PieceRecord>>> channels;
     channels.reserve(num_children);
     for (size_t k = 0; k < num_children; ++k) {
@@ -227,48 +227,28 @@ class Driver {
       return st;
     };
 
+    // Route first, then solve the children in order: a child solve reading
+    // a channel that is still open would park forever, while closed
+    // channels act as deterministic buffers.
     std::vector<std::string> child_slab_files(num_children);
-    Status route_status;
-    Status child_status;
-    {
-      TaskGroup group(pool_);
-      auto submit_children = [&] {
-        for (size_t k = 0; k < num_children; ++k) {
-          group.Run([this, k, &channels, &child_slab_files, &child_edge_files,
-                     &ranges, depth]() -> Status {
-            core_internal::EdgeFileProvider provider =
-                [&child_edge_files, k]() -> Result<std::string> {
-              return {child_edge_files[k]};
-            };
-            auto slab_or = SolveToFile([&](RecordSink<SlabTuple>* sink) {
-              return StreamSolve(channels[k].get(), provider, ranges[k],
-                                 depth + 1, sink);
-            });
-            if (!slab_or.ok()) return slab_or.status();
-            child_slab_files[k] = std::move(slab_or).value();
-            return Status::OK();
-          });
-        }
+    Status st = route_and_close();
+    for (size_t k = 0; st.ok() && k < num_children; ++k) {
+      core_internal::EdgeFileProvider provider =
+          [&child_edge_files, k]() -> Result<std::string> {
+        return {child_edge_files[k]};
       };
-      if (pool_ == nullptr) {
-        // Serial: a Run() executes inline and would park forever on an
-        // open channel, so route first (the closed channels then act as
-        // deterministic buffers) and solve the children afterwards.
-        route_status = route_and_close();
-        if (route_status.ok()) submit_children();
+      auto slab_or = SolveToFile([&](RecordSink<SlabTuple>* sink) {
+        return StreamSolve(channels[k].get(), provider, ranges[k], depth + 1,
+                           sink);
+      });
+      if (slab_or.ok()) {
+        child_slab_files[k] = std::move(slab_or).value();
       } else {
-        // Parallel: children first — they start solving the moment their
-        // first records arrive — then feed them from this thread. The
-        // producer (this thread) is running and never blocks, so parked
-        // consumers always make progress (record_stream.h, "Threading").
-        submit_children();
-        route_status = route_and_close();
+        st = slab_or.status();
       }
-      child_status = group.Wait();
     }
     for (const std::string& f : child_edge_files) temps_.Release(f);
-    MAXRS_RETURN_IF_ERROR(route_status);
-    MAXRS_RETURN_IF_ERROR(child_status);
+    MAXRS_RETURN_IF_ERROR(st);
 
     MAXRS_RETURN_IF_ERROR(
         MergeChildFiles(ranges, child_slab_files, span_file, num_spans, out));
@@ -455,27 +435,6 @@ Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
                  ThreadPool* pool, RecordSink<SlabTuple>* out) {
   MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
   Driver driver(env, temps, options, stats, pool);
-  if (options.streaming_division) {
-    // Stream the piece file through the channel-based division instead of
-    // materializing per-child piece files. Results, stats, and division
-    // decisions are bit-identical to the materialized path below.
-    Status st = [&]() -> Status {
-      MAXRS_ASSIGN_OR_RETURN(
-          FileRecordSource<PieceRecord> source,
-          FileRecordSource<PieceRecord>::Make(env, input.piece_file));
-      core_internal::EdgeFileProvider provider =
-          [&input]() -> Result<std::string> { return {input.edge_file}; };
-      return driver.StreamSolve(&source, provider, input.x_range, /*depth=*/0,
-                                out);
-    }();
-    // The source is closed before the inputs are released; the edge file is
-    // owned by the caller's temp manager, so release both here as Solve does.
-    if (st.ok()) {
-      temps.Release(input.piece_file);
-      temps.Release(input.edge_file);
-    }
-    return st;
-  }
   return driver.Solve(input.piece_file, input.edge_file, input.x_range,
                       input.num_pieces, /*depth=*/0, out);
 }
@@ -484,10 +443,9 @@ Status SolveSlabStream(Env& env, TempFileManager& temps,
                        RecordSource<PieceRecord>* pieces,
                        const EdgeFileProvider& edge_provider,
                        const Interval& x_range, const MaxRSOptions& options,
-                       MaxRSStats* stats, ThreadPool* pool,
-                       RecordSink<SlabTuple>* out) {
+                       MaxRSStats* stats, RecordSink<SlabTuple>* out) {
   MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
-  Driver driver(env, temps, options, stats, pool);
+  Driver driver(env, temps, options, stats, /*pool=*/nullptr);
   return driver.StreamSolve(pieces, edge_provider, x_range, /*depth=*/0, out);
 }
 

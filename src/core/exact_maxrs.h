@@ -74,23 +74,13 @@ struct MaxRSOptions {
   /// from core/extensions.h rather than setting this directly.
   SweepObjective objective = SweepObjective::kMaximize;
 
-  /// Zero-materialization division (io/record_stream.h): route each
-  /// recursion node's pieces into per-child SPSC channels consumed by the
-  /// child solves directly — children start solving while the parent is
-  /// still routing — instead of materializing per-child piece files. A
-  /// channel spills to a scratch file only beyond stream_channel_bytes.
-  /// Results, stats counters, and division decisions are bit-identical to
-  /// the materialized path; only the I/O schedule (and count) changes.
-  /// Off by default: the materialized path remains the reference block
-  /// schedule that the determinism goldens pin.
-  bool streaming_division = false;
-
-  /// Per-channel in-memory cap (bytes) for streaming_division's child
-  /// piece channels. A node's resident routing memory is bounded by
-  /// fanout x min(cap, child size); records beyond the cap spill to one
-  /// scratch file per channel, deterministically (a pure function of the
-  /// routed records and the cap — never of scheduling). 0 spills
-  /// everything (the fully-external schedule); SIZE_MAX never spills.
+  /// Per-channel in-memory cap (bytes) for the child piece channels of
+  /// SolveSlabStream's division (the serve layer's per-shard solves). A
+  /// node's resident routing memory is bounded by fanout x min(cap, child
+  /// size); records beyond the cap spill to one scratch file per channel,
+  /// deterministically (a pure function of the routed records and the cap
+  /// — never of scheduling). 0 spills everything (the fully-external
+  /// schedule); SIZE_MAX never spills.
   size_t stream_channel_bytes = 1 << 20;
 
   /// Optional cooperative cancellation (util/cancel.h), not owned; must
@@ -217,13 +207,13 @@ using EdgeFileProvider = std::function<Result<std::string>()>;
 /// Appends the slab's tuples to `out` (not closed here), exactly as
 /// SolveSlab does. Results and stats counters are bit-identical to
 /// SolveSlab over a file holding the same stream. `options` is validated.
-/// `pool` parallelizes child sub-slabs (null = serial).
+/// Serial: each node routes all of its pieces, then solves its children
+/// in order.
 Status SolveSlabStream(Env& env, TempFileManager& temps,
                        RecordSource<PieceRecord>* pieces,
                        const EdgeFileProvider& edge_provider,
                        const Interval& x_range, const MaxRSOptions& options,
-                       MaxRSStats* stats, ThreadPool* pool,
-                       RecordSink<SlabTuple>* out);
+                       MaxRSStats* stats, RecordSink<SlabTuple>* out);
 
 /// Streams the tuples of the *root* slab (y-ascending) produced by a full
 /// ExactMaxRS pipeline run to `visit`, straight from the root sweep — no
@@ -250,9 +240,8 @@ class TopTupleTracker {
   /// it. This is what lets the tuple streams differ in their repeats and
   /// still give one answer: the base case forwards only tuples that differ
   /// from their predecessor, so a MergeSweep above it emits fewer repeats
-  /// than PlaneSweep over the same pieces, and pruned serving schedules
-  /// drop events from shards that never held the optimum. Either can merge
-  /// such splits but never move a run's boundaries.
+  /// than PlaneSweep over the same pieces. That can merge such splits but
+  /// never move a run's boundaries.
   void Visit(const SlabTuple& t);
   /// Closes the stream and returns the k best regions, best first.
   std::vector<RankedRegion> Finish();

@@ -50,10 +50,9 @@ namespace maxrs {
 /// streams were built with.
 ///
 /// A null child is *known-empty*: it costs nothing and sweeps exactly like
-/// an empty stream (base 0, interval = its range). The serve layer's
-/// index-pruned execution passes null for shards it proved cannot contain
-/// the optimum, keeping the adjacent-ranges contract (and span child
-/// indices) intact without producing anything for skipped shards.
+/// an empty stream (base 0, interval = its range), keeping the
+/// adjacent-ranges contract (and span child indices) intact for a caller
+/// that has no stream for some child.
 ///
 /// Every child is read at most once, front to back, and `output` receives
 /// each tuple exactly once, in y order; `output` is not closed (its owner

@@ -120,25 +120,6 @@ struct SlabTuple {
   double sum;
 };
 
-/// Running maximum of slab-tuple sums, folded in as a slab's tuples are
-/// emitted (base case and MergeSweep alike) so callers never pay a counted
-/// re-scan to learn a slab's best achievable weight. The serve layer's
-/// index-pruned execution uses it as the branch-and-bound incumbent: any
-/// shard whose weight upper bound cannot beat a known SlabBest is skipped.
-/// Maximize objective only.
-struct SlabBest {
-  bool has_value = false;
-  double sum = 0.0;
-
-  /// Folds one tuple sum into the running maximum.
-  void Offer(double s) {
-    if (!has_value || s > sum) {
-      sum = s;
-      has_value = true;
-    }
-  }
-};
-
 }  // namespace maxrs
 
 #endif  // MAXRS_CORE_RECORDS_H_

@@ -9,18 +9,10 @@ namespace maxrs {
 
 ShardAggIndex::ShardAggIndex(std::vector<ShardAgg> shards)
     : shards_(std::move(shards)) {
-  pruning_safe_ = true;
   for (const ShardAgg& s : shards_) {
     total_count_ += s.count;
     total_weight_ += s.weight;
-    // Empty shards are vacuously safe: their +inf min_weight is a
-    // placeholder, not a weight.
-    if (s.count > 0 &&
-        (!std::isfinite(s.weight) || !(s.min_weight >= 0.0))) {
-      pruning_safe_ = false;
-    }
   }
-  if (!std::isfinite(total_weight_)) pruning_safe_ = false;
   if (!shards_.empty()) {
     nodes_.resize(4 * shards_.size());
     BuildNode(1, 0, shards_.size());

@@ -5,22 +5,14 @@
 // entry) specialized to the shard grid, in the spirit of agg_rtree.h but
 // tiny enough to live in memory for the server's lifetime.
 //
-// The serve layer uses it two ways (docs/ARCHITECTURE.md, "Index-pruned
-// serving"):
-//   - WindowWeight(lo, hi) is a sound upper bound on the weight any rect
-//     placement inside an x-window can cover: every object that could
-//     contribute lives in a shard whose MBR intersects the window, and
-//     weights are non-negative when pruning_safe(). Shards whose bound
-//     cannot beat the best weight already found are never routed or solved.
-//   - The per-shard aggregates are persisted next to the manifest
-//     (DatasetHandle, format v3) and validated on open. Without a usable
-//     index — corrupt, missing, or not pruning_safe() — the server bounds
-//     every shard at +inf and prunes nothing: never a wrong answer.
-//
-// Upper-bound comparisons are exact when weights are exactly summable
-// (integers); with arbitrary reals the tree sum and the sweep sum may
-// differ in the last ulps — the same caveat serve/maxrs_server.h already
-// documents for a served answer's bit-identity with one-shot.
+// The per-shard aggregates are persisted next to the manifest
+// (DatasetHandle, format v3) and validated on open (docs/ARCHITECTURE.md,
+// "Aggregate shard index"). The serve executor does not read the index:
+// every query routes and solves every shard. WindowWeight(lo, hi) — the
+// total weight of the shards whose x-MBR meets an x-window, an upper bound
+// on what any rect placement inside that window can cover when weights
+// are non-negative — is timed by perfbench's `index.window_weight_us`
+// kernel.
 #ifndef MAXRS_INDEX_SHARD_AGG_INDEX_H_
 #define MAXRS_INDEX_SHARD_AGG_INDEX_H_
 
@@ -96,11 +88,6 @@ class ShardAggIndex {
   uint64_t total_count() const { return total_count_; }
   double total_weight() const { return total_weight_; }
 
-  /// Whether weight upper bounds are sound for branch-and-bound: every
-  /// weight finite and non-negative (a negative weight lets a skipped
-  /// object *raise* another placement's sum, breaking UB monotonicity).
-  bool pruning_safe() const { return pruning_safe_; }
-
   /// Total weight of all shards whose x-MBR (closed) intersects the closed
   /// window [lo, hi] — an upper bound on the weight coverable by any rect
   /// placement whose x-extent is [lo, hi]. Descends the aggregate tree:
@@ -108,12 +95,6 @@ class ShardAggIndex {
   /// contribute nothing, straddling nodes recurse (deterministic grouping,
   /// left to right).
   double WindowWeight(double lo, double hi) const;
-
-  /// Whether shard `i`'s x-MBR (closed) intersects the closed [lo, hi].
-  bool Intersects(size_t i, double lo, double hi) const {
-    const ShardAgg& s = shards_[i];
-    return s.x_lo <= hi && lo <= s.x_hi;
-  }
 
  private:
   struct Node {
@@ -130,7 +111,6 @@ class ShardAggIndex {
   std::vector<Node> nodes_;  // implicit binary tree, 1-based heap layout
   uint64_t total_count_ = 0;
   double total_weight_ = 0.0;
-  bool pruning_safe_ = false;
 };
 
 }  // namespace maxrs

@@ -23,14 +23,12 @@ struct IoStatsSnapshot {
   /// checksummed blocks").
   uint64_t reads_retried = 0;
   uint64_t writes_retried = 0;
-  /// Work *avoided* by the aggregate shard index (serve/maxrs_server.cc).
-  /// `shards_pruned` counts shards never routed or solved because their
-  /// weight upper bound could not beat the best candidate found before
-  /// routing; `bound_skips` counts shards whose routed input was discarded
-  /// unsolved because a better candidate arrived mid-query. Neither is a
-  /// block transfer, so neither contributes to total() — they annotate why
-  /// blocks_read is *lower* than routing and solving every shard
-  /// (docs/IO_MODEL.md, "Index-pruned serving").
+  /// Work *avoided* by a serve-time filter: `shards_pruned` counts shards
+  /// never routed or solved, `bound_skips` shards whose routed input was
+  /// discarded unsolved. The serve executor routes and solves every shard,
+  /// so it records neither today; the counters, their recorders and their
+  /// wire keys stay for the next filter that skips work. Neither is a
+  /// block transfer, so neither contributes to total().
   uint64_t shards_pruned = 0;
   uint64_t bound_skips = 0;
   /// Source-shard scans *not performed* because batched execution

@@ -13,8 +13,7 @@
 // dataset files after ingest publishes them). Everything else — query temp
 // files, spill channels, sort runs — passes straight through to the base
 // Env untouched, so enabling the pool cannot perturb any write path.
-// Accounting is covered in docs/IO_MODEL.md, "Index-pruned serving and the
-// shared buffer pool".
+// Accounting is covered in docs/IO_MODEL.md, "The shared buffer pool".
 #ifndef MAXRS_IO_POOLED_ENV_H_
 #define MAXRS_IO_POOLED_ENV_H_
 

@@ -350,8 +350,8 @@ Result<DatasetHandle> DatasetHandle::Open(Env& env, const std::string& prefix) {
   if (have_index_descriptor) {
     // A promised aggregate index that fails to open or validate degrades
     // the handle, never the dataset: the handle opens with a null index
-    // and records why in index_status(), and the server serves un-pruned.
-    // Pruning is an optimization; the shard files alone are the truth.
+    // and records why in index_status(). The server's execution never
+    // reads the index, and the shard files alone are the truth.
     handle.index_status_ = [&]() -> Status {
       if (index_version != kShardAggFormatVersion) {
         return Status::NotSupported("aggregate index format version " +

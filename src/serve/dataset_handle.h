@@ -180,9 +180,8 @@ class DatasetHandle {
 
   /// The aggregate shard index (per-shard MBR + weight aggregates), or
   /// nullptr when the dataset has none: pre-v3 manifests, and v3 datasets
-  /// whose index file failed to open or validate. A null index only costs
-  /// pruning — MaxRSServer bounds every shard at +inf, so it routes and
-  /// solves every shard, and the answers are unchanged.
+  /// whose index file failed to open or validate. MaxRSServer's execution
+  /// never reads it, so a null index changes no answer and no block count.
   const ShardAggIndex* agg_index() const { return agg_index_.get(); }
 
   /// Why agg_index() is null when the manifest promised one: kCorruption /

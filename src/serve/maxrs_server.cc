@@ -94,11 +94,9 @@ class JoinLatch {
 // file, since the division's bounds pass reads the edges twice); a
 // base-case shard abandons the column untouched — what those channels
 // buffered or spilled is a pure function of the routed records, so block
-// counts stay deterministic. Callers pass exactly the rows they actually
-// routed (never-routed rows are dropped — their channels never close,
-// waiting on them would hang, and by construction they could only have
-// carried empty streams, so dropping them leaves the merged stream
-// byte-identical), with each row's two sorted edge half-streams.
+// counts stay deterministic. Callers pass every source row in ascending
+// order (the canonical merge order), with each row's two sorted edge
+// half-streams.
 Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                std::vector<RecordSource<PieceRecord>*>
                                    piece_column,
@@ -139,30 +137,11 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
 
   Status st = core_internal::SolveSlabStream(env, temps, &stream,
                                              edge_provider, slab, options,
-                                             stats, /*pool=*/nullptr, out);
+                                             stats, out);
   // The provider's creator owns the drained edge file (exact_maxrs.h).
   if (!edge_file.empty()) temps.Release(edge_file);
   return st;
 }
-
-// Forwards a shard's tuples to its slab channel, folding each sum into the
-// query's best (core/records.h SlabBest) on the way: the branch-and-bound
-// incumbent, with no re-scan.
-class ShardTupleSink final : public RecordSink<SlabTuple> {
- public:
-  ShardTupleSink(RecordSink<SlabTuple>* out, SlabBest* best)
-      : out_(out), best_(best) {}
-
-  Status Append(const SlabTuple& t) override {
-    best_->Offer(t.sum);
-    return out_->Append(t);
-  }
-  Status Close(const Status& status) override { return out_->Close(status); }
-
- private:
-  RecordSink<SlabTuple>* out_;
-  SlabBest* best_;
-};
 
 // One query of a batch, in batch order.
 struct BatchQuery {
@@ -190,7 +169,6 @@ class BatchChannels {
     edges_right_.reserve(num_queries * num_shards * num_shards);
     spans_.reserve(num_queries * num_shards);
     slabs_.reserve(num_queries * num_shards);
-    solved_.assign(num_queries * num_shards, 0);
     for (size_t q = 0; q < num_queries; ++q) {
       const std::string qtag = "b" + std::to_string(q) + "_";
       for (size_t s = 0; s < num_shards; ++s) {
@@ -225,38 +203,32 @@ class BatchChannels {
     return spans_[q * num_shards_ + s].get();
   }
 
-  // The tuples of query q's target shard t, or null — a known-empty child
-  // of the combine — if the shard was never solved (pruned or skipped).
-  // Read only after every solve of the query has joined, so a non-null
-  // channel is closed and the read never blocks.
+  // The tuples of query q's target shard t. Read only after every solve
+  // of the query has joined, so the channel is closed and the read never
+  // blocks.
   RecordSource<SlabTuple>* solved_tuples(size_t q, size_t t) {
-    const size_t i = q * num_shards_ + t;
-    return solved_[i] ? slabs_[i].get() : nullptr;
+    return slabs_[q * num_shards_ + t].get();
   }
 
-  // Solves query q's target shard t from the given routed source rows, in
-  // ascending order — the canonical merge order — into the shard's slab
-  // channel, and closes that channel with the solve's final status on
-  // every path. `best_out` receives the maximum tuple sum.
+  // Solves query q's target shard t from every source row, in ascending
+  // order — the canonical merge order — into the shard's slab channel, and
+  // closes that channel with the solve's final status on every path.
   Status SolveTarget(Env& env, TempFileManager& temps, size_t q, size_t t,
-                     const std::vector<size_t>& rows, const Interval& slab,
-                     const MaxRSOptions& options, MaxRSStats* stats,
-                     SlabBest* best_out) {
+                     const Interval& slab, const MaxRSOptions& options,
+                     MaxRSStats* stats) {
     std::vector<RecordSource<PieceRecord>*> piece_column;
     std::vector<RecordSource<EdgeRecord>*> edge_column;
-    piece_column.reserve(rows.size());
-    edge_column.reserve(2 * rows.size());
-    for (size_t s : rows) {
+    piece_column.reserve(num_shards_);
+    edge_column.reserve(2 * num_shards_);
+    for (size_t s = 0; s < num_shards_; ++s) {
       piece_column.push_back(piece(q, s, t));
       edge_column.push_back(edge_left(q, s, t));
       edge_column.push_back(edge_right(q, s, t));
     }
-    const size_t i = q * num_shards_ + t;
-    solved_[i] = 1;
-    ShardTupleSink out(slabs_[i].get(), best_out);
-    return out.Close(SolveTargetShardColumns(
+    RecordChannel<SlabTuple>* out = slabs_[q * num_shards_ + t].get();
+    return out->Close(SolveTargetShardColumns(
         env, temps, std::move(piece_column), std::move(edge_column), slab,
-        options, stats, &out));
+        options, stats, out));
   }
 
  private:
@@ -266,7 +238,6 @@ class BatchChannels {
   std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_right_;
   std::vector<std::unique_ptr<RecordChannel<SpanRecord>>> spans_;
   std::vector<std::unique_ptr<RecordChannel<SlabTuple>>> slabs_;
-  std::vector<char> solved_;  // per (query, target): SolveTarget ran
 };
 
 // Phase A for source shard `source`: ONE pass over the shard's y-file
@@ -406,33 +377,28 @@ void ForEachLiveQuery(ThreadPool* pool, std::vector<Status>* per_query,
   }
 }
 
-// Folds the first routing failure among `sources` into every still-OK
-// query: the scan was shared, so every query genuinely read from the
-// failed pass.
+// Folds the first routing failure into every still-OK query: the scan was
+// shared, so every query genuinely read from the failed pass.
 void FoldRoutingFailure(const std::vector<Status>& producer_status,
-                        const std::vector<size_t>& sources,
                         std::vector<Status>* per_query) {
-  for (size_t s : sources) {
-    if (producer_status[s].ok()) continue;
+  for (const Status& routed : producer_status) {
+    if (routed.ok()) continue;
     for (Status& st : *per_query) {
-      if (st.ok()) st = producer_status[s];
+      if (st.ok()) st = routed;
     }
     return;
   }
 }
 
 // Phase C of query q, once every solve of q has joined: drain the span
-// channels of the routed `rows` (all closed by now — they act as
+// channels of every source row (all closed by now — they act as
 // deterministic buffers) into one SpanYLess-merged span file, and run the
-// cross-shard MergeSweep over ALL shard ranges — shards the execution
-// pruned or skipped are null, known-empty children (zero I/O) — from
-// the shards' slab channels straight into the answer tracker. A
-// single-shard dataset has no cross-shard combine: its one shard's tuples
-// are the root. Stats fold the per-shard blocks (skipped and empty shards'
-// untouched blocks fold as zeros).
+// cross-shard MergeSweep over every shard range from the shards' slab
+// channels straight into the answer tracker. A single-shard dataset has no
+// cross-shard combine: its one shard's tuples are the root. Stats fold the
+// per-shard blocks (an empty shard's untouched block folds as zeros).
 Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
                                   BatchChannels& channels, size_t q,
-                                  const std::vector<size_t>& rows,
                                   const std::vector<Interval>& ranges,
                                   const std::vector<MaxRSStats>& shard_stats,
                                   uint64_t num_objects,
@@ -447,7 +413,6 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
     children[t] = channels.solved_tuples(q, t);
   }
   if (num_shards == 1) {
-    // The one shard is the seed, and the seed is always solved.
     SlabTuple t{};
     while (children[0]->Next(&t)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
@@ -458,8 +423,10 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
     std::string span_file = temps.NewName("q_spans");
     Status st = [&]() -> Status {
       std::vector<RecordSource<SpanRecord>*> span_sources;
-      span_sources.reserve(rows.size());
-      for (size_t s : rows) span_sources.push_back(channels.span(q, s));
+      span_sources.reserve(num_shards);
+      for (size_t s = 0; s < num_shards; ++s) {
+        span_sources.push_back(channels.span(q, s));
+      }
       MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
           std::move(span_sources), &SpanYLess);
       MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> writer,
@@ -555,92 +522,7 @@ void FinishBatch(Env& env, TempFileManager& temps,
   if (any_failed) temps.ReleaseAll();
 }
 
-// ---------------------------------------------------------------------------
-// Index-pruned execution: the aggregate shard index (index/shard_agg_index.h)
-// turns the shared-scan execution into a branch-and-bound. For each target
-// shard t, UB(t) — the total weight of all objects a rectangle centered in
-// t's slab could possibly cover — is an upper bound on any placement in t,
-// computed from the index with zero I/O. The execution is phased: route
-// only the sources the most promising shard (the seed) needs, solve the
-// seed to get an achievable incumbent weight, discard every shard whose
-// bound cannot beat it, route the remaining sources the survivors need, and
-// solve the survivors best-bound-first, re-checking each bound against the
-// growing incumbent. The final cross-shard MergeSweep runs over ALL shard
-// ranges with null (known-empty) children standing in for skipped shards.
-//
-// A dataset without a usable index (none, or weights unsafe to bound) runs
-// the same schedule with every bound at +inf: every source feeds every
-// target, so wave 1 routes every source, nothing is pruned or skipped, and
-// every shard is solved — seed first, then the rest in index order.
-//
-// Soundness (why answers are bit-identical to routing and solving every
-// shard):
-//   - UB(t) counts every object within w/2 of t's slab — a superset of
-//     anything a placement in t covers — so with non-negative weights
-//     (pruning_safe()) no placement in t can weigh more than UB(t).
-//   - The incumbent is a shard's best tuple sum: a real,
-//     achievable placement weight (an UNDER-estimate of the true total,
-//     which may add non-negative boundary-span weight on top).
-//   - A shard is skipped only when UB(t) < incumbent STRICTLY, so a shard
-//     that could tie the winner always survives — tie-breaking (first
-//     maximum in root-stream order) is preserved exactly.
-//   - A surviving shard's solve sees every source whose expanded x-MBR
-//     reaches its slab — all sources that could route anything to it — so
-//     its tuple stream is byte-identical to an unpruned solve's, and every
-//     boundary span covering a surviving shard comes from a routed source.
-//   - Skipped shards contribute no root tuples, but all of their placements
-//     weigh strictly less than the incumbent (≤ final max), so the winning
-//     tuple — and, with TopTupleTracker's stratum coalescing, its full
-//     winning run — is unchanged.
-// I/O never exceeds routing and solving every shard: routing a source and
-// solving a shard read/write the same blocks whichever shards survive, and
-// pruning only removes whole routes/solves.
-// ---------------------------------------------------------------------------
-
-// Weight upper bound of every target shard for rect width `width`: the
-// index-aggregated weight of all objects whose x lies within w/2 of the
-// shard's slab (closed window — boundary objects count; over-approximating
-// is sound, under-approximating would not be). +inf everywhere without an
-// index.
-std::vector<double> ShardUpperBounds(const ShardAggIndex* index,
-                                     const std::vector<ShardInfo>& shards,
-                                     double width) {
-  if (index == nullptr) return std::vector<double>(shards.size(), kInf);
-  const double half_w = width / 2.0;
-  std::vector<double> ub;
-  ub.reserve(shards.size());
-  for (const ShardInfo& shard : shards) {
-    ub.push_back(index->WindowWeight(shard.x_range.lo - half_w,
-                                     shard.x_range.hi + half_w));
-  }
-  return ub;
-}
-
-// Seed choice: the shard with the largest bound, ties to the lowest index
-// (deterministic; any choice is sound, the largest bound tends to hold the
-// winner and thus prunes the most).
-size_t ArgMaxUpperBound(const std::vector<double>& ub) {
-  size_t best = 0;
-  for (size_t i = 1; i < ub.size(); ++i) {
-    if (ub[i] > ub[best]) best = i;
-  }
-  return best;
-}
-
-// Whether source shard `s` can route anything (pieces, edges, or spans) to
-// a target with slab `slab`: its object x-MBR expanded by w/2 must reach
-// the slab. Closed-interval test — conservatively routes boundary-touching
-// sources (an empty routed row costs no blocks). Always true without an
-// index.
-bool SourceFeedsTarget(const ShardAggIndex* index, size_t s,
-                       const Interval& slab, double width) {
-  if (index == nullptr) return true;
-  const double half_w = width / 2.0;
-  return index->Intersects(s, slab.lo - half_w, slab.hi + half_w);
-}
-
 }  // namespace
-
 
 MaxRSServer::MaxRSServer(Env& env, const DatasetHandle& dataset,
                          const MaxRSServerOptions& options)
@@ -1152,12 +1034,6 @@ void MaxRSServer::ExecuteBatchStreaming(
   const IoStatsSnapshot io_before = env.stats().Snapshot();
   Stopwatch timer;
 
-  // Bounds need an index whose weights are safe to bound; without one,
-  // null means every bound is +inf (see "Index-pruned execution").
-  const ShardAggIndex* index =
-      dataset_.agg_index() != nullptr && dataset_.agg_index()->pruning_safe()
-          ? dataset_.agg_index()
-          : nullptr;
   const std::vector<ShardInfo>& shards = dataset_.shards();
   const size_t num_shards = shards.size();
   const std::vector<double>& bounds = dataset_.interior_bounds();
@@ -1172,159 +1048,45 @@ void MaxRSServer::ExecuteBatchStreaming(
         MakeQueryOptions(batch[q]->width, batch[q]->height, &batch[q]->cancel);
   }
 
-  // Per-query plans (zero I/O), then TWO routing waves over the UNIONS of
-  // the per-query source sets. Soundness of the union: a routed source
-  // that q run alone would NOT have routed routes nothing to any of q's
-  // consumed targets (SourceFeedsTarget is exactly the
-  // can-route-anything test), so q's merged streams — and its incumbents,
-  // skips, and answer — are byte-identical to running q alone; the extra
-  // sources' boundary spans can only cover q's pruned (known-empty)
-  // children, adding no root tuples (only the total_spans stat may grow).
-  std::vector<std::vector<double>> ub(k);
-  std::vector<size_t> seed(k);
-  for (size_t q = 0; q < k; ++q) {
-    ub[q] = ShardUpperBounds(index, shards, queries[q].width);
-    seed[q] = ArgMaxUpperBound(ub[q]);
-  }
-
   std::vector<Status> per_query(k, Status::OK());
   std::vector<std::vector<MaxRSStats>> shard_stats(
       k, std::vector<MaxRSStats>(num_shards));
-  std::vector<SlabBest> incumbents(k);
   {
-    // The full channel grids are created eagerly even though some rows may
-    // never route: spill names must be allocated in a deterministic order.
-    // Rows that never route are never closed — consumers only ever merge
-    // routed rows, so nobody waits on them.
     BatchChannels channels(env, temps, k, num_shards,
                            options_.stream_channel_bytes);
+    // Phase A: every source routes once, submitted before any consumer.
     std::vector<Status> producer_status(num_shards);
-    std::vector<char> is_routed(num_shards, 0);
-    auto submit_producers = [&](const std::vector<size_t>& wave,
-                                JoinLatch* latch) {
-      for (size_t s : wave) {
-        pool_->Submit([&, s, latch] {
-          producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                                ranges, s, queries);
-          latch->CountDown();
-        });
-      }
-      if (k > 1) env.stats().RecordScansShared((k - 1) * wave.size());
-    };
-
-    // Wave 1: the union of the sources any query's seed shard needs.
-    std::vector<size_t> wave1;
+    JoinLatch routed(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
-      for (size_t q = 0; q < k; ++q) {
-        if (SourceFeedsTarget(index, s, ranges[seed[q]], queries[q].width)) {
-          wave1.push_back(s);
-          is_routed[s] = 1;
-          break;
-        }
-      }
-    }
-    JoinLatch wave1_done(wave1.size());
-    submit_producers(wave1, &wave1_done);
-
-    // Seed solves, consuming while wave 1 produces; their incumbents are
-    // independent across queries.
-    ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) {
-      return channels.SolveTarget(env, temps, q, seed[q], wave1,
-                                  ranges[seed[q]], query_options[q],
-                                  &shard_stats[q][seed[q]], &incumbents[q]);
-    });
-    // Join wave 1 before anything else: a seed consumer finishing does not
-    // imply its rows finished (rows close pieces before routing edges).
-    wave1_done.Wait();
-    FoldRoutingFailure(producer_status, wave1, &per_query);
-
-    // Per-query prune against the seed incumbent (strict — ties survive,
-    // or the first-maximum tie-break would shift).
-    std::vector<std::vector<char>> survives(k,
-                                            std::vector<char>(num_shards, 0));
-    uint64_t pruned_count = 0;
-    for (size_t q = 0; q < k; ++q) {
-      survives[q][seed[q]] = 1;
-      if (!per_query[q].ok()) continue;
-      for (size_t t = 0; t < num_shards; ++t) {
-        if (t == seed[q]) continue;
-        if (incumbents[q].has_value && ub[q][t] < incumbents[q].sum) {
-          ++pruned_count;
-        } else {
-          survives[q][t] = 1;
-        }
-      }
-    }
-    if (pruned_count > 0) env.stats().RecordShardsPruned(pruned_count);
-
-    // Wave 2: the union of the remaining sources any query's survivors
-    // need. A query already failed routes nothing extra on its behalf.
-    std::vector<size_t> wave2;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (is_routed[s]) continue;
-      bool needed = false;
-      for (size_t q = 0; q < k && !needed; ++q) {
-        if (!per_query[q].ok()) continue;
-        for (size_t t = 0; t < num_shards; ++t) {
-          if (survives[q][t] &&
-              SourceFeedsTarget(index, s, ranges[t], queries[q].width)) {
-            needed = true;
-            break;
-          }
-        }
-      }
-      if (needed) {
-        wave2.push_back(s);
-        is_routed[s] = 1;
-      }
-    }
-    std::vector<size_t> routed_rows;  // ascending — canonical merge order
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (is_routed[s]) routed_rows.push_back(s);
-    }
-    JoinLatch wave2_done(wave2.size());
-    submit_producers(wave2, &wave2_done);
-
-    // Phase B: per query, survivors sequentially, best bound first (ties to
-    // the lowest index), each bound re-checked against the incumbent the
-    // previous solves grew. Sequential on purpose: parallel solves would
-    // race the incumbent and make the set of skipped shards — and with it
-    // the per-query block count — schedule-dependent. Each solve overlaps
-    // whatever wave-2 producers are still routing.
-    std::vector<uint64_t> bound_skips(k, 0);
-    ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) -> Status {
-      std::vector<size_t> order;
-      for (size_t t = 0; t < num_shards; ++t) {
-        if (t != seed[q] && survives[q][t]) order.push_back(t);
-      }
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (ub[q][a] != ub[q][b]) return ub[q][a] > ub[q][b];
-        return a < b;
+      pool_->Submit([&, s] {
+        producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
+                                              ranges, s, queries);
+        routed.CountDown();
       });
-      for (size_t t : order) {
-        if (incumbents[q].has_value && ub[q][t] < incumbents[q].sum) {
-          ++bound_skips[q];
-          continue;  // skipped mid-solve: a null child in the combine
-        }
-        MAXRS_RETURN_IF_ERROR(channels.SolveTarget(
-            env, temps, q, t, routed_rows, ranges[t], query_options[q],
-            &shard_stats[q][t], &incumbents[q]));
+    }
+    if (k > 1) env.stats().RecordScansShared((k - 1) * num_shards);
+
+    // Phase B: per query, every target shard in index order, each solve
+    // consuming its column while the sources still route.
+    ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) -> Status {
+      for (size_t t = 0; t < num_shards; ++t) {
+        MAXRS_RETURN_IF_ERROR(channels.SolveTarget(env, temps, q, t, ranges[t],
+                                                   query_options[q],
+                                                   &shard_stats[q][t]));
       }
       return Status::OK();
     });
-    wave2_done.Wait();
-    FoldRoutingFailure(producer_status, wave2, &per_query);
-    uint64_t total_skips = 0;
-    for (uint64_t s : bound_skips) total_skips += s;
-    if (total_skips > 0) env.stats().RecordBoundSkip(total_skips);
+    // A solve finishing does not imply its rows finished (rows close
+    // pieces before routing edges), so join every producer first.
+    routed.Wait();
+    FoldRoutingFailure(producer_status, &per_query);
 
-    // Phase C per query over the routed rows' span channels.
+    // Phase C per query.
     for (size_t q = 0; q < k; ++q) {
       (*results)[q] =
           per_query[q].ok()
-              ? CombineShards(env, temps, channels, q, routed_rows, ranges,
-                              shard_stats[q], dataset_.num_objects(),
-                              query_options[q])
+              ? CombineShards(env, temps, channels, q, ranges, shard_stats[q],
+                              dataset_.num_objects(), query_options[q])
               : Result<MaxRSResult>(per_query[q]);
     }
   }  // destroys the channels (and any spill files)

@@ -25,12 +25,9 @@
 //               streams and run division + plane-sweep *inside the shard*
 //               (core_internal::SolveSlabStream), emitting the shard's
 //               tuples into a slab channel          — O(shard) per task
-//               The solves are a branch-and-bound over the per-shard
-//               weight upper bounds of the dataset's aggregate index: the
-//               most promising shard is solved first, and a shard whose
-//               bound cannot beat the best placement found so far is
-//               never routed or solved at all. Without a usable index
-//               every bound is +inf and every shard is solved.
+//               Every source routes once per batch and every shard is
+//               solved, in index order; the aggregate shard index is not
+//               consulted (docs/ARCHITECTURE.md, "Aggregate shard index").
 //   combine     per query, once its solves have joined, one cross-shard
 //               MergeSweep over the S slab channels and the boundary span
 //               file, straight into the answer tracker — one linear sweep
@@ -413,8 +410,8 @@ class MaxRSServer {
   /// are staged for the next batch. Empty result = shut down and drained.
   std::vector<std::shared_ptr<Request>> FormBatch();
   /// Whether `candidate` may share a batch with `anchor`: width and height
-  /// each within kBatchShapeRatio of the anchor's, so pruning bounds and
-  /// routing fan-out stay comparable across the batch.
+  /// each within kBatchShapeRatio of the anchor's, so routing fan-out
+  /// stays comparable across the batch.
   static bool ShapeCompatible(const Request& anchor, const Request& candidate);
   /// The one dispatch point: runs one formed batch (k >= 1) end to end and
   /// fulfills every promise. Fails requests that expired in the queue,
@@ -422,10 +419,9 @@ class MaxRSServer {
   /// through the same executor (counted in `degraded`), and completes
   /// every request.
   void ExecuteBatch(std::vector<std::shared_ptr<Request>> batch);
-  /// The executor: index-pruned shared-scan execution of `batch` (all
-  /// k >= 1 queries off at most one routing pass per source shard), with
-  /// every shard bound at +inf when the dataset has no usable aggregate
-  /// index. Results land in `results` slots parallel to `batch`.
+  /// The executor: shared-scan execution of `batch` (all k >= 1 queries
+  /// off one routing pass per source shard), solving every shard of every
+  /// query. Results land in `results` slots parallel to `batch`.
   void ExecuteBatchStreaming(
       const std::vector<std::shared_ptr<Request>>& batch,
       std::vector<Result<MaxRSResult>>* results);

@@ -294,9 +294,8 @@ TEST(ChaosTest, BitFlippedReadsAreCaughtByChecksumsNotReturnedAsAnswers) {
 
 TEST(ChaosTest, DegradedIndexServesExactAnswersUnderTransientFaults) {
   // The aggregate index is corrupted on disk before the dataset is opened,
-  // so the handle attaches degraded (null index, kCorruption reason) and
-  // every query runs un-pruned — then the whole battery rides a transient-
-  // fault schedule. The contract composes: degradation must never trade
+  // so the handle attaches degraded (null index, kCorruption reason) —
+  // then the whole battery rides a transient-fault schedule. The contract composes: degradation must never trade
   // correctness for availability, and every result must report zero
   // shards pruned and zero bound skips.
   auto env = MakeIngestedEnv();

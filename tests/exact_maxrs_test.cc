@@ -143,6 +143,18 @@ INSTANTIATE_TEST_SUITE_P(
         ExternalCase{250, 30, 4, 2, 6, true},       // deep recursion
         ExternalCase{64, 16, 8, 8, 4, false}));     // rect = half the domain
 
+TEST(BruteForceTest, NegativeWeightNeedsAnEdgeOneRectBeforeAnObject) {
+  // A 2 x 2 rect covers the +1 at x = 0 without the -1 at x = 1 only when
+  // its left edge lies in (-2, -1]. A left edge on an object (0 or 1)
+  // always covers the -1, so the oracle must also try the piece's right
+  // end, 1 - w: a left edge at o.x - w.
+  const std::vector<SpatialObject> objects = {{0, 0, 1}, {1, 0, -1}};
+  const BruteForceResult got = BruteForceMaxRS(objects, 2, 2);
+  EXPECT_EQ(got.total_weight, 1.0);
+  EXPECT_EQ(CoveredWeight(objects, Rect::Centered(got.location, 2, 2)), 1.0);
+  EXPECT_EQ(ExactMaxRSInMemory(objects, 2, 2).total_weight, 1.0);
+}
+
 TEST(ExactMaxRSTest, DegenerateAllSameXFallsBackToBaseCase) {
   auto env = NewMemEnv(512);
   std::vector<SpatialObject> objects;
@@ -297,7 +309,7 @@ TEST(ExactMaxRSTest, BaseCaseStreamsOnlyTuplesThatChange) {
       MaxRSStats stats;
       ASSERT_TRUE(core_internal::SolveSlabStream(*env, temps, &source,
                                                  no_edges, slab, options,
-                                                 &stats, nullptr, &sink)
+                                                 &stats, &sink)
                       .ok());
       EXPECT_EQ(stats.base_cases, 1u);
       ASSERT_EQ(got.size(), want.size()) << "seed " << seed;

@@ -96,20 +96,14 @@ TEST_P(ExactMaxRSFaultTest, SurfacesFaultsAtEveryStage) {
   options.fanout = 3;
   options.base_case_max_pieces = 64;
 
-  // Both division modes (materialized part files and streaming channels at
-  // a zero cap, where the fault lands on spill traffic) must surface the
-  // fault as a Status at the caller, never crash a worker.
-  for (bool streaming : {false, true}) {
-    options.streaming_division = streaming;
-    options.stream_channel_bytes = 0;
-    env.ArmAfter(GetParam());
-    auto result = RunExactMaxRS(env, "data", options);
-    env.Disarm();
-    ASSERT_FALSE(result.ok()) << "fault at op " << GetParam()
-                              << " swallowed (streaming=" << streaming << ")";
-    EXPECT_EQ(result.status().code(), Status::Code::kIOError)
-        << "streaming=" << streaming;
-  }
+  // The fault must surface as a Status at the caller, never crash a
+  // worker. (The channel-based division is covered by the one-shard leg of
+  // StreamingSpillFaultTest below.)
+  env.ArmAfter(GetParam());
+  auto result = RunExactMaxRS(env, "data", options);
+  env.Disarm();
+  ASSERT_FALSE(result.ok()) << "fault at op " << GetParam() << " swallowed";
+  EXPECT_EQ(result.status().code(), Status::Code::kIOError);
 }
 
 // Operation indices chosen to land in: dataset read, transform writes, sort
@@ -122,40 +116,53 @@ TEST(StreamingSpillFaultTest, SpillFaultSurfacesAtSubmitWithoutWedgingServer) {
   // spill path, so armed faults land on spill writes (and spill read-backs)
   // mid-routing. Each fault must surface as kIOError from Submit — no hang,
   // and the server must stay serviceable afterwards (workers alive, scratch
-  // released), which the follow-up healthy Submit proves.
+  // released), which the follow-up healthy Submit proves. Two layouts: five
+  // shards, and one shard with a small base case, whose solve divides
+  // through the zero-cap child channels of SolveSlabStream.
   auto base = NewMemEnv(512);
   auto objects = testing::RandomIntObjects(1500, 500, 7);
   ASSERT_TRUE(WriteDataset(*base, "data", objects).ok());
   FaultEnv env(*base);
-  DatasetHandleOptions ingest;
-  ingest.shard_count = 5;
-  ingest.memory_bytes = 1 << 13;
-  auto handle = DatasetHandle::Ingest(env, "data", ingest);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  for (const size_t shards : {size_t{5}, size_t{1}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    DatasetHandleOptions ingest;
+    ingest.shard_count = shards;
+    ingest.memory_bytes = 1 << 13;
+    ingest.prefix = "ds" + std::to_string(shards);
+    auto handle = DatasetHandle::Ingest(env, "data", ingest);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-  MaxRSServerOptions options;
-  options.memory_bytes = 1 << 13;
-  options.num_workers = 2;
-  options.cache_entries = 0;
-  options.stream_channel_bytes = 0;
-  MaxRSServer server(env, *handle, options);
+    MaxRSServerOptions options;
+    options.memory_bytes = 1 << 13;
+    options.num_workers = 2;
+    options.cache_entries = 0;
+    options.stream_channel_bytes = 0;
+    if (shards == 1) {
+      options.fanout = 3;
+      options.base_case_max_pieces = 64;
+    }
+    MaxRSServer server(env, *handle, options);
 
-  // Healthy run first: pins the answer and proves the sweep's failures
-  // below are injected, not latent.
-  auto want = server.Submit(24, 24);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
+    // Healthy run first: pins the answer and proves the sweep's failures
+    // below are injected, not latent.
+    auto want = server.Submit(24, 24);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    if (shards == 1) {
+      ASSERT_GT(want->stats.merges, 0u) << "the one-shard solve must divide";
+    }
 
-  for (uint64_t k : {3u, 15u, 40u, 90u, 250u}) {
-    env.ArmAfter(k);
-    auto result = server.Submit(24, 24);
-    env.Disarm();
-    ASSERT_FALSE(result.ok())
-        << "spill-path fault at op " << k << " swallowed";
-    EXPECT_EQ(result.status().code(), Status::Code::kIOError) << "op " << k;
-    auto after = server.Submit(24, 24);
-    ASSERT_TRUE(after.ok()) << "server wedged after fault at op " << k << ": "
-                            << after.status().ToString();
-    EXPECT_EQ(after->total_weight, want->total_weight);
+    for (uint64_t k : {3u, 15u, 40u, 90u, 250u}) {
+      env.ArmAfter(k);
+      auto result = server.Submit(24, 24);
+      env.Disarm();
+      ASSERT_FALSE(result.ok())
+          << "spill-path fault at op " << k << " swallowed";
+      EXPECT_EQ(result.status().code(), Status::Code::kIOError) << "op " << k;
+      auto after = server.Submit(24, 24);
+      ASSERT_TRUE(after.ok()) << "server wedged after fault at op " << k
+                              << ": " << after.status().ToString();
+      EXPECT_EQ(after->total_weight, want->total_weight);
+    }
   }
 }
 

@@ -84,23 +84,6 @@ void CheckAllImplementationsAgree(const std::vector<SpatialObject>& objects,
             oracle.total_weight)
       << "external witness wrong, config " << tag;
 
-  // Streaming division: the same recursion fed through channels instead of
-  // materialized part files, once with a cap small enough that every
-  // division spills mid-stream and once with the pure in-memory hand-off.
-  for (size_t cap : {size_t{256}, size_t{1} << 20}) {
-    MaxRSOptions streaming = options;
-    streaming.streaming_division = true;
-    streaming.stream_channel_bytes = cap;
-    auto streamed = RunExactMaxRS(*env, objects, streaming);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    ASSERT_EQ(streamed->total_weight, oracle.total_weight)
-        << "streaming division diverged, config " << tag << " (cap " << cap
-        << ")";
-    ASSERT_EQ(streamed->location, external->location)
-        << "streaming division witness moved, config " << tag << " (cap "
-        << cap << ")";
-  }
-
   // Baselines (cheap enough at fuzz sizes).
   ASSERT_TRUE(WriteDataset(*env, "fuzz_data", objects).ok());
   BaselineOptions baseline_options;
@@ -157,6 +140,37 @@ void CheckAllImplementationsAgree(const std::vector<SpatialObject>& objects,
                 oracle.total_weight)
           << "sharded serve (" << leg.name << ") witness wrong, config "
           << tag;
+    }
+    ASSERT_TRUE(handle->Drop().ok());
+  }
+
+  // Streaming division: served at one shard, the query is one
+  // SolveSlabStream over the whole dataset, the same recursion as the
+  // external pipeline fed through channels instead of materialized part
+  // files — once with a cap small enough that every division spills
+  // mid-stream and once with the pure in-memory hand-off.
+  {
+    DatasetHandleOptions ingest_options;
+    ingest_options.shard_count = 1;
+    ingest_options.memory_bytes = c.memory_bytes;
+    ingest_options.prefix = "fuzz_one_shard";
+    auto handle = DatasetHandle::Ingest(*env, "fuzz_data", ingest_options);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    for (size_t cap : {size_t{256}, size_t{1} << 20}) {
+      MaxRSServerOptions server_options;
+      server_options.memory_bytes = c.memory_bytes;
+      server_options.fanout = c.fanout;
+      server_options.base_case_max_pieces = c.base_max;
+      server_options.stream_channel_bytes = cap;
+      MaxRSServer server(*env, *handle, server_options);
+      auto streamed = server.Submit(c.rect_w, c.rect_h);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      ASSERT_EQ(streamed->total_weight, oracle.total_weight)
+          << "streaming division diverged, config " << tag << " (cap " << cap
+          << ")";
+      ASSERT_EQ(streamed->location, external->location)
+          << "streaming division witness moved, config " << tag << " (cap "
+          << cap << ")";
     }
     ASSERT_TRUE(handle->Drop().ok());
   }
@@ -253,23 +267,18 @@ INSTANTIATE_TEST_SUITE_P(
         RegressionCase{0xC0FFEE06, 60, 4, 3, 5, 7, 6}));    // tiny domain
 
 // ---------------------------------------------------------------------------
-// Pruned-serving corpus.
+// Skewed-serving corpus.
 //
-// The generic fuzz data is near-uniform, so the aggregate-index bound
-// rarely fires there (equal-count shards all look alike). This leg fuzzes
-// the configurations pruning exists for: a heavy strip holds most of the
-// mass and is wide in x relative to the rect, so slab-local tuples see it
-// and whole background shards fall below the incumbent. Pruned serving and
-// un-pruned serving (the same dataset re-opened without its index file)
-// must agree bit-for-bit with the brute-force oracle on every draw, pruned
-// I/O must never exceed un-pruned, and the
-// sweep must actually prune somewhere or the corpus is vacuous.
+// The generic fuzz data is near-uniform. This leg serves weight-skewed
+// draws: a heavy strip holds most of the mass and is wide in x relative to
+// the rect, so the optimum sits in a few shards while whole background
+// shards weigh less than it. Served answers at 8-24 shards must match the
+// brute-force oracle, and the witness must realize that weight.
 // ---------------------------------------------------------------------------
 
-TEST(MaxRSPrunedServeFuzzTest, PrunedAndUnprunedAgreeOnSkewedCorpus) {
-  uint64_t total_pruned = 0;
+TEST(MaxRSSkewedServeFuzzTest, ServedAnswerMatchesOracle) {
   for (uint64_t index = 0; index < 8; ++index) {
-    SCOPED_TRACE("pruned-serve index " + std::to_string(index));
+    SCOPED_TRACE("skewed-serve index " + std::to_string(index));
     Rng rng(0xF0221000 + index);
     const size_t n = 600 + rng.UniformU64(600);
     const uint64_t extent = 4000 + rng.UniformU64(4000);
@@ -291,44 +300,27 @@ TEST(MaxRSPrunedServeFuzzTest, PrunedAndUnprunedAgreeOnSkewedCorpus) {
     const BruteForceResult oracle = BruteForceMaxRS(objects, rect_w, rect_h);
 
     auto env = NewMemEnv(512);
-    ASSERT_TRUE(WriteDataset(*env, "pruned_fuzz", objects).ok());
+    ASSERT_TRUE(WriteDataset(*env, "skewed_fuzz", objects).ok());
     DatasetHandleOptions ingest_options;
     ingest_options.shard_count = shards;
     ingest_options.memory_bytes = 32 << 10;
-    ingest_options.prefix = "pruned_fuzz_ds";
-    auto handle = DatasetHandle::Ingest(*env, "pruned_fuzz", ingest_options);
+    ingest_options.prefix = "skewed_fuzz_ds";
+    auto handle = DatasetHandle::Ingest(*env, "skewed_fuzz", ingest_options);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    // The un-pruned leg serves the same dataset without its index file.
-    auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
-    ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
 
-    uint64_t unpruned_io = 0;
-    for (const bool prune : {false, true}) {
-      MaxRSServerOptions server_options;
-      server_options.memory_bytes = 32 << 10;
-      MaxRSServer server(*env, prune ? *handle : *unindexed, server_options);
-      auto served = server.Submit(rect_w, rect_h);
-      ASSERT_TRUE(served.ok()) << served.status().ToString();
-      ASSERT_EQ(served->total_weight, oracle.total_weight)
-          << (prune ? "pruned" : "un-pruned") << " serving diverged ("
-          << handle->shards().size() << " shards)";
-      ASSERT_EQ(
-          CoveredWeight(objects,
-                        Rect::Centered(served->location, rect_w, rect_h)),
-          oracle.total_weight)
-          << "serve witness wrong";
-      if (!prune) {
-        unpruned_io = served->stats.io.total();
-      } else {
-        EXPECT_LE(served->stats.io.total(), unpruned_io)
-            << "pruning must never add block transfers";
-        total_pruned += served->stats.io.shards_pruned;
-      }
-    }
+    MaxRSServerOptions server_options;
+    server_options.memory_bytes = 32 << 10;
+    MaxRSServer server(*env, *handle, server_options);
+    auto served = server.Submit(rect_w, rect_h);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served->total_weight, oracle.total_weight)
+        << "serving diverged (" << handle->shards().size() << " shards)";
+    ASSERT_EQ(CoveredWeight(objects,
+                            Rect::Centered(served->location, rect_w, rect_h)),
+              oracle.total_weight)
+        << "serve witness wrong";
     ASSERT_TRUE(handle->Drop().ok());
   }
-  EXPECT_GT(total_pruned, 0u)
-      << "the skewed corpus never pruned a shard - the leg is vacuous";
 }
 
 // ---------------------------------------------------------------------------
@@ -339,9 +331,10 @@ TEST(MaxRSPrunedServeFuzzTest, PrunedAndUnprunedAgreeOnSkewedCorpus) {
 // tuples as repeats of their predecessor, and a MergeSweep above them sees
 // far fewer events than PlaneSweep over all pieces. Weights are eighths:
 // not integers, zero or negative on the odd draws, yet every partial sum
-// is exact, so every division tree must give the same bits. The external
-// answers must equal the in-memory ones in weight, location and region,
-// and the served answer at 1, 3 and 8 shards must equal one-shot.
+// is exact, so every division tree must give the same bits. The in-memory
+// weight must equal the brute-force oracle's, the external answers must
+// equal the in-memory ones in weight, location and region, and the served
+// answer at 1, 3 and 8 shards must equal one-shot.
 // ---------------------------------------------------------------------------
 
 void ExpectSameRegion(const RankedRegion& a, const RankedRegion& b,
@@ -382,15 +375,10 @@ TEST(MaxRSRealWeightFuzzTest, TinyRectsAgreeBitForBit) {
     options.memory_bytes = 8 << 10;
     options.fanout = 2 + rng.UniformU64(5);
     options.base_case_max_pieces = 4 + rng.UniformU64(40);
-    options.streaming_division = index % 3 == 0;
 
     const MaxRSResult mem = ExactMaxRSInMemory(objects, rect_w, rect_h);
-    if (!mixed_sign) {
-      // The oracle tries rects whose left and bottom edges sit on objects,
-      // which finds the optimum only when no weight is negative.
-      EXPECT_EQ(mem.total_weight,
-                BruteForceMaxRS(objects, rect_w, rect_h).total_weight);
-    }
+    EXPECT_EQ(mem.total_weight,
+              BruteForceMaxRS(objects, rect_w, rect_h).total_weight);
     auto exact = RunExactMaxRS(*env, "real_fuzz", options);
     ASSERT_TRUE(exact.ok()) << exact.status().ToString();
     ExpectSameResult(*exact, mem, "RunExactMaxRS");

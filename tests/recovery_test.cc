@@ -7,8 +7,9 @@
 // including the unpublished temp manifest a crashed ingest leaves behind.
 // The aggregate index is the one deliberate exception: damage to it (bit
 // rot, truncation, a missing file) degrades the handle — null agg_index(),
-// the reason in index_status(), exact answers served un-pruned — because
-// the shard files alone are the truth and pruning is only an optimization.
+// the reason in index_status(), exact answers still served — because the
+// shard files alone are the truth and query execution never reads the
+// index.
 // Version-2 manifests (pre-index) keep opening and serving.
 #include <algorithm>
 #include <string>
@@ -170,8 +171,8 @@ TEST(RecoveryTest, ReopenedDatasetAnswersQueriesAfterPublish) {
 
 // Serves a query through `handle` and checks it against the fault-free
 // answer computed straight from the source objects, and that the execution
-// pruned nothing: without an index every shard bound is +inf.
-void ServeAndExpectExactAnswerUnpruned(Env& env, const DatasetHandle& handle) {
+// recorded no pruning decision.
+void ServeAndExpectExactAnswer(Env& env, const DatasetHandle& handle) {
   MaxRSServerOptions server_options;
   server_options.memory_bytes = 64 * 1024;
   MaxRSServer server(env, handle, server_options);
@@ -194,10 +195,9 @@ void ServeAndExpectExactAnswerUnpruned(Env& env, const DatasetHandle& handle) {
 
 TEST(RecoveryTest, BitFlippedAggIndexDegradesToUnprunedServing) {
   // Bit rot in the aggregate-index file must never condemn the dataset:
-  // the manifest and shard files are the truth, the index is an
-  // optimization. Open succeeds with a null index and a kCorruption
-  // index_status, and the server serves the exact answer un-pruned
-  // instead of risking a wrong answer from a poisoned bound.
+  // the manifest and shard files are the truth, the index is only a
+  // summary of them. Open succeeds with a null index and a kCorruption
+  // index_status, and the server serves the exact answer.
   auto env = MakeEnv();
   ASSERT_TRUE(IngestInto(*env).ok());
   FlipBit(*env, kAggIndex, /*block=*/0, /*bit=*/300);
@@ -206,13 +206,13 @@ TEST(RecoveryTest, BitFlippedAggIndexDegradesToUnprunedServing) {
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   EXPECT_EQ(handle->agg_index(), nullptr);
   EXPECT_EQ(handle->index_status().code(), Status::Code::kCorruption);
-  ServeAndExpectExactAnswerUnpruned(*env, *handle);
+  ServeAndExpectExactAnswer(*env, *handle);
 }
 
 TEST(RecoveryTest, TruncatedAggIndexDegradesToUnprunedServing) {
   // A torn copy that chops the index file's blocks off: same contract as
   // bit rot — clean kCorruption in index_status, dataset opens, exact
-  // answers un-pruned.
+  // answers.
   auto env = MakeEnv();
   ASSERT_TRUE(IngestInto(*env).ok());
   auto file_or = env->Open(kAggIndex);
@@ -223,7 +223,7 @@ TEST(RecoveryTest, TruncatedAggIndexDegradesToUnprunedServing) {
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   EXPECT_EQ(handle->agg_index(), nullptr);
   EXPECT_EQ(handle->index_status().code(), Status::Code::kCorruption);
-  ServeAndExpectExactAnswerUnpruned(*env, *handle);
+  ServeAndExpectExactAnswer(*env, *handle);
 }
 
 TEST(RecoveryTest, MissingAggIndexFileDegradesToUnprunedServing) {
@@ -237,14 +237,14 @@ TEST(RecoveryTest, MissingAggIndexFileDegradesToUnprunedServing) {
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   EXPECT_EQ(handle->agg_index(), nullptr);
   EXPECT_FALSE(handle->index_status().ok());
-  ServeAndExpectExactAnswerUnpruned(*env, *handle);
+  ServeAndExpectExactAnswer(*env, *handle);
 }
 
 TEST(RecoveryTest, V2ManifestWithoutIndexOpensAndServes) {
   // Backward compatibility: a version-2 manifest (no kind-4 index
   // descriptor) written before the aggregate index existed must open with
   // agg_index() == nullptr, an OK index_status (nothing was promised),
-  // and serve exact answers un-pruned.
+  // and serve exact answers.
   auto env = MakeEnv();
   ASSERT_TRUE(IngestInto(*env).ok());
 
@@ -269,7 +269,7 @@ TEST(RecoveryTest, V2ManifestWithoutIndexOpensAndServes) {
   EXPECT_EQ(handle->agg_index(), nullptr);
   EXPECT_TRUE(handle->index_status().ok())
       << "a v2 manifest promises no index, so nothing is degraded";
-  ServeAndExpectExactAnswerUnpruned(*env, *handle);
+  ServeAndExpectExactAnswer(*env, *handle);
 }
 
 TEST(RecoveryTest, PosixEnvPublishesAtomicallyViaRename) {

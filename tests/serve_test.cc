@@ -353,10 +353,9 @@ TEST(ServeTest, BitIdenticalAcrossWorkerCountsAndShardCounts) {
   }
 }
 
-TEST(ServeTest, MixedSignWeightsServeExactlyWithoutPruning) {
-  // Negative weights make the aggregate index unsafe to bound with, so the
-  // executor runs with every shard bound at +inf: it must route and solve
-  // every shard, prune nothing, and still match one-shot bit for bit.
+TEST(ServeTest, MixedSignWeightsServeExactly) {
+  // Negative weights: the executor routes and solves every shard and must
+  // still match one-shot bit for bit.
   auto env = NewMemEnv(4096);
   std::vector<SpatialObject> objects =
       testing::RandomIntObjects(3000, /*extent=*/2000, /*seed=*/29);
@@ -368,7 +367,6 @@ TEST(ServeTest, MixedSignWeightsServeExactlyWithoutPruning) {
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(7));
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   ASSERT_NE(handle->agg_index(), nullptr);
-  ASSERT_FALSE(handle->agg_index()->pruning_safe());
 
   const double kRects[][2] = {{50, 50}, {120, 300}, {400, 90}, {900, 900}};
   for (size_t workers : {1u, 4u}) {
@@ -509,10 +507,11 @@ TEST(ServeTest, ColdQuerySkipsTheSortPhase) {
 TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
   // Pins the exact per-query serve cost (docs/IO_MODEL.md): with every
   // shard inside its base case and a rect narrower than every shard (so no
-  // piece spans a whole shard), a cold lone query reads each routed shard
-  // file once and the empty span file twice (MergeSweep's bottom and top
+  // piece spans a whole shard), a cold lone query reads each shard file
+  // once and the empty span file twice (MergeSweep's bottom and top
   // readers), and writes only that span file. The shard tuples and the
-  // root sweep travel through memory: no slab-file, no root file.
+  // root sweep travel through memory: no slab-file, no root file. The
+  // handle carries its aggregate index, which the executor does not read.
   std::vector<SpatialObject> objects;
   auto env = MakeEnvWithDataset(&objects);
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));
@@ -544,11 +543,8 @@ TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
       RunExactMaxRS(*env, kDatasetFile, OneShotOptions(kWidth, kHeight));
   ASSERT_TRUE(one_shot.ok());
 
-  // Without its index every shard bound is +inf, so every shard is routed.
-  auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
-  ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
   MaxRSServerOptions options = ServerOptions(1);
-  MaxRSServer server(*env, *unindexed, options);
+  MaxRSServer server(*env, *handle, options);
   auto cold = server.Submit(kWidth, kHeight);
   ASSERT_TRUE(cold.ok());
   ExpectBitIdentical(*cold, *one_shot);
@@ -560,7 +556,7 @@ TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
   // The worst case: with a zero channel cap every routed record and every
   // shard tuple spills once. Same answer, and never fewer blocks.
   options.stream_channel_bytes = 0;
-  MaxRSServer spilling(*env, *unindexed, options);
+  MaxRSServer spilling(*env, *handle, options);
   auto spilled = spilling.Submit(kWidth, kHeight);
   ASSERT_TRUE(spilled.ok());
   ExpectBitIdentical(*spilled, *one_shot);

@@ -8,11 +8,14 @@
 // multiset whenever weight sums are exact in double arithmetic (integer
 // weights here). The battery checks bit-identical best-point/best-sum
 // against the one-shot pipeline at shard counts {1, 2, 7, 16, 64} x worker
-// counts {1, 2, 8}, and that the per-query I/O stays in the linear
-// no-sort/no-global-merge class: a bounded envelope across shard counts,
-// strictly below the sort-paying one-shot run. The channel spill-cap
+// counts {1, 2, 8}, on uniform and on weight-skewed data, that serving
+// never depends on the aggregate shard index, and that the per-query I/O
+// stays in the linear no-sort/no-global-merge class: a bounded envelope
+// across shard counts, strictly below the sort-paying one-shot run. The channel spill-cap
 // matrix lives in streaming_equivalence_test.cc.
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/exact_maxrs.h"
@@ -37,17 +40,22 @@ constexpr size_t kIngestMemoryBytes = 512 * 1024;
 // cardinalities instead of shortcutting into the in-memory sweep.
 constexpr size_t kQueryMemoryBytes = 64 * 1024;
 
-std::unique_ptr<Env> MakeEnv(uint64_t seed, size_t n,
-                             std::vector<SpatialObject>* out = nullptr) {
+std::unique_ptr<Env> MakeEnv(const std::vector<SpatialObject>& objects) {
   auto env = NewMemEnv(4096);
-  // Integer coordinates over a wide extent: enough distinct x values that
-  // the equal-count cut realizes all 64 shards, and integer weights so
-  // weight sums are exact under any division tree.
-  std::vector<SpatialObject> objects = testing::RandomIntObjects(
-      n, /*extent=*/6000, seed, /*random_weights=*/true);
   EXPECT_TRUE(WriteDataset(*env, kDatasetFile, objects).ok());
-  if (out != nullptr) *out = objects;
   return env;
+}
+
+// Integer coordinates over a wide extent: enough distinct x values that the
+// equal-count cut realizes all 64 shards, and integer weights so weight
+// sums are exact under any division tree.
+std::vector<SpatialObject> UniformObjects(uint64_t seed, size_t n) {
+  return testing::RandomIntObjects(n, /*extent=*/6000, seed,
+                                   /*random_weights=*/true);
+}
+
+std::unique_ptr<Env> MakeEnv(uint64_t seed, size_t n) {
+  return MakeEnv(UniformObjects(seed, n));
 }
 
 MaxRSOptions OneShotOptions(double w, double h) {
@@ -84,10 +92,15 @@ TEST(ShardPropertyTest, BitIdenticalAcrossShardAndWorkerCounts) {
   // advances on x-value changes and absorbs the remainder into the last
   // shard) reliably realizes all 64 requested shards.
   constexpr size_t kN = 2816;
-  for (uint64_t seed : {3u, 71u}) {
-    // One-shot references on a fresh env per seed.
-    std::vector<SpatialObject> objects;
-    auto reference_env = MakeEnv(seed, kN, &objects);
+  const std::pair<const char*, std::vector<SpatialObject>> kInputs[] = {
+      {"uniform seed 3", UniformObjects(3, kN)},
+      {"uniform seed 71", UniformObjects(71, kN)},
+      {"skewed seed 7", testing::SkewedIntObjects(kN, 7)},
+  };
+  for (const auto& [input, objects] : kInputs) {
+    SCOPED_TRACE(input);
+    // One-shot references on a fresh env per input.
+    auto reference_env = MakeEnv(objects);
     std::vector<MaxRSResult> reference;
     for (const auto& rect : kRects) {
       auto r = RunExactMaxRS(*reference_env, kDatasetFile,
@@ -101,7 +114,7 @@ TEST(ShardPropertyTest, BitIdenticalAcrossShardAndWorkerCounts) {
     }
 
     for (size_t shards : kShardCounts) {
-      auto env = MakeEnv(seed, kN);
+      auto env = MakeEnv(objects);
       auto handle =
           DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(shards));
       ASSERT_TRUE(handle.ok()) << handle.status().ToString();
@@ -112,11 +125,52 @@ TEST(ShardPropertyTest, BitIdenticalAcrossShardAndWorkerCounts) {
         for (size_t q = 0; q < 2; ++q) {
           auto served = server.Submit(kRects[q][0], kRects[q][1]);
           ASSERT_TRUE(served.ok())
-              << served.status().ToString() << " (seed " << seed << ", "
-              << shards << " shards, " << workers << " workers)";
+              << served.status().ToString() << " (" << shards
+              << " shards, " << workers << " workers)";
           ExpectBitIdentical(*served, reference[q]);
         }
       }
+    }
+  }
+}
+
+TEST(ShardPropertyTest, ServingIgnoresTheAggregateIndex) {
+  // The executor routes every source and solves every shard, so the
+  // aggregate shard index cannot change a served query. On the skewed set
+  // at 16 shards, where a per-shard weight bound would skip the background
+  // shards for the selective rect, serving with the index and serving the
+  // same files re-opened without it give the same answers and the same
+  // block counts, and neither records a pruning decision.
+  constexpr size_t kN = 2816;
+  constexpr size_t kShards = 16;
+  const double kRects[][2] = {{200, 200}, {1500, 1500}};
+  auto env = MakeEnv(testing::SkewedIntObjects(kN, 19));
+  auto handle =
+      DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(kShards));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ASSERT_EQ(handle->shards().size(), kShards);
+  ASSERT_NE(handle->agg_index(), nullptr);
+  auto unindexed = testing::ReopenWithoutIndex(*env, *handle);
+  ASSERT_TRUE(unindexed.ok()) << unindexed.status().ToString();
+  ASSERT_EQ(unindexed->agg_index(), nullptr);
+
+  MaxRSServerOptions options = ServerOptions(1);
+  options.cache_entries = 0;  // every submit pays its full pipeline
+  MaxRSServer indexed_server(*env, *handle, options);
+  MaxRSServer unindexed_server(*env, *unindexed, options);
+  for (const auto& rect : kRects) {
+    SCOPED_TRACE(std::to_string(rect[0]) + "x" + std::to_string(rect[1]));
+    auto indexed = indexed_server.Submit(rect[0], rect[1]);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    auto plain = unindexed_server.Submit(rect[0], rect[1]);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ExpectBitIdentical(*indexed, *plain);
+    EXPECT_EQ(indexed->stats.io.blocks_read, plain->stats.io.blocks_read);
+    EXPECT_EQ(indexed->stats.io.blocks_written,
+              plain->stats.io.blocks_written);
+    for (const MaxRSResult* r : {&*indexed, &*plain}) {
+      EXPECT_EQ(r->stats.io.shards_pruned, 0u);
+      EXPECT_EQ(r->stats.io.bound_skips, 0u);
     }
   }
 }

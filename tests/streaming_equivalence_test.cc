@@ -1,6 +1,6 @@
 // Streaming equivalence battery for the zero-materialization query
-// pipeline (serve/maxrs_server.h, io/record_stream.h, and core
-// MaxRSOptions::streaming_division).
+// pipeline (serve/maxrs_server.h, io/record_stream.h, and the channel-based
+// division of core_internal::SolveSlabStream).
 //
 // The serve pipeline hands every routed record through an in-memory
 // channel and overlaps routing with solving — but the answer, the division
@@ -14,10 +14,11 @@
 //     materialization worst case) through mid-stream-crossing caps to
 //     cap=SIZE_MAX (pure in-memory hand-off): identical answers at every
 //     spill level, deterministic I/O per level;
-//   - the core recursion's streaming division (channels between parent
-//     routing and child solves) against the file-based division: identical
-//     answers AND identical division stats (base cases, merges, spans,
-//     levels) at 1 and 4 threads, I/O never above the materialized run.
+//   - the streaming division (channels between parent routing and child
+//     solves), served at one shard so the whole query is one shard solve,
+//     against one-shot's file-based division: identical answers AND
+//     identical division stats (base cases, merges, spans, levels) at 1
+//     and 4 workers, I/O never above the one-shot run.
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -174,13 +175,14 @@ TEST(StreamingEquivalenceTest, SpillCapSweepIdenticalAtEverySpillLevel) {
       << "cap=0 must force spill traffic the in-memory hand-off avoids";
 }
 
-TEST(StreamingEquivalenceTest, CoreStreamingDivisionMatchesMaterialized) {
-  // The recursion itself: MaxRSOptions::streaming_division routes every
-  // division through channels between the parent's routing loop and the
-  // child solves. Division decisions depend only on the record sequence,
-  // so answers AND division stats must match the file-based recursion
-  // exactly; I/O must be deterministic per thread count and never above
-  // the materialized run's.
+TEST(StreamingEquivalenceTest, OneShardStreamDivisionMatchesMaterialized) {
+  // At one shard a served query is a single SolveSlabStream over the whole
+  // dataset, so every division of its recursion routes through channels
+  // between the parent's routing loop and the child solves. Division
+  // decisions depend only on the record sequence, so answers AND division
+  // stats must match one-shot's file-based recursion exactly; I/O must be
+  // deterministic per cap across worker counts and never above the
+  // one-shot run's.
   constexpr size_t kN = 12000;  // divides 2+ levels at the 64KB budget
   const double kW = 420, kH = 260;
   auto env = MakeEnv(5, kN);
@@ -189,40 +191,44 @@ TEST(StreamingEquivalenceTest, CoreStreamingDivisionMatchesMaterialized) {
   options.rect_width = kW;
   options.rect_height = kH;
   options.memory_bytes = kQueryMemoryBytes;
-
   IoStatsSnapshot before = env->stats().Snapshot();
   auto materialized = RunExactMaxRS(*env, kDatasetFile, options);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   const uint64_t materialized_io = (env->stats().Snapshot() - before).total();
   ASSERT_GT(materialized->stats.merges, 0u) << "reference must divide";
 
-  uint64_t streaming_io_single = 0;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (size_t cap : {size_t{0}, size_t{1} << 20}) {
-      MaxRSOptions streaming = options;
-      streaming.streaming_division = true;
-      streaming.stream_channel_bytes = cap;
-      streaming.num_threads = threads;
-      before = env->stats().Snapshot();
-      auto result = RunExactMaxRS(*env, kDatasetFile, streaming);
-      const uint64_t io = (env->stats().Snapshot() - before).total();
+  DatasetHandleOptions ingest;
+  ingest.shard_count = 1;
+  ingest.memory_bytes = kIngestMemoryBytes;
+  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, ingest);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ASSERT_EQ(handle->shards().size(), 1u);
+
+  for (size_t cap : {size_t{0}, size_t{1} << 20}) {
+    uint64_t io_single = 0;
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      MaxRSServerOptions server_options = BaseServerOptions(workers);
+      server_options.stream_channel_bytes = cap;
+      MaxRSServer server(*env, *handle, server_options);
+      auto result = server.Submit(kW, kH);
       ASSERT_TRUE(result.ok())
-          << result.status().ToString() << " (threads " << threads << ", cap "
-          << cap << ")";
+          << result.status().ToString() << " (workers " << workers
+          << ", cap " << cap << ")";
       ExpectBitIdentical(*result, *materialized);
       EXPECT_EQ(result->stats.base_cases, materialized->stats.base_cases);
       EXPECT_EQ(result->stats.merges, materialized->stats.merges);
       EXPECT_EQ(result->stats.total_spans, materialized->stats.total_spans);
       EXPECT_EQ(result->stats.recursion_levels,
                 materialized->stats.recursion_levels);
+      const uint64_t io = result->stats.io.total();
       EXPECT_LE(io, materialized_io)
-          << "threads " << threads << ", cap " << cap;
-      // I/O is a pure function of (input, options): thread count must not
-      // move it at either spill level.
-      if (threads == 1 && cap == 0) {
-        streaming_io_single = io;
-      } else if (cap == 0) {
-        EXPECT_EQ(io, streaming_io_single) << "threads " << threads;
+          << "workers " << workers << ", cap " << cap;
+      // I/O is a pure function of (input, options): the worker count must
+      // not move it at either spill level.
+      if (workers == 1) {
+        io_single = io;
+      } else {
+        EXPECT_EQ(io, io_single) << "workers " << workers << ", cap " << cap;
       }
     }
   }

@@ -2,6 +2,7 @@
 #ifndef MAXRS_TESTS_TEST_UTIL_H_
 #define MAXRS_TESTS_TEST_UTIL_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +35,21 @@ inline std::vector<SpatialObject> RandomIntObjects(size_t n, uint64_t extent,
   return objects;
 }
 
+/// Weight-skewed integer-coordinate set: every third object moves into a
+/// heavy strip (x in [4000, 6000], y in [0, 300], weight 50) and the rest
+/// stay unit-weight background over [0, 6000]^2. A rect around 200 wide
+/// finds its optimum in the strip, far above any background shard's whole
+/// weight: the shape on which per-shard weight bounds would skip shards.
+inline std::vector<SpatialObject> SkewedIntObjects(size_t n, uint64_t seed) {
+  std::vector<SpatialObject> objects = RandomIntObjects(n, 6000, seed);
+  for (size_t i = 0; i < objects.size(); i += 3) {
+    objects[i].x = 4000.0 + std::floor(objects[i].x / 3.0);
+    objects[i].y = std::floor(objects[i].y / 20.0);
+    objects[i].w = 50.0;
+  }
+  return objects;
+}
+
 /// MergeSweep over child slab-files into the slab-file `out` — the file
 /// schedule of an inner recursion node. An empty name is a known-empty
 /// (null) child.
@@ -62,9 +78,8 @@ inline Status MergeSlabFiles(
 }
 
 /// Re-opens the dataset ingested under `handle.prefix()` after deleting its
-/// aggregate-index file. The returned handle has agg_index() == nullptr, so
-/// a server over it bounds every shard at +inf: it routes and solves every
-/// shard and prunes nothing. `handle` keeps the index it already loaded.
+/// aggregate-index file. The returned handle has agg_index() == nullptr;
+/// `handle` keeps the index it already loaded.
 inline Result<DatasetHandle> ReopenWithoutIndex(Env& env,
                                                 const DatasetHandle& handle) {
   Status deleted = env.Delete(handle.prefix() + "/agg_index");
