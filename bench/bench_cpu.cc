@@ -133,18 +133,25 @@ void BM_MergeSweep(benchmark::State& state) {
   TempFileManager temps(*env, "bench");
   MAXRS_CHECK_OK(WriteRecordFile(*env, "pieces", pieces));
   MAXRS_CHECK_OK(WriteRecordFile(*env, "edges", edges));
-  auto division = DividePieces(temps, "pieces", "edges",
-                               Interval{-kInf, kInf}, m);
-  MAXRS_CHECK(division.ok() && division->children.size() == m);
+  auto source = FileRecordSource<PieceRecord>::Make(*env, "pieces");
+  MAXRS_CHECK(source.ok());
+  const std::string span_file = "spans";
+  uint64_t num_spans = 0;
+  auto division =
+      DividePieces(temps, &*source, "edges", Interval{-kInf, kInf}, m,
+                   /*channel_bytes=*/0, span_file, &num_spans);
+  MAXRS_CHECK(division.ok() && division->size() == m);
   std::vector<std::string> slab_files;
   std::vector<Interval> ranges;
-  for (const ChildSlab& child : division->children) {
-    auto child_pieces = ReadRecordFile<PieceRecord>(*env, child.piece_file);
-    MAXRS_CHECK(child_pieces.ok());
+  for (ChildSlab& child : *division) {
+    std::vector<PieceRecord> child_pieces;
+    PieceRecord p{};
+    while (child.pieces->Next(&p)) child_pieces.push_back(p);
+    MAXRS_CHECK_OK(child.pieces->final_status());
     slab_files.push_back("slab" + std::to_string(slab_files.size()));
     ranges.push_back(child.x_range);
     MAXRS_CHECK_OK(WriteRecordFile(*env, slab_files.back(),
-                                   PlaneSweep(*child_pieces, child.x_range)));
+                                   PlaneSweep(child_pieces, child.x_range)));
   }
   uint64_t tuples = 0;
   for (auto _ : state) {
@@ -164,7 +171,7 @@ void BM_MergeSweep(benchmark::State& state) {
       tracker.Visit(t);
     });
     MAXRS_CHECK_OK(
-        MergeSweep(*env, ranges, children, division->span_file, &root));
+        MergeSweep(*env, ranges, children, span_file, &root));
     benchmark::DoNotOptimize(core_internal::BestResult(tracker));
   }
   state.counters["tuples"] = static_cast<double>(tuples);

@@ -1,18 +1,21 @@
 // Division phase of ExactMaxRS (Sec. 5.2.1).
 //
-// A recursion node holds two files: the slab's pieces (sorted by y_lo) and
-// the slab's real vertical-edge x-coordinates (sorted by x). The division
-// cuts the edge file into m chunks of roughly equal edge count — Lemma 1
-// partitions *edges*, guaranteeing each child shrinks by a factor of m —
-// and routes each piece into child pieces and at most one spanning record.
-// Both output piece files inherit y-sortedness (they are subsequences of the
-// parent's y-sorted stream), and the edge chunks inherit x-sortedness (they
-// are contiguous cuts), so no re-sorting is ever needed after the two
-// up-front external sorts: every level costs O(n/B) I/Os.
+// A recursion node holds two inputs: a stream of the slab's pieces (sorted
+// by y_lo) and a file of the slab's real vertical-edge x-coordinates (sorted
+// by x). The division cuts the edge file into m chunks of roughly equal edge
+// count — Lemma 1 partitions *edges*, guaranteeing each child shrinks by a
+// factor of m — and routes each piece into child pieces and at most one
+// spanning record. Each child's pieces go into its own channel
+// (io/record_stream.h) and inherit y-sortedness (they are subsequences of
+// the parent's y-sorted stream); the edge chunks go into per-child files and
+// inherit x-sortedness (they are contiguous cuts). So no re-sorting is ever
+// needed after the two up-front external sorts: every level costs O(n/B)
+// I/Os.
 #ifndef MAXRS_CORE_DIVISION_H_
 #define MAXRS_CORE_DIVISION_H_
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,22 +23,14 @@
 #include "core/records.h"
 #include "geom/geometry.h"
 #include "io/env.h"
+#include "io/record_stream.h"
 #include "io/temp_manager.h"
+#include "util/cancel.h"
 #include "util/status.h"
 
 namespace maxrs {
 
 namespace division_internal {
-
-/// Pass 1 of a division: chooses at most m-1 interior slab boundaries from
-/// the (x-sorted) edge file's count quantiles, cutting only where the value
-/// strictly increases so routing by value reproduces the chunks exactly.
-/// Stores the edge count in *num_edges. An empty result means the file
-/// cannot be split (all edges share one x) — callers fall back to their
-/// base case.
-Result<std::vector<double>> ComputeEdgeBounds(Env& env,
-                                              const std::string& edge_file,
-                                              size_t m, uint64_t* num_edges);
 
 /// Index of the slab containing coordinate v. `bounds` holds the interior
 /// boundaries s_1 < ... < s_{m-1}; slab k covers [s_k, s_{k+1}) with
@@ -50,9 +45,9 @@ inline size_t IndexOf(const std::vector<double>& bounds, double v) {
 /// `bounds`/`ranges` (ranges[k] is slab k's x-interval; ranges.size() ==
 /// bounds.size() + 1): emits clipped sub-pieces via emit_piece(slab, piece)
 /// and at most one spanning record via emit_span(span) — the Sec. 5.2.1
-/// clipping rule shared verbatim by the recursion's division pass, the
-/// serve layer's per-query shard routing, and the streaming pipeline, so
-/// the three can never diverge. Both emitters return Status.
+/// clipping rule shared verbatim by the recursion's division pass and the
+/// serve layer's per-query shard routing, so the two can never diverge.
+/// Both emitters return Status.
 template <typename EmitPiece, typename EmitSpan>
 Status RoutePiece(const std::vector<double>& bounds,
                   const std::vector<Interval>& ranges, const PieceRecord& p,
@@ -103,33 +98,34 @@ Status RoutePiece(const std::vector<double>& bounds,
 
 }  // namespace division_internal
 
-/// One child of a division: its slab x-range and its two input files.
+/// One child of a division: its slab x-range and its two inputs.
 struct ChildSlab {
   Interval x_range;
-  std::string piece_file;
+  /// The child's y-sorted pieces, closed by the division.
+  std::unique_ptr<RecordChannel<PieceRecord>> pieces;
+  /// The child's x-sorted edges.
   std::string edge_file;
-  uint64_t num_pieces = 0;
-  uint64_t num_edges = 0;
 };
 
-/// The complete output of one division pass: the children plus the
-/// spanning-record file consumed later by MergeSweep.
-struct DivisionResult {
-  std::vector<ChildSlab> children;
-  std::string span_file;      ///< SpanRecords sorted by y_lo (== y order).
-  uint64_t num_spans = 0;
-};
-
-/// Computes child slab boundaries by cutting the (x-sorted) edge file into at
-/// most `m` chunks at value changes, then routes pieces and edges.
+/// Computes child slab boundaries by cutting the (x-sorted) edge file into
+/// at most `m` chunks at value changes, routes the edges into one file per
+/// child, then drains `pieces` (y-sorted, all within `slab`), routing each
+/// piece into the channels of the children it overlaps and its spanning
+/// part into `span_file` (SpanRecords in y order; *num_spans is their
+/// count). Each channel holds up to `channel_bytes` in memory and spills
+/// the rest to one scratch file (RecordChannel): 0 passes every non-empty
+/// child's pieces through exactly one file, and a child that receives no
+/// piece creates none. Every channel is closed on return, with the error if
+/// the routing failed. `cancel` is polled once per routed record.
 ///
-/// Returns InvalidArgument if the edge file cannot be cut into at least two
-/// chunks (all edges share one x) — callers fall back to the in-memory base
-/// case in that degenerate situation.
-Result<DivisionResult> DividePieces(TempFileManager& temps,
-                                    const std::string& piece_file,
-                                    const std::string& edge_file,
-                                    const Interval& slab, size_t m);
+/// Returns InvalidArgument without reading `pieces` if the edge file cannot
+/// be cut into at least two chunks (all edges share one x) — callers fall
+/// back to the in-memory base case in that degenerate situation.
+Result<std::vector<ChildSlab>> DividePieces(
+    TempFileManager& temps, RecordSource<PieceRecord>* pieces,
+    const std::string& edge_file, const Interval& slab, size_t m,
+    size_t channel_bytes, const std::string& span_file, uint64_t* num_spans,
+    const CancelToken* cancel = nullptr);
 
 }  // namespace maxrs
 

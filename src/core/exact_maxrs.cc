@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "core/division.h"
 #include "core/merge_sweep.h"
@@ -66,15 +67,15 @@ double FiniteMid(double lo, double hi) {
 }
 
 /// Recursive solver: owns the per-run knobs and statistics. With a pool,
-/// Solve runs concurrently on sibling sub-slabs — every recursion child owns
-/// its own scratch files, so the only shared mutable state is the stats
-/// block (guarded by stats_mu_) and the thread-safe temp manager.
+/// sibling sub-slabs solve concurrently — every recursion child owns its
+/// own piece channel and scratch files, so the only shared mutable state is
+/// the stats block (guarded by stats_mu_) and the thread-safe temp manager.
 class Driver {
  public:
   Driver(Env& env, TempFileManager& temps, const MaxRSOptions& options,
-         MaxRSStats* stats, ThreadPool* pool)
+         size_t channel_bytes, MaxRSStats* stats, ThreadPool* pool)
       : env_(env), temps_(temps), options_(options),
-        stats_(stats), pool_(pool) {
+        channel_bytes_(channel_bytes), stats_(stats), pool_(pool) {
     const size_t blocks = options.memory_bytes / env.block_size();
     fanout_ = options.fanout != 0
                   ? options.fanout
@@ -82,19 +83,17 @@ class Driver {
     base_max_ = DeriveBaseCaseMax(options);
   }
 
-  uint64_t base_max() const { return base_max_; }
-  TempFileManager& temps() { return temps_; }
-
-  /// Streaming counterpart of Solve: consumes a *stream* of the slab's
-  /// y-sorted pieces instead of a piece file, so the caller's routing and
-  /// this node's solve overlap. Stats counters (levels, base cases, merges,
-  /// spans) are identical to Solve over a file of the same stream — the
-  /// division decisions depend only on the record sequence, which is the
-  /// same — while per-child piece files are replaced by SPSC channels
-  /// (io/record_stream.h) that spill deterministically beyond the cap.
-  /// Appends the slab's tuples to `out` (not closed here).
+  /// Solves the slab from a stream of its y-sorted pieces and appends the
+  /// slab's tuples to `out` (not closed here). Buffers up to the base-case
+  /// threshold; a stream that ends within it is solved in memory with no
+  /// division (or edge) I/O at all. Otherwise the node divides: it routes
+  /// its pieces into one channel per child and its edges into one file per
+  /// child, calls `release_input` (it no longer needs `source` or the edge
+  /// file), and only then solves the children — concurrently on the pool,
+  /// in order without one — and MergeSweeps their slab-files.
   Status StreamSolve(RecordSource<PieceRecord>* source,
                      const core_internal::EdgeFileProvider& edge_provider,
+                     const std::function<void()>& release_input,
                      const Interval& slab, uint64_t depth,
                      RecordSink<SlabTuple>* out) {
     {
@@ -104,8 +103,6 @@ class Driver {
     // Node-entry deadline poll: a cancelled query unwinds through the
     // ordinary error paths, so channels close and scratch files release.
     MAXRS_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-    // Buffer up to the base-case threshold: a stream that ends within it
-    // is solved in memory with no division (or edge) I/O at all.
     std::vector<PieceRecord> buffer;
     bool overflow = false;
     {
@@ -121,166 +118,74 @@ class Driver {
         }
       }
     }
-    if (!overflow) return StreamBaseCase(std::move(buffer), slab, out);
-
-    // Overflow: the node divides. Only now is the edge file needed.
-    MAXRS_ASSIGN_OR_RETURN(std::string edge_file, edge_provider());
-    uint64_t num_edges = 0;
-    MAXRS_ASSIGN_OR_RETURN(std::vector<double> bounds,
-                           division_internal::ComputeEdgeBounds(
-                               env_, edge_file, fanout_, &num_edges));
-    if (bounds.empty()) {
-      // Degenerate (all edges share one x): the slab cannot be split —
-      // drain the stream and fall through to the in-memory base case,
-      // exactly like the materialized division's InvalidArgument fallback.
-      PieceRecord p{};
-      while (true) {
-        Status st = source->Read(&p);
-        if (st.code() == Status::Code::kNotFound) break;
-        MAXRS_RETURN_IF_ERROR(st);
-        buffer.push_back(p);
-      }
+    if (!overflow) {
+      release_input();
       return StreamBaseCase(std::move(buffer), slab, out);
     }
 
-    const size_t num_children = bounds.size() + 1;
-    std::vector<Interval> ranges(num_children);
-    for (size_t k = 0; k < num_children; ++k) {
-      ranges[k].lo = (k == 0) ? slab.lo : bounds[k - 1];
-      ranges[k].hi = (k + 1 == num_children) ? slab.hi : bounds[k];
-    }
-
-    // Pass 2 (eager, as in DividePieces): route edges into per-child files
-    // — the lazily-claimed inputs of whichever children overflow in turn.
-    std::vector<std::string> child_edge_files(num_children);
-    {
-      MAXRS_ASSIGN_OR_RETURN(RecordReader<EdgeRecord> reader,
-                             RecordReader<EdgeRecord>::Make(env_, edge_file));
-      std::vector<RecordWriter<EdgeRecord>> writers;
-      writers.reserve(num_children);
-      for (size_t k = 0; k < num_children; ++k) {
-        child_edge_files[k] = temps_.NewName("edges");
-        MAXRS_ASSIGN_OR_RETURN(
-            RecordWriter<EdgeRecord> w,
-            RecordWriter<EdgeRecord>::Make(env_, child_edge_files[k]));
-        writers.push_back(std::move(w));
-      }
-      EdgeRecord e{};
-      while (reader.Next(&e)) {
-        MAXRS_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-        size_t k = std::min(division_internal::IndexOf(bounds, e.x),
-                            num_children - 1);
-        MAXRS_RETURN_IF_ERROR(writers[k].Append(e));
-      }
-      MAXRS_RETURN_IF_ERROR(reader.final_status());
-      for (size_t k = 0; k < num_children; ++k) {
-        MAXRS_RETURN_IF_ERROR(writers[k].Finish());
-      }
-    }
-
-    // Pass 3: the streamed division. Per-child piece channels, filled by
-    // this node's routing and then drained by the recursive child solves.
-    std::vector<std::unique_ptr<RecordChannel<PieceRecord>>> channels;
-    channels.reserve(num_children);
-    for (size_t k = 0; k < num_children; ++k) {
-      channels.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-          env_, temps_.NewName("spill"), options_.stream_channel_bytes));
-    }
-    std::string span_file = temps_.NewName("spans");
+    // Overflow: the node divides. Only now is the edge file needed.
+    MAXRS_ASSIGN_OR_RETURN(std::string edge_file, edge_provider());
+    PrependedSource<PieceRecord> pieces(std::move(buffer), source);
+    const std::string span_file = temps_.NewName("spans");
     uint64_t num_spans = 0;
-
-    // Routes the buffered prefix, then the rest of the stream, closing
-    // every channel with the final status no matter what — an unclosed
-    // channel would hang its consumer forever.
-    auto route_and_close = [&]() -> Status {
-      Status st = [&]() -> Status {
-        MAXRS_ASSIGN_OR_RETURN(RecordWriter<SpanRecord> span_writer,
-                               RecordWriter<SpanRecord>::Make(env_, span_file));
-        auto emit_piece = [&](size_t k, const PieceRecord& piece) {
-          return channels[k]->Append(piece);
-        };
-        auto emit_span = [&](const SpanRecord& s) {
-          return span_writer.Append(s);
-        };
-        for (const PieceRecord& buffered : buffer) {
-          MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
-              bounds, ranges, buffered, emit_piece, emit_span));
-        }
-        std::vector<PieceRecord>().swap(buffer);
-        PieceRecord p{};
-        while (true) {
-          MAXRS_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-          Status read_st = source->Read(&p);
-          if (read_st.code() == Status::Code::kNotFound) break;
-          MAXRS_RETURN_IF_ERROR(read_st);
-          MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
-              bounds, ranges, p, emit_piece, emit_span));
-        }
-        MAXRS_RETURN_IF_ERROR(span_writer.Finish());
-        num_spans = span_writer.count();
-        return Status::OK();
-      }();
-      for (auto& channel : channels) {
-        Status close_st = channel->Close(st);
-        if (st.ok() && !close_st.ok()) st = close_st;
-      }
-      return st;
-    };
-
-    // Route first, then solve the children in order: a child solve reading
-    // a channel that is still open would park forever, while closed
-    // channels act as deterministic buffers.
-    std::vector<std::string> child_slab_files(num_children);
-    Status st = route_and_close();
-    for (size_t k = 0; st.ok() && k < num_children; ++k) {
-      core_internal::EdgeFileProvider provider =
-          [&child_edge_files, k]() -> Result<std::string> {
-        return {child_edge_files[k]};
-      };
-      auto slab_or = SolveToFile([&](RecordSink<SlabTuple>* sink) {
-        return StreamSolve(channels[k].get(), provider, ranges[k], depth + 1,
-                           sink);
-      });
-      if (slab_or.ok()) {
-        child_slab_files[k] = std::move(slab_or).value();
-      } else {
-        st = slab_or.status();
-      }
+    auto children_or =
+        DividePieces(temps_, &pieces, edge_file, slab, fanout_, channel_bytes_,
+                     span_file, &num_spans, options_.cancel);
+    if (children_or.status().code() == Status::Code::kInvalidArgument) {
+      // Degenerate (all edges share one x): the slab cannot be split, so
+      // drain the stream into the in-memory base case regardless of size.
+      std::vector<PieceRecord> all;
+      PieceRecord p{};
+      while (pieces.Next(&p)) all.push_back(p);
+      MAXRS_RETURN_IF_ERROR(pieces.final_status());
+      release_input();
+      return StreamBaseCase(std::move(all), slab, out);
     }
-    for (const std::string& f : child_edge_files) temps_.Release(f);
-    MAXRS_RETURN_IF_ERROR(st);
+    release_input();
+    if (!children_or.ok()) {
+      temps_.Release(span_file);
+      return children_or.status();
+    }
+    std::vector<ChildSlab> children = std::move(children_or).value();
 
+    // The children are independent until MergeSweep combines their
+    // slab-files: each reads its own closed channel and edge file and
+    // writes its slab-file into a pre-sized slot, so solving them
+    // concurrently changes nothing about the result. MergeSweep itself
+    // stays serial per node (one ordered sweep over all children: O(K/B)
+    // I/Os and O(K log m) CPU for K tuples).
+    std::vector<std::string> child_slab_files(children.size());
+    Status st = ParallelFor(pool_, 0, children.size(), [&](size_t k) -> Status {
+      ChildSlab& child = children[k];
+      const core_internal::EdgeFileProvider provider =
+          [&child]() -> Result<std::string> { return {child.edge_file}; };
+      const std::function<void()> release = [this, &child] {
+        child.pieces.reset();
+        temps_.Release(child.edge_file);
+      };
+      MAXRS_ASSIGN_OR_RETURN(
+          child_slab_files[k],
+          SolveToFile([&](RecordSink<SlabTuple>* sink) {
+            return StreamSolve(child.pieces.get(), provider, release,
+                               child.x_range, depth + 1, sink);
+          }));
+      return Status::OK();
+    });
+    if (!st.ok()) {
+      // A child that failed, or never ran, has not released its edge file.
+      for (const ChildSlab& child : children) temps_.Release(child.edge_file);
+      for (const std::string& f : child_slab_files) temps_.Release(f);
+      temps_.Release(span_file);
+      return st;
+    }
+
+    std::vector<Interval> ranges;
+    ranges.reserve(children.size());
+    for (const ChildSlab& child : children) ranges.push_back(child.x_range);
     MAXRS_RETURN_IF_ERROR(
         MergeChildFiles(ranges, child_slab_files, span_file, num_spans, out));
     temps_.Release(span_file);
     return Status::OK();
-  }
-
-  /// Solves the sub-problem of `slab`, consuming (and deleting) the two
-  /// input files; appends the slab's tuples to `out` (not closed here).
-  Status Solve(const std::string& piece_file, const std::string& edge_file,
-               const Interval& slab, uint64_t num_pieces, uint64_t depth,
-               RecordSink<SlabTuple>* out) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_->recursion_levels = std::max(stats_->recursion_levels, depth);
-    }
-    MAXRS_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-
-    if (num_pieces > base_max_) {
-      auto division_or =
-          DividePieces(temps_, piece_file, edge_file, slab, fanout_);
-      if (division_or.ok()) {
-        return Merge(piece_file, edge_file, std::move(division_or).value(),
-                     depth, out);
-      }
-      if (division_or.status().code() != Status::Code::kInvalidArgument) {
-        return {division_or.status()};
-      }
-      // Degenerate input (all edges share one x): the slab cannot be split,
-      // so fall through to the in-memory base case regardless of size.
-    }
-    return BaseCase(piece_file, edge_file, slab, out);
   }
 
  private:
@@ -305,52 +210,6 @@ class Driver {
     }
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_->base_cases;
-    return Status::OK();
-  }
-
-  Status BaseCase(const std::string& piece_file, const std::string& edge_file,
-                  const Interval& slab, RecordSink<SlabTuple>* out) {
-    MAXRS_ASSIGN_OR_RETURN(std::vector<PieceRecord> pieces,
-                           ReadRecordFile<PieceRecord>(env_, piece_file));
-    temps_.Release(piece_file);
-    temps_.Release(edge_file);
-    return StreamBaseCase(std::move(pieces), slab, out);
-  }
-
-  Status Merge(const std::string& piece_file, const std::string& edge_file,
-               DivisionResult division, uint64_t depth,
-               RecordSink<SlabTuple>* out) {
-    temps_.Release(piece_file);
-    temps_.Release(edge_file);
-
-    // The m child sub-slabs are independent until MergeSweep combines their
-    // slab-files: each owns its own input files and writes its slab-file
-    // into a distinct pre-sized slot, so solving them concurrently changes
-    // nothing about the result. MergeSweep itself stays serial per node (it
-    // is one ordered sweep over all children: O(K/B) I/Os and O(K log m)
-    // CPU for K tuples).
-    std::vector<std::string> child_slab_files(division.children.size());
-    MAXRS_RETURN_IF_ERROR(ParallelFor(
-        pool_, 0, division.children.size(), [&](size_t k) -> Status {
-          const ChildSlab& child = division.children[k];
-          auto slab_file_or = SolveToFile([&](RecordSink<SlabTuple>* sink) {
-            return Solve(child.piece_file, child.edge_file, child.x_range,
-                         child.num_pieces, depth + 1, sink);
-          });
-          if (!slab_file_or.ok()) return slab_file_or.status();
-          child_slab_files[k] = std::move(slab_file_or).value();
-          return Status::OK();
-        }));
-
-    std::vector<Interval> ranges;
-    ranges.reserve(division.children.size());
-    for (const ChildSlab& child : division.children) {
-      ranges.push_back(child.x_range);
-    }
-    MAXRS_RETURN_IF_ERROR(MergeChildFiles(ranges, child_slab_files,
-                                          division.span_file,
-                                          division.num_spans, out));
-    temps_.Release(division.span_file);
     return Status::OK();
   }
 
@@ -402,25 +261,13 @@ class Driver {
   Env& env_;
   TempFileManager& temps_;
   MaxRSOptions options_;
+  size_t channel_bytes_;
   MaxRSStats* stats_;
   ThreadPool* pool_;
   std::mutex stats_mu_;
   size_t fanout_ = 2;
   uint64_t base_max_ = 2;
 };
-
-// The back half of VisitRootTuples: division + merge-sweep from sorted
-// inputs on `pool`, the root sweep's tuples going straight to `visit`.
-// Consumes (deletes) the two input files of `input`.
-Status SolvePreparedOnPool(Env& env, const PreparedInput& input,
-                           const MaxRSOptions& options, MaxRSStats* stats,
-                           ThreadPool* pool,
-                           const std::function<void(const SlabTuple&)>& visit) {
-  TempFileManager temps(env, options.work_prefix);
-  core_internal::VisitingSink sink(visit);
-  return core_internal::SolveSlab(env, temps, input, options, stats, pool,
-                                  &sink);
-}
 
 }  // namespace
 
@@ -430,23 +277,17 @@ Status ValidateMaxRSOptions(const MaxRSOptions& options, size_t block_size) {
 
 namespace core_internal {
 
-Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
-                 const MaxRSOptions& options, MaxRSStats* stats,
-                 ThreadPool* pool, RecordSink<SlabTuple>* out) {
-  MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
-  Driver driver(env, temps, options, stats, pool);
-  return driver.Solve(input.piece_file, input.edge_file, input.x_range,
-                      input.num_pieces, /*depth=*/0, out);
-}
-
 Status SolveSlabStream(Env& env, TempFileManager& temps,
                        RecordSource<PieceRecord>* pieces,
                        const EdgeFileProvider& edge_provider,
+                       const std::function<void()>& release_input,
                        const Interval& x_range, const MaxRSOptions& options,
+                       size_t channel_bytes, ThreadPool* pool,
                        MaxRSStats* stats, RecordSink<SlabTuple>* out) {
   MAXRS_RETURN_IF_ERROR(ValidateOptions(options, env.block_size()));
-  Driver driver(env, temps, options, stats, /*pool=*/nullptr);
-  return driver.StreamSolve(pieces, edge_provider, x_range, /*depth=*/0, out);
+  Driver driver(env, temps, options, channel_bytes, stats, pool);
+  return driver.StreamSolve(pieces, edge_provider, release_input, x_range,
+                            /*depth=*/0, out);
 }
 
 void TopTupleTracker::Visit(const SlabTuple& t) {
@@ -589,7 +430,6 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   // x-coordinate file, both unsorted.
   std::string raw_pieces = temps.NewName("raw_pieces");
   std::string raw_edges = temps.NewName("raw_edges");
-  uint64_t num_pieces = 0;
   {
     MAXRS_ASSIGN_OR_RETURN(RecordWriter<PieceRecord> piece_writer,
                            RecordWriter<PieceRecord>::Make(env, raw_pieces));
@@ -607,7 +447,6 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
     MAXRS_RETURN_IF_ERROR(objects.final_status());
     MAXRS_RETURN_IF_ERROR(piece_writer.Finish());
     MAXRS_RETURN_IF_ERROR(edge_writer.Finish());
-    num_pieces = piece_writer.count();
   }
 
   // The two up-front external sorts of Theorem 2. They touch disjoint files,
@@ -632,9 +471,30 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   temps.Release(raw_pieces);
   temps.Release(raw_edges);
 
-  const PreparedInput prepared{sorted_pieces, sorted_edges, num_pieces,
-                               root_slab};
-  return SolvePreparedOnPool(env, prepared, options, stats, pool.get(), visit);
+  // The root streams its sorted piece file into the recursion; a child
+  // channel cap of 0 passes each non-empty child's pieces through exactly
+  // one spill file, the paper's external schedule at the M budget.
+  std::optional<FileRecordSource<PieceRecord>> source;
+  {
+    auto source_or = FileRecordSource<PieceRecord>::Make(env, sorted_pieces);
+    MAXRS_RETURN_IF_ERROR(source_or.status());
+    source.emplace(std::move(source_or).value());
+  }
+  const EdgeFileProvider edge_provider =
+      [&sorted_edges]() -> Result<std::string> { return {sorted_edges}; };
+  // Idempotent: the solver calls it once the root has routed its input, and
+  // it runs again here for the error paths that never got that far.
+  const std::function<void()> release_input = [&] {
+    source.reset();
+    temps.Release(sorted_pieces);
+    temps.Release(sorted_edges);
+  };
+  VisitingSink sink(visit);
+  Status st = SolveSlabStream(env, temps, &*source, edge_provider,
+                              release_input, root_slab, options,
+                              /*channel_bytes=*/0, pool.get(), stats, &sink);
+  release_input();
+  return st;
 }
 
 }  // namespace core_internal

@@ -8,10 +8,13 @@
 //      rectangle set (Sec. 4, Def. 5).
 //   2. External-sort the rectangle file by y and the vertical-edge
 //      x-coordinates by x (the two up-front sorts of Theorem 2).
-//   3. Recursively divide the slab into m = Theta(M/B) sub-slabs of roughly
-//      equal edge count, separating spanning parts (division.h); solve each
-//      sub-slab (in memory once it fits, plane_sweep.h); merge child
-//      slab-files bottom-up (merge_sweep.h).
+//   3. Stream the y-sorted rectangles into the recursion: a slab that fits
+//      in memory is solved there (plane_sweep.h); a larger one divides into
+//      m = Theta(M/B) sub-slabs of roughly equal edge count, routing its
+//      pieces into one channel per child and separating spanning parts
+//      (division.h), then solves the sub-slabs (concurrently on a pool) and
+//      merges their slab-files (merge_sweep.h). Each non-empty child's
+//      pieces pass through exactly one spill file.
 //   4. Feed the root sweep's tuples straight to a tracker of the maximum
 //      sum (no root slab-file): its stratum is the max-region; any interior
 //      point is an optimal location.
@@ -74,15 +77,6 @@ struct MaxRSOptions {
   /// from core/extensions.h rather than setting this directly.
   SweepObjective objective = SweepObjective::kMaximize;
 
-  /// Per-channel in-memory cap (bytes) for the child piece channels of
-  /// SolveSlabStream's division (the serve layer's per-shard solves). A
-  /// node's resident routing memory is bounded by fanout x min(cap, child
-  /// size); records beyond the cap spill to one scratch file per channel,
-  /// deterministically (a pure function of the routed records and the cap
-  /// — never of scheduling). 0 spills everything (the fully-external
-  /// schedule); SIZE_MAX never spills.
-  size_t stream_channel_bytes = 1 << 20;
-
   /// Optional cooperative cancellation (util/cancel.h), not owned; must
   /// outlive the run. Polled at every recursion-node entry, routing loop,
   /// and MergeSweep record loop: an expired token aborts the run with a
@@ -124,22 +118,6 @@ struct MaxRSResult {
   MaxRSStats stats;
 };
 
-/// A dataset transformed and sorted for one (rect_width, rect_height): the
-/// two inputs of the division phase, i.e. everything that survives the sort
-/// phase of Algorithm 2, as produced internally by RunExactMaxRS. (The
-/// serve layer never builds one: it keeps the dataset pre-sorted per x-slab
-/// shard and streams each query's pieces straight into SolveSlabStream.)
-struct PreparedInput {
-  /// PieceRecords sorted by PieceYLess (the y pre-sort of Theorem 2).
-  std::string piece_file;
-  /// EdgeRecords sorted by EdgeXLess (the x pre-sort of Theorem 2).
-  std::string edge_file;
-  /// Record count of `piece_file`.
-  uint64_t num_pieces = 0;
-  /// Root slab of the recursion; the whole plane for plain MaxRS.
-  Interval x_range{-kInf, kInf};
-};
-
 /// Validates `options` against an Env's block size without running
 /// anything: the same checks every Run* entry point performs first
 /// (positive finite rect, budget of at least 4 blocks, fanout and thread
@@ -175,44 +153,37 @@ struct RankedRegion {
 
 namespace core_internal {
 
-/// The recursive solver of one slab over a piece file — the one-shot
-/// pipeline's root solve, and the file-based twin of SolveSlabStream (which
-/// the serve layer's per-shard solves use): runs division + merge-sweep
-/// on `input` confined to `input.x_range` and appends the slab's SlabTuple
-/// stream (y-ascending) to `out`, from the base case or from the root
-/// MergeSweep — no slab-file is written for the slab itself, only for the
-/// inner recursion nodes. A base case appends PlaneSweep's tuples minus
-/// each one whose (x_lo, x_hi, sum) bits repeat its predecessor's; a
-/// MergeSweep appends one tuple per event y. `out` is not closed: its owner
-/// closes it with the final status. Consumes (deletes) both input files.
-/// All piece x-extents must lie within `input.x_range` and
-/// `input.num_pieces` must match the piece file (trusted, not probed).
-Status SolveSlab(Env& env, TempFileManager& temps, const PreparedInput& input,
-                 const MaxRSOptions& options, MaxRSStats* stats,
-                 ThreadPool* pool, RecordSink<SlabTuple>* out);
-
 /// Lazily produces the x-sorted edge file of a slab being stream-solved.
 /// Invoked at most once, and only if the slab overflows the in-memory base
-/// case (a base-case slab needs no edges at all). The file it names is
-/// released by its creator, never by the stream solver.
+/// case (a base-case slab needs no edges at all). The file it names stays
+/// its creator's to release (see `release_input` below).
 using EdgeFileProvider = std::function<Result<std::string>()>;
 
-/// Zero-materialization counterpart of SolveSlab: solves the slab
-/// `x_range` from a *stream* of its y-sorted pieces instead of a piece
-/// file, so the caller's routing pass and this solve overlap. The solver
-/// buffers up to the base-case threshold; if the stream ends within it the
-/// slab is solved in memory with no division I/O at all, otherwise
-/// `edge_provider` supplies the edge file and the node divides, feeding
-/// its children through per-child channels in turn (recursively streamed).
-/// Appends the slab's tuples to `out` (not closed here), exactly as
-/// SolveSlab does. Results and stats counters are bit-identical to
-/// SolveSlab over a file holding the same stream. `options` is validated.
-/// Serial: each node routes all of its pieces, then solves its children
-/// in order.
+/// The one ExactMaxRS recursion: solves the slab `x_range` from a *stream*
+/// of its y-sorted pieces (all within `x_range`), so a caller's routing
+/// pass and this solve can overlap. The solver buffers up to the base-case
+/// threshold; if the stream ends within it the slab is solved in memory
+/// with no division I/O at all, otherwise `edge_provider` supplies the edge
+/// file and the node divides (DividePieces, core/division.h), routing its
+/// pieces into one channel per child. Each child channel keeps up to
+/// `channel_bytes` in memory and spills the rest to one scratch file
+/// (RecordChannel): 0 is the paper's external schedule, which one-shot
+/// runs. Once a node has routed (or buffered) all of its input it calls
+/// `release_input`, so the caller can drop the piece source's storage and
+/// the edge file before any child solves; on an error path it may not have
+/// been called. The children of a node solve concurrently on `pool`, or in
+/// order when it is null; each child's tuples reach its parent's MergeSweep
+/// through one slab-file. Appends the slab's tuples to `out` (not closed
+/// here): a base case appends PlaneSweep's tuples minus each one whose
+/// (x_lo, x_hi, sum) bits repeat its predecessor's; a MergeSweep appends one
+/// tuple per event y. Results, stats counters and block counts do not
+/// depend on the pool. `options` is validated.
 Status SolveSlabStream(Env& env, TempFileManager& temps,
                        RecordSource<PieceRecord>* pieces,
                        const EdgeFileProvider& edge_provider,
+                       const std::function<void()>& release_input,
                        const Interval& x_range, const MaxRSOptions& options,
+                       size_t channel_bytes, ThreadPool* pool,
                        MaxRSStats* stats, RecordSink<SlabTuple>* out);
 
 /// Streams the tuples of the *root* slab (y-ascending) produced by a full

@@ -343,29 +343,34 @@ class RecordChannel final : public RecordSink<T>, public RecordSource<T> {
   std::optional<RecordReader<T>> spill_reader_;
 };
 
-/// A source that yields one buffered record, then delegates to `rest` —
-/// the glue for consumers that must probe a stream's first record (e.g.
-/// "is this shard empty?") before handing the whole stream onward.
+/// A source that yields a buffered prefix, then delegates to `rest` — the
+/// glue for consumers that must read ahead of a stream (e.g. "is this shard
+/// empty?", or "does this slab fit in memory?") before handing the whole
+/// stream onward.
 template <typename T>
 class PrependedSource final : public RecordSource<T> {
  public:
-  /// Yields `first`, then everything remaining in `rest` (not owned; must
-  /// outlive this source).
-  PrependedSource(const T& first, RecordSource<T>* rest)
-      : first_(first), rest_(rest) {}
+  /// Yields `prefix` in order, then everything remaining in `rest` (not
+  /// owned; must outlive this source). The prefix's storage is freed as
+  /// soon as it has been read.
+  PrependedSource(std::vector<T> prefix, RecordSource<T>* rest)
+      : prefix_(std::move(prefix)), rest_(rest) {}
 
   Status Read(T* out) override {
-    if (has_first_) {
-      has_first_ = false;
-      *out = first_;
+    if (pos_ < prefix_.size()) {
+      *out = prefix_[pos_++];
       return Status::OK();
+    }
+    if (!prefix_.empty()) {
+      std::vector<T>().swap(prefix_);
+      pos_ = 0;
     }
     return rest_->Read(out);
   }
 
  private:
-  T first_;
-  bool has_first_ = true;
+  std::vector<T> prefix_;
+  size_t pos_ = 0;
   RecordSource<T>* rest_;
 };
 

@@ -103,7 +103,8 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
                                std::vector<RecordSource<EdgeRecord>*>
                                    edge_column,
                                const Interval& slab,
-                               const MaxRSOptions& options, MaxRSStats* stats,
+                               const MaxRSOptions& options,
+                               size_t channel_bytes, MaxRSStats* stats,
                                RecordSink<SlabTuple>* out) {
   MergingSource<PieceRecord, decltype(&PieceYLess)> pieces(
       std::move(piece_column), &PieceYLess);
@@ -115,7 +116,7 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
   Status probe = pieces.Read(&first);
   if (probe.code() == Status::Code::kNotFound) return Status::OK();
   MAXRS_RETURN_IF_ERROR(probe);
-  PrependedSource<PieceRecord> stream(first, &pieces);
+  PrependedSource<PieceRecord> stream({first}, &pieces);
 
   std::string edge_file;  // set iff the provider runs (base-case overflow)
   core_internal::EdgeFileProvider edge_provider =
@@ -135,9 +136,9 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
     return {edge_file};
   };
 
-  Status st = core_internal::SolveSlabStream(env, temps, &stream,
-                                             edge_provider, slab, options,
-                                             stats, out);
+  Status st = core_internal::SolveSlabStream(
+      env, temps, &stream, edge_provider, /*release_input=*/[] {}, slab,
+      options, channel_bytes, /*pool=*/nullptr, stats, out);
   // The provider's creator owns the drained edge file (exact_maxrs.h).
   if (!edge_file.empty()) temps.Release(edge_file);
   return st;
@@ -163,7 +164,7 @@ class BatchChannels {
  public:
   BatchChannels(Env& env, TempFileManager& temps, size_t num_queries,
                 size_t num_shards, size_t cap_bytes)
-      : num_shards_(num_shards) {
+      : num_shards_(num_shards), cap_bytes_(cap_bytes) {
     pieces_.reserve(num_queries * num_shards * num_shards);
     edges_left_.reserve(num_queries * num_shards * num_shards);
     edges_right_.reserve(num_queries * num_shards * num_shards);
@@ -212,7 +213,8 @@ class BatchChannels {
 
   // Solves query q's target shard t from every source row, in ascending
   // order — the canonical merge order — into the shard's slab channel, and
-  // closes that channel with the solve's final status on every path.
+  // closes that channel with the solve's final status on every path. The
+  // solve's own division channels share the batch's cap.
   Status SolveTarget(Env& env, TempFileManager& temps, size_t q, size_t t,
                      const Interval& slab, const MaxRSOptions& options,
                      MaxRSStats* stats) {
@@ -228,11 +230,12 @@ class BatchChannels {
     RecordChannel<SlabTuple>* out = slabs_[q * num_shards_ + t].get();
     return out->Close(SolveTargetShardColumns(
         env, temps, std::move(piece_column), std::move(edge_column), slab,
-        options, stats, out));
+        options, cap_bytes_, stats, out));
   }
 
  private:
   size_t num_shards_;
+  size_t cap_bytes_;
   std::vector<std::unique_ptr<RecordChannel<PieceRecord>>> pieces_;
   std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_left_;
   std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_right_;
@@ -586,7 +589,6 @@ MaxRSOptions MaxRSServer::MakeQueryOptions(double width, double height,
   // inside one slab solve: the serial solve is the deterministic one, and
   // it keeps per-query memory at one M.
   query_options.num_threads = 1;
-  query_options.stream_channel_bytes = options_.stream_channel_bytes;
   return query_options;
 }
 

@@ -140,8 +140,9 @@ struct MaxRSServerOptions {
   /// a query may still finish successfully if it completes between polls.
   int64_t deadline_ms = 0;
 
-  /// Per-channel in-memory byte cap for routed records and for each
-  /// shard's slab channel (its tuples, held until the combine — so up to
+  /// Per-channel in-memory byte cap for routed records, for the child piece
+  /// channels of a shard solve that divides, and for each shard's slab
+  /// channel (its tuples, held until the combine — so up to
   /// S x this per query): a channel holding more than this spills the
   /// excess to one Env part file. 0 forces every record through a spill
   /// file (the materialization worst case); SIZE_MAX never spills. The

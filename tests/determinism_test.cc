@@ -115,13 +115,14 @@ INSTANTIATE_TEST_SUITE_P(
         // A base case writes no tuple that repeats its predecessor's
         // (x_lo, x_hi, sum), so a child slab-file holds fewer blocks than
         // PlaneSweep's output would fill: reads and writes both count only
-        // the blocks of the tuples that change.
-        DeterminismCase{0xC0FFEE01, 120, 12, 4, 2, 8, 344, 360},
-        DeterminismCase{0xC0FFEE02, 200, 16, 6, 3, 16, 484, 492},
-        DeterminismCase{0xC0FFEE03, 80, 6, 2, 5, 4, 150, 165},  // dense collisions
-        DeterminismCase{0xC0FFEE04, 256, 24, 10, 2, 32, 718, 705},
-        DeterminismCase{0xC0FFEE05, 150, 10, 30, 4, 8, 438, 453},  // rect covers all
-        DeterminismCase{0xC0FFEE06, 60, 4, 3, 7, 6, 125, 138}));   // tiny domain
+        // the blocks of the tuples that change. A child that receives no
+        // piece creates no file: its empty channel never spills.
+        DeterminismCase{0xC0FFEE01, 120, 12, 4, 2, 8, 334, 350},
+        DeterminismCase{0xC0FFEE02, 200, 16, 6, 3, 16, 466, 474},
+        DeterminismCase{0xC0FFEE03, 80, 6, 2, 5, 4, 142, 157},  // dense collisions
+        DeterminismCase{0xC0FFEE04, 256, 24, 10, 2, 32, 713, 700},
+        DeterminismCase{0xC0FFEE05, 150, 10, 30, 4, 8, 417, 432},  // rect covers all
+        DeterminismCase{0xC0FFEE06, 60, 4, 3, 7, 6, 118, 131}));   // tiny domain
 
 }  // namespace
 }  // namespace maxrs

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/records.h"
 #include "io/env.h"
 #include "io/record_io.h"
+#include "io/record_stream.h"
 #include "test_util.h"
 
 namespace maxrs {
@@ -32,7 +34,28 @@ struct Fixture {
     MAXRS_RETURN_IF_ERROR(WriteRecordFile(*env, "pieces", sorted_pieces));
     return WriteRecordFile(*env, "edges", edges);
   }
+
+  // Divides the "pieces" stream and the "edges" file into at most m
+  // children over the whole line, spans into "spans". Child channels keep
+  // up to `channel_bytes` in memory (0: every non-empty child spills once).
+  Result<std::vector<ChildSlab>> Divide(size_t m, size_t channel_bytes = 0) {
+    auto source = FileRecordSource<PieceRecord>::Make(*env, "pieces");
+    if (!source.ok()) return {source.status()};
+    return DividePieces(temps, &*source, "edges", Interval{-kInf, kInf}, m,
+                        channel_bytes, "spans", &num_spans);
+  }
+
+  uint64_t num_spans = 0;
 };
+
+// Drains a child's (closed) piece channel.
+std::vector<PieceRecord> Drain(ChildSlab& child) {
+  std::vector<PieceRecord> pieces;
+  PieceRecord p{};
+  while (child.pieces->Next(&p)) pieces.push_back(p);
+  EXPECT_TRUE(child.pieces->final_status().ok());
+  return pieces;
+}
 
 std::vector<PieceRecord> UnitSquaresAt(const std::vector<double>& xs) {
   std::vector<PieceRecord> pieces;
@@ -48,21 +71,24 @@ TEST(DivisionTest, SplitsIntoRoughlyEqualEdgeCounts) {
   Fixture f;
   auto pieces = UnitSquaresAt({0, 100, 200, 300, 400, 500, 600, 700});
   ASSERT_TRUE(f.Put(pieces).ok());
-  auto div = DividePieces(f.temps, "pieces", "edges", Interval{-kInf, kInf}, 4);
+  auto div = f.Divide(4);
   ASSERT_TRUE(div.ok());
-  EXPECT_EQ(div->children.size(), 4u);
+  EXPECT_EQ(div->size(), 4u);
   uint64_t total_edges = 0;
   uint64_t total_pieces = 0;
-  for (const ChildSlab& c : div->children) {
-    total_edges += c.num_edges;
-    total_pieces += c.num_pieces;
-    EXPECT_LE(c.num_edges, 6u);  // ~16/4 with slack
+  for (ChildSlab& c : *div) {
+    auto edges = ReadRecordFile<EdgeRecord>(*f.env, c.edge_file);
+    ASSERT_TRUE(edges.ok());
+    const size_t num_pieces = Drain(c).size();
+    total_edges += edges->size();
+    total_pieces += num_pieces;
+    EXPECT_LE(edges->size(), 6u);  // ~16/4 with slack
     // Termination invariant: pieces never exceed edges in a child.
-    EXPECT_LE(c.num_pieces, c.num_edges);
+    EXPECT_LE(num_pieces, edges->size());
   }
   EXPECT_EQ(total_edges, 16u);
   EXPECT_EQ(total_pieces, 8u);  // squares are disjoint: nothing split
-  EXPECT_EQ(div->num_spans, 0u);
+  EXPECT_EQ(f.num_spans, 0u);
 }
 
 TEST(DivisionTest, WideRectangleProducesSpans) {
@@ -71,46 +97,54 @@ TEST(DivisionTest, WideRectangleProducesSpans) {
   std::vector<PieceRecord> pieces = UnitSquaresAt({0, 100, 200, 300, 400, 500});
   pieces.push_back({5, 595, 0, 5, 2.0});  // nearly full width
   ASSERT_TRUE(f.Put(pieces).ok());
-  auto div = DividePieces(f.temps, "pieces", "edges", Interval{-kInf, kInf}, 3);
+  auto div = f.Divide(3);
   ASSERT_TRUE(div.ok());
-  EXPECT_GE(div->num_spans, 1u);
-  auto spans = ReadRecordFile<SpanRecord>(*f.env, div->span_file);
+  EXPECT_GE(f.num_spans, 1u);
+  auto spans = ReadRecordFile<SpanRecord>(*f.env, "spans");
   ASSERT_TRUE(spans.ok());
+  EXPECT_EQ(spans->size(), f.num_spans);
   for (const SpanRecord& s : *spans) {
     EXPECT_LE(s.child_lo, s.child_hi);
     EXPECT_GE(s.child_lo, 0);
-    EXPECT_LT(s.child_hi, static_cast<int32_t>(div->children.size()));
+    EXPECT_LT(s.child_hi, static_cast<int32_t>(div->size()));
     EXPECT_EQ(s.w, 2.0);
   }
 }
 
-TEST(DivisionTest, ChildFilesInheritSortOrders) {
-  Fixture f;
-  auto objects = testing::RandomIntObjects(300, 1000, 3);
-  std::vector<PieceRecord> pieces;
-  for (const auto& o : objects) {
-    pieces.push_back({o.x, o.x + 40, o.y, o.y + 20, o.w});
-  }
-  ASSERT_TRUE(f.Put(pieces).ok());
-  auto div = DividePieces(f.temps, "pieces", "edges", Interval{-kInf, kInf}, 5);
-  ASSERT_TRUE(div.ok());
-  for (const ChildSlab& c : div->children) {
-    auto child_pieces = ReadRecordFile<PieceRecord>(*f.env, c.piece_file);
-    ASSERT_TRUE(child_pieces.ok());
-    for (size_t i = 1; i < child_pieces->size(); ++i) {
-      EXPECT_LE((*child_pieces)[i - 1].y_lo, (*child_pieces)[i].y_lo);
+TEST(DivisionTest, ChildStreamsInheritSortOrders) {
+  // Same children whether the channels spill everything or nothing.
+  for (const size_t cap : {size_t{0}, std::numeric_limits<size_t>::max()}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    Fixture f;
+    auto objects = testing::RandomIntObjects(300, 1000, 3);
+    std::vector<PieceRecord> pieces;
+    for (const auto& o : objects) {
+      pieces.push_back({o.x, o.x + 40, o.y, o.y + 20, o.w});
     }
-    auto child_edges = ReadRecordFile<EdgeRecord>(*f.env, c.edge_file);
-    ASSERT_TRUE(child_edges.ok());
-    for (size_t i = 1; i < child_edges->size(); ++i) {
-      EXPECT_LE((*child_edges)[i - 1].x, (*child_edges)[i].x);
-    }
-    // Pieces stay within their slab and never cover it fully.
-    for (const PieceRecord& p : *child_pieces) {
-      EXPECT_GE(p.x_lo, c.x_range.lo);
-      EXPECT_LE(p.x_hi, c.x_range.hi);
-      EXPECT_FALSE(p.x_lo == c.x_range.lo && p.x_hi == c.x_range.hi)
-          << "full-slab piece should have become a span";
+    ASSERT_TRUE(f.Put(pieces).ok());
+    auto div = f.Divide(5, cap);
+    ASSERT_TRUE(div.ok());
+    ASSERT_EQ(div->size(), 5u);
+    for (ChildSlab& c : *div) {
+      // A zero cap passes each non-empty child through one spill file.
+      EXPECT_EQ(c.pieces->spilled(), cap == 0);
+      const std::vector<PieceRecord> child_pieces = Drain(c);
+      ASSERT_FALSE(child_pieces.empty());
+      for (size_t i = 1; i < child_pieces.size(); ++i) {
+        EXPECT_LE(child_pieces[i - 1].y_lo, child_pieces[i].y_lo);
+      }
+      auto child_edges = ReadRecordFile<EdgeRecord>(*f.env, c.edge_file);
+      ASSERT_TRUE(child_edges.ok());
+      for (size_t i = 1; i < child_edges->size(); ++i) {
+        EXPECT_LE((*child_edges)[i - 1].x, (*child_edges)[i].x);
+      }
+      // Pieces stay within their slab and never cover it fully.
+      for (const PieceRecord& p : child_pieces) {
+        EXPECT_GE(p.x_lo, c.x_range.lo);
+        EXPECT_LE(p.x_hi, c.x_range.hi);
+        EXPECT_FALSE(p.x_lo == c.x_range.lo && p.x_hi == c.x_range.hi)
+            << "full-slab piece should have become a span";
+      }
     }
   }
 }
@@ -128,19 +162,17 @@ TEST(DivisionTest, WeightIsConserved) {
     total_area_weight += p.w * (p.x_hi - p.x_lo);
   }
   ASSERT_TRUE(f.Put(pieces).ok());
-  auto div = DividePieces(f.temps, "pieces", "edges", Interval{-kInf, kInf}, 6);
+  auto div = f.Divide(6);
   ASSERT_TRUE(div.ok());
   double got = 0;
-  for (const ChildSlab& c : div->children) {
-    auto child_pieces = ReadRecordFile<PieceRecord>(*f.env, c.piece_file);
-    ASSERT_TRUE(child_pieces.ok());
-    for (const PieceRecord& p : *child_pieces) got += p.w * (p.x_hi - p.x_lo);
+  for (ChildSlab& c : *div) {
+    for (const PieceRecord& p : Drain(c)) got += p.w * (p.x_hi - p.x_lo);
   }
-  auto spans = ReadRecordFile<SpanRecord>(*f.env, div->span_file);
+  auto spans = ReadRecordFile<SpanRecord>(*f.env, "spans");
   ASSERT_TRUE(spans.ok());
   for (const SpanRecord& s : *spans) {
     for (int32_t k = s.child_lo; k <= s.child_hi; ++k) {
-      got += s.w * div->children[k].x_range.length();
+      got += s.w * (*div)[k].x_range.length();
     }
   }
   EXPECT_NEAR(got, total_area_weight, 1e-6 * total_area_weight);
@@ -155,18 +187,22 @@ TEST(DivisionTest, DegenerateSingleXIsRejected) {
   // All left edges at 5, all right edges at 15: two distinct values, so a
   // split IS possible...
   ASSERT_TRUE(f.Put(pieces).ok());
-  auto div = DividePieces(f.temps, "pieces", "edges", Interval{-kInf, kInf}, 4);
+  auto div = f.Divide(4);
   ASSERT_TRUE(div.ok());
 
-  // ...but truly identical single-coordinate edge files are not.
+  // ...but truly identical single-coordinate edge files are not, and the
+  // rejection leaves the piece stream unread for the caller's base case.
   Fixture g;
-  std::vector<PieceRecord> same;
   std::vector<EdgeRecord> edges(20, EdgeRecord{7.0});
-  ASSERT_TRUE(WriteRecordFile(*g.env, "pieces", same).ok());
+  ASSERT_TRUE(WriteRecordFile(*g.env, "pieces", pieces).ok());
   ASSERT_TRUE(WriteRecordFile(*g.env, "edges", edges).ok());
-  auto bad = DividePieces(g.temps, "pieces", "edges", Interval{-kInf, kInf}, 4);
+  auto source = FileRecordSource<PieceRecord>::Make(*g.env, "pieces");
+  ASSERT_TRUE(source.ok());
+  auto bad = DividePieces(g.temps, &*source, "edges", Interval{-kInf, kInf}, 4,
+                          /*channel_bytes=*/0, "spans", &g.num_spans);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(source->remaining(), pieces.size());
 }
 
 TEST(DivisionTest, PieceEndingExactlyAtBoundaryDoesNotEnterNextChild) {
@@ -179,15 +215,12 @@ TEST(DivisionTest, PieceEndingExactlyAtBoundaryDoesNotEnterNextChild) {
       {150, 200, 5, 15, 1.0},
   };
   ASSERT_TRUE(f.Put(pieces).ok());
-  auto div = DividePieces(f.temps, "pieces", "edges", Interval{-kInf, kInf}, 2);
+  auto div = f.Divide(2);
   ASSERT_TRUE(div.ok());
-  ASSERT_EQ(div->children.size(), 2u);
-  const double boundary = div->children[0].x_range.hi;
-  for (size_t k = 0; k < div->children.size(); ++k) {
-    auto child_pieces =
-        ReadRecordFile<PieceRecord>(*f.env, div->children[k].piece_file);
-    ASSERT_TRUE(child_pieces.ok());
-    for (const PieceRecord& p : *child_pieces) {
+  ASSERT_EQ(div->size(), 2u);
+  const double boundary = (*div)[0].x_range.hi;
+  for (size_t k = 0; k < div->size(); ++k) {
+    for (const PieceRecord& p : Drain((*div)[k])) {
       if (k == 0) {
         EXPECT_LE(p.x_hi, boundary);
       } else {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/brute_force.h"
@@ -176,6 +178,98 @@ TEST(ExactMaxRSTest, CleansUpAllScratchFiles) {
       << "leftover scratch files after a run";
 }
 
+// A MemEnv wrapper that notes, when the first child slab-file is created,
+// whether the root's sorted piece and edge files still exist. Those are the
+// first files created with the tags "pieces" and "edges": the outputs of
+// the two up-front sorts, which precede every child edge file.
+class RootInputWatchEnv : public Env {
+ public:
+  explicit RootInputWatchEnv(Env& base) : base_(&base) {}
+
+  Result<std::unique_ptr<BlockFile>> Create(const std::string& name) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const std::string tag = Tag(name);
+      if (tag == "pieces" && root_pieces_.empty()) root_pieces_ = name;
+      if (tag == "edges" && root_edges_.empty()) root_edges_ = name;
+      if (tag == "slab" && !saw_slab_) {
+        saw_slab_ = true;
+        root_pieces_held_ = base_->Exists(root_pieces_);
+        root_edges_held_ = base_->Exists(root_edges_);
+      }
+    }
+    return base_->Create(name);
+  }
+  Result<std::unique_ptr<BlockFile>> Open(const std::string& name) override {
+    return base_->Open(name);
+  }
+  Status Delete(const std::string& name) override {
+    return base_->Delete(name);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  bool Exists(const std::string& name) const override {
+    return base_->Exists(name);
+  }
+  std::vector<std::string> ListFiles() const override {
+    return base_->ListFiles();
+  }
+  size_t block_size() const override { return base_->block_size(); }
+  IoStats& stats() override { return base_->stats(); }
+
+  bool saw_slab() const { return saw_slab_; }
+  bool saw_root_inputs() const {
+    return !root_pieces_.empty() && !root_edges_.empty();
+  }
+  bool root_pieces_held() const { return root_pieces_held_; }
+  bool root_edges_held() const { return root_edges_held_; }
+
+ private:
+  // Scratch names end in "/<id>_<tag>" (io/temp_manager.h).
+  static std::string Tag(const std::string& name) {
+    const size_t slash = name.rfind('/');
+    const size_t underscore =
+        name.find('_', slash == std::string::npos ? 0 : slash + 1);
+    return underscore == std::string::npos ? "" : name.substr(underscore + 1);
+  }
+
+  Env* base_;
+  std::mutex mu_;
+  std::string root_pieces_;
+  std::string root_edges_;
+  bool saw_slab_ = false;
+  bool root_pieces_held_ = false;
+  bool root_edges_held_ = false;
+};
+
+TEST(ExactMaxRSTest, RootReleasesItsSortedInputsBeforeChildrenSolve) {
+  // The root routes its sorted piece and edge files into its children's
+  // channels and edge files; it must drop both before any child solves, or
+  // a run holds its whole input twice while the recursion runs.
+  auto objects = testing::RandomIntObjects(400, 160, 21);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    auto base = NewMemEnv(512);
+    RootInputWatchEnv env(*base);
+    MaxRSOptions options = SmallExternalOptions();
+    options.num_threads = threads;
+    auto result = RunExactMaxRS(env, objects, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GE(result->stats.recursion_levels, 2u) << "must recurse twice";
+    ASSERT_TRUE(env.saw_root_inputs());
+    ASSERT_TRUE(env.saw_slab());
+    EXPECT_FALSE(env.root_pieces_held())
+        << "the root's sorted piece file outlived its routing";
+    EXPECT_FALSE(env.root_edges_held())
+        << "the root's sorted edge file outlived its routing";
+    EXPECT_EQ(result->total_weight,
+              ExactMaxRSInMemory(objects, options.rect_width,
+                                 options.rect_height)
+                  .total_weight);
+  }
+}
+
 TEST(ExactMaxRSTest, DeterministicAcrossRuns) {
   auto objects = testing::RandomIntObjects(1500, 400, 77);
   MaxRSOptions options = SmallExternalOptions();
@@ -307,9 +401,9 @@ TEST(ExactMaxRSTest, BaseCaseStreamsOnlyTuplesThatChange) {
         return Status::Internal("a base case reads no edge file");
       };
       MaxRSStats stats;
-      ASSERT_TRUE(core_internal::SolveSlabStream(*env, temps, &source,
-                                                 no_edges, slab, options,
-                                                 &stats, &sink)
+      ASSERT_TRUE(core_internal::SolveSlabStream(
+                      *env, temps, &source, no_edges, [] {}, slab, options,
+                      /*channel_bytes=*/0, /*pool=*/nullptr, &stats, &sink)
                       .ok());
       EXPECT_EQ(stats.base_cases, 1u);
       ASSERT_EQ(got.size(), want.size()) << "seed " << seed;

@@ -146,33 +146,37 @@ TEST_P(DivideMergeRoundTripTest, ComposingChildrenReproducesGlobalSweep) {
     ASSERT_TRUE(WriteRecordFile(*env, "pieces", pieces).ok());
     ASSERT_TRUE(WriteRecordFile(*env, "edges", edges).ok());
 
+    auto source = FileRecordSource<PieceRecord>::Make(*env, "pieces");
+    ASSERT_TRUE(source.ok());
+    uint64_t num_spans = 0;
     auto division =
-        DividePieces(temps, "pieces", "edges", Interval{-kInf, kInf}, fanout);
+        DividePieces(temps, &*source, "edges", Interval{-kInf, kInf}, fanout,
+                     /*channel_bytes=*/0, "spans", &num_spans);
     ASSERT_TRUE(division.ok()) << division.status().ToString();
     // The large fanout must really merge many children (the one-shot root
     // merges hundreds), not collapse to a few for lack of distinct edges.
-    ASSERT_GE(division->children.size(), std::min<size_t>(fanout, 32))
+    ASSERT_GE(division->size(), std::min<size_t>(fanout, 32))
         << "fanout=" << fanout << " seed=" << seed;
 
     // Child slab-files by in-memory sweep, merged by MergeSweep.
     std::vector<std::string> child_files;
-    for (size_t i = 0; i < division->children.size(); ++i) {
-      const ChildSlab& child = division->children[i];
-      auto child_pieces = ReadRecordFile<PieceRecord>(*env, child.piece_file);
-      ASSERT_TRUE(child_pieces.ok());
+    for (size_t i = 0; i < division->size(); ++i) {
+      ChildSlab& child = (*division)[i];
+      std::vector<PieceRecord> child_pieces;
+      PieceRecord p{};
+      while (child.pieces->Next(&p)) child_pieces.push_back(p);
+      ASSERT_TRUE(child.pieces->final_status().ok());
       const std::string name = "slab" + std::to_string(i);
       ASSERT_TRUE(
-          WriteRecordFile(*env, name, PlaneSweep(*child_pieces, child.x_range))
+          WriteRecordFile(*env, name, PlaneSweep(child_pieces, child.x_range))
               .ok());
       child_files.push_back(name);
     }
     std::vector<Interval> ranges;
-    for (const ChildSlab& child : division->children) {
-      ranges.push_back(child.x_range);
-    }
-    ASSERT_TRUE(testing::MergeSlabFiles(*env, ranges, child_files,
-                                        division->span_file, "merged")
-                    .ok());
+    for (const ChildSlab& child : *division) ranges.push_back(child.x_range);
+    ASSERT_TRUE(
+        testing::MergeSlabFiles(*env, ranges, child_files, "spans", "merged")
+            .ok());
     auto merged = ReadRecordFile<SlabTuple>(*env, "merged");
     ASSERT_TRUE(merged.ok());
 

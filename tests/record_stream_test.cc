@@ -278,12 +278,36 @@ TEST(MergingSourceTest, PrependedProbeDoesNotDisturbTheMerge) {
   Rec first{};
   ASSERT_TRUE(merged.Read(&first).ok());
   EXPECT_EQ(first.a, 0u);
-  PrependedSource<Rec> stream(first, &merged);
+  PrependedSource<Rec> stream({first}, &merged);
   Status final_status;
   const std::vector<Rec> got = DrainAll(stream, &final_status);
   ASSERT_TRUE(final_status.ok());
   ASSERT_EQ(got.size(), 100u);
   for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(got[i].a, i);
+}
+
+TEST(PrependedSourceTest, YieldsTheWholePrefixThenTheRest) {
+  auto env = NewMemEnv(kBlockSize);
+  RecordChannel<Rec> channel(*env, "s0", /*memory_cap_bytes=*/0);
+  for (uint64_t i = 0; i < 300; ++i) ASSERT_TRUE(channel.Append({i, i}).ok());
+  ASSERT_TRUE(channel.Close(Status::OK()).ok());
+
+  // A read-ahead of 120 records, handed on ahead of the rest of the stream.
+  std::vector<Rec> prefix(120);
+  for (Rec& r : prefix) ASSERT_TRUE(channel.Read(&r).ok());
+  PrependedSource<Rec> stream(std::move(prefix), &channel);
+  Status final_status;
+  const std::vector<Rec> got = DrainAll(stream, &final_status);
+  ASSERT_TRUE(final_status.ok());
+  ASSERT_EQ(got.size(), 300u);
+  for (uint64_t i = 0; i < 300; ++i) EXPECT_EQ(got[i].a, i);
+
+  // An empty prefix is the rest of the stream alone.
+  RecordChannel<Rec> empty(*env, "s1", kNoCap);
+  ASSERT_TRUE(empty.Close(Status::OK()).ok());
+  PrependedSource<Rec> nothing({}, &empty);
+  Rec r{};
+  EXPECT_EQ(nothing.Read(&r).code(), Status::Code::kNotFound);
 }
 
 }  // namespace

@@ -16,7 +16,8 @@
 //     spill level, deterministic I/O per level;
 //   - the streaming division (channels between parent routing and child
 //     solves), served at one shard so the whole query is one shard solve,
-//     against one-shot's file-based division: identical answers AND
+//     against one-shot's division (the same recursion, fed by the sorted
+//     piece file with zero-cap child channels): identical answers AND
 //     identical division stats (base cases, merges, spans, levels) at 1
 //     and 4 workers, I/O never above the one-shot run.
 #include <cstddef>
@@ -180,7 +181,7 @@ TEST(StreamingEquivalenceTest, OneShardStreamDivisionMatchesMaterialized) {
   // dataset, so every division of its recursion routes through channels
   // between the parent's routing loop and the child solves. Division
   // decisions depend only on the record sequence, so answers AND division
-  // stats must match one-shot's file-based recursion exactly; I/O must be
+  // stats must match one-shot's zero-cap recursion exactly; I/O must be
   // deterministic per cap across worker counts and never above the
   // one-shot run's.
   constexpr size_t kN = 12000;  // divides 2+ levels at the 64KB budget
