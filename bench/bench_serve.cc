@@ -3,9 +3,8 @@
 // (every query executes the full per-query pipeline, "serve_cold") and
 // warm (every query is an LRU hit, "serve_warm") — at 1/2/8 workers,
 // emitted as BENCH_serve.json. A clustered round re-runs the cold workload
-// on a weight-skewed dataset ("serve_cold_clustered"), and a batched round
-// ("serve_cold_batched") tracks the shared-scan amortization. Together
-// with BENCH_micro.json this is the repo's machine-readable perf
+// on a weight-skewed dataset ("serve_cold_clustered"). Together with
+// BENCH_micro.json this is the repo's machine-readable perf
 // trajectory (docs/BENCHMARKING.md; compare_bench.py --plot renders it).
 //
 // Flags:
@@ -18,7 +17,7 @@
 //   --seed=N           dataset seed
 //
 // The bench asserts the serve contract on live data: per-query results are
-// identical at every worker count, batch size, and cache state, and a
+// identical at every worker count and cache state, and a
 // warm round performs zero block transfers.
 #include <cinttypes>
 #include <cmath>
@@ -173,67 +172,6 @@ int main(int argc, char** argv) {
                          "uniform", n, workers,
                          kBufferSynthetic, per_query, io, weights[0]});
     }
-  }
-
-  // Batched shared-scan round: eight distinct cold rects submitted by eight
-  // concurrent clients into a one-worker server that forms one full batch
-  // (batch_max = 8, generous formation window), so all eight queries ride a
-  // single routing scan per source shard. The in-bench serial leg runs the
-  // identical rects one at a time on an unbatched server first; the contract
-  // checked on live data is bit-identical weights and strictly fewer total
-  // block transfers than eight single-query colds. The committed
-  // serve_cold_batched baseline makes the amortization win a tracked number.
-  {
-    const size_t batch_k = std::min<size_t>(8, rects.size());
-    const std::vector<std::pair<double, double>> batch_rects(
-        rects.begin(), rects.begin() + batch_k);
-    auto env = NewMemEnv(kBlockSize);
-    MAXRS_CHECK_OK(WriteDataset(*env, "dataset", objects));
-
-    DatasetHandleOptions ingest_options;
-    ingest_options.shard_count = shard_count;
-    ingest_options.memory_bytes = kBufferSynthetic;
-    auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
-    MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
-
-    MaxRSServerOptions serial_options;
-    serial_options.num_workers = 1;
-    serial_options.memory_bytes = kBufferSynthetic;
-    serial_options.cache_entries = 0;  // cold by construction
-    serial_options.cache_max_extent_fraction = 1.0;
-
-    uint64_t serial_io = 0;
-    std::vector<double> serial_weights;
-    {
-      MaxRSServer serial_server(*env, *handle, serial_options);
-      const IoStatsSnapshot before = env->stats().Snapshot();
-      double wall = 0.0;
-      serial_weights = RunRound(serial_server, batch_rects, 1, &wall);
-      serial_io = (env->stats().Snapshot() - before).total();
-    }
-
-    MaxRSServerOptions batched_options = serial_options;
-    batched_options.batch_max = 8;
-    batched_options.batch_window_ms = 2000;
-    MaxRSServer batched_server(*env, *handle, batched_options);
-    const IoStatsSnapshot before = env->stats().Snapshot();
-    double wall = 0.0;
-    const std::vector<double> weights =
-        RunRound(batched_server, batch_rects, batch_rects.size(), &wall);
-    const uint64_t io = (env->stats().Snapshot() - before).total();
-    MAXRS_CHECK_MSG(weights == serial_weights,
-                    "batched execution changed a result");
-    MAXRS_CHECK_MSG(io < serial_io,
-                    "batched round did not beat single-query colds");
-
-    const double per_query = wall / static_cast<double>(batch_rects.size());
-    std::printf("%-12s%10zu%12.1f%14.6f%16" PRIu64 "%16" PRIu64 "\n",
-                "cold_batch", size_t{1},
-                wall > 0.0 ? static_cast<double>(batch_rects.size()) / wall
-                           : 0.0,
-                per_query, io / batch_rects.size(), io);
-    records.push_back({"bench_serve", "serve_cold_batched", "uniform", n, 1,
-                       kBufferSynthetic, per_query, io, weights[0]});
   }
 
   // Clustered round: the same cold serve pipeline on the skewed dataset.

@@ -128,7 +128,7 @@ std::string ReadFrame(const Socket& sock, std::string* carry) {
 }
 
 // The answer tokens of an OK frame ("x y weight"), the bit-carrying part
-// (served_from and batch_size legitimately vary with timing).
+// (served_from legitimately varies with timing).
 std::string AnswerTokens(const std::string& frame) {
   MAXRS_CHECK_MSG(frame.rfind("OK ", 0) == 0,
                   ("non-OK response: " + frame).c_str());

@@ -426,75 +426,82 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
   }
 
   TempFileManager temps(env, options.work_prefix);
-  // Transform pass: emit the rectangle (piece) file and the vertical-edge
-  // x-coordinate file, both unsorted.
-  std::string raw_pieces = temps.NewName("raw_pieces");
-  std::string raw_edges = temps.NewName("raw_edges");
-  {
-    MAXRS_ASSIGN_OR_RETURN(RecordWriter<PieceRecord> piece_writer,
-                           RecordWriter<PieceRecord>::Make(env, raw_pieces));
-    MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> edge_writer,
-                           RecordWriter<EdgeRecord>::Make(env, raw_edges));
-    SpatialObject o{};
-    while (objects.Next(&o)) {
-      PieceRecord piece =
-          TransformObject(o, options.rect_width, options.rect_height);
-      if (!clip(&piece)) continue;
-      MAXRS_RETURN_IF_ERROR(piece_writer.Append(piece));
-      MAXRS_RETURN_IF_ERROR(edge_writer.Append(EdgeRecord{piece.x_lo}));
-      MAXRS_RETURN_IF_ERROR(edge_writer.Append(EdgeRecord{piece.x_hi}));
+  Status solved = [&]() -> Status {
+    // Transform pass: emit the rectangle (piece) file and the vertical-edge
+    // x-coordinate file, both unsorted.
+    std::string raw_pieces = temps.NewName("raw_pieces");
+    std::string raw_edges = temps.NewName("raw_edges");
+    {
+      MAXRS_ASSIGN_OR_RETURN(RecordWriter<PieceRecord> piece_writer,
+                             RecordWriter<PieceRecord>::Make(env, raw_pieces));
+      MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> edge_writer,
+                             RecordWriter<EdgeRecord>::Make(env, raw_edges));
+      SpatialObject o{};
+      while (objects.Next(&o)) {
+        PieceRecord piece =
+            TransformObject(o, options.rect_width, options.rect_height);
+        if (!clip(&piece)) continue;
+        MAXRS_RETURN_IF_ERROR(piece_writer.Append(piece));
+        MAXRS_RETURN_IF_ERROR(edge_writer.Append(EdgeRecord{piece.x_lo}));
+        MAXRS_RETURN_IF_ERROR(edge_writer.Append(EdgeRecord{piece.x_hi}));
+      }
+      MAXRS_RETURN_IF_ERROR(objects.final_status());
+      MAXRS_RETURN_IF_ERROR(piece_writer.Finish());
+      MAXRS_RETURN_IF_ERROR(edge_writer.Finish());
     }
-    MAXRS_RETURN_IF_ERROR(objects.final_status());
-    MAXRS_RETURN_IF_ERROR(piece_writer.Finish());
-    MAXRS_RETURN_IF_ERROR(edge_writer.Finish());
-  }
 
-  // The two up-front external sorts of Theorem 2. They touch disjoint files,
-  // so with a pool they run concurrently (and each parallelizes internally);
-  // both comparators are total orders, making the sorted files — and hence
-  // everything downstream — canonical for any thread count.
-  ExternalSortOptions sort_options{options.memory_bytes, pool.get()};
-  std::string sorted_pieces = temps.NewName("pieces");
-  std::string sorted_edges = temps.NewName("edges");
-  {
-    TaskGroup sorts(pool.get());
-    sorts.Run([&env, &raw_pieces, &sorted_pieces, &sort_options] {
-      return ExternalSort<PieceRecord>(env, raw_pieces, sorted_pieces,
-                                       PieceYLess, sort_options);
-    });
-    sorts.Run([&env, &raw_edges, &sorted_edges, &sort_options] {
-      return ExternalSort<EdgeRecord>(env, raw_edges, sorted_edges, EdgeXLess,
-                                      sort_options);
-    });
-    MAXRS_RETURN_IF_ERROR(sorts.Wait());
-  }
-  temps.Release(raw_pieces);
-  temps.Release(raw_edges);
+    // The two up-front external sorts of Theorem 2. They touch disjoint files,
+    // so with a pool they run concurrently (and each parallelizes internally);
+    // both comparators are total orders, making the sorted files — and hence
+    // everything downstream — canonical for any thread count.
+    ExternalSortOptions sort_options{options.memory_bytes, pool.get()};
+    std::string sorted_pieces = temps.NewName("pieces");
+    std::string sorted_edges = temps.NewName("edges");
+    {
+      TaskGroup sorts(pool.get());
+      sorts.Run([&env, &raw_pieces, &sorted_pieces, &sort_options] {
+        return ExternalSort<PieceRecord>(env, raw_pieces, sorted_pieces,
+                                         PieceYLess, sort_options);
+      });
+      sorts.Run([&env, &raw_edges, &sorted_edges, &sort_options] {
+        return ExternalSort<EdgeRecord>(env, raw_edges, sorted_edges, EdgeXLess,
+                                        sort_options);
+      });
+      MAXRS_RETURN_IF_ERROR(sorts.Wait());
+    }
+    temps.Release(raw_pieces);
+    temps.Release(raw_edges);
 
-  // The root streams its sorted piece file into the recursion; a child
-  // channel cap of 0 passes each non-empty child's pieces through exactly
-  // one spill file, the paper's external schedule at the M budget.
-  std::optional<FileRecordSource<PieceRecord>> source;
-  {
-    auto source_or = FileRecordSource<PieceRecord>::Make(env, sorted_pieces);
-    MAXRS_RETURN_IF_ERROR(source_or.status());
-    source.emplace(std::move(source_or).value());
-  }
-  const EdgeFileProvider edge_provider =
-      [&sorted_edges]() -> Result<std::string> { return {sorted_edges}; };
-  // Idempotent: the solver calls it once the root has routed its input, and
-  // it runs again here for the error paths that never got that far.
-  const std::function<void()> release_input = [&] {
-    source.reset();
-    temps.Release(sorted_pieces);
-    temps.Release(sorted_edges);
-  };
-  VisitingSink sink(visit);
-  Status st = SolveSlabStream(env, temps, &*source, edge_provider,
-                              release_input, root_slab, options,
-                              /*channel_bytes=*/0, pool.get(), stats, &sink);
-  release_input();
-  return st;
+    // The root streams its sorted piece file into the recursion; a child
+    // channel cap of 0 passes each non-empty child's pieces through exactly
+    // one spill file, the paper's external schedule at the M budget.
+    std::optional<FileRecordSource<PieceRecord>> source;
+    {
+      auto source_or = FileRecordSource<PieceRecord>::Make(env, sorted_pieces);
+      MAXRS_RETURN_IF_ERROR(source_or.status());
+      source.emplace(std::move(source_or).value());
+    }
+    const EdgeFileProvider edge_provider =
+        [&sorted_edges]() -> Result<std::string> { return {sorted_edges}; };
+    // Idempotent: the solver calls it once the root has routed its input, and
+    // it runs again here for the error paths that never got that far.
+    const std::function<void()> release_input = [&] {
+      source.reset();
+      temps.Release(sorted_pieces);
+      temps.Release(sorted_edges);
+    };
+    VisitingSink sink(visit);
+    Status st = SolveSlabStream(env, temps, &*source, edge_provider,
+                                release_input, root_slab, options,
+                                /*channel_bytes=*/0, pool.get(), stats, &sink);
+    release_input();
+    return st;
+  }();
+  // One sweep on any error covers every scratch file of the run: the raw
+  // and sorted piece and edge files, and the recursion's child edge, span
+  // and slab files, which all share this manager.
+  if (!solved.ok()) temps.ReleaseAll();
+  return solved;
 }
 
 }  // namespace core_internal

@@ -93,13 +93,6 @@ struct MaxRSStats {
   uint64_t merges = 0;            ///< MergeSweep invocations.
   uint64_t total_spans = 0;       ///< Spanning records produced overall.
   IoStatsSnapshot io;             ///< Block transfers attributed to this run.
-  /// Number of queries that shared the execution behind `io`: 1 for every
-  /// one-shot and serial serve-layer run; k > 1 when the serve layer
-  /// executed this query inside a k-query shared-scan batch, in which case
-  /// `io` is this query's amortized equal share of the batch total and
-  /// `wall_seconds` is the whole batch's wall time (docs/IO_MODEL.md,
-  /// "Batched shared scans").
-  uint64_t batch_size = 1;
   double wall_seconds = 0.0;
   /// Placement domain used: infinite for MaxRS, the dataset bounding box for
   /// the min objective.

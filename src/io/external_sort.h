@@ -76,79 +76,89 @@ Status ExternalSort(Env& env, const std::string& input_name,
                     const ExternalSortOptions& options = {},
                     sort_internal::SortRunInfo* info = nullptr) {
   TempFileManager temps(env, "sort_tmp");
-  const size_t block_size = env.block_size();
-  // Keep at least two records' worth of run memory so progress is guaranteed.
-  const size_t run_records =
-      std::max<size_t>(2, options.memory_bytes / sizeof(T));
-  const size_t fan_in = std::max<size_t>(2, options.memory_bytes / block_size - 1);
-  ThreadPool* pool = options.pool;
-  // Chunks read ahead per wave: bounds transient memory at wave * M.
-  const size_t wave = pool != nullptr ? pool->num_threads() : 1;
+  Status sorted = [&]() -> Status {
+    const size_t block_size = env.block_size();
+    // Keep at least two records' worth of run memory so progress is
+    // guaranteed.
+    const size_t run_records =
+        std::max<size_t>(2, options.memory_bytes / sizeof(T));
+    const size_t fan_in =
+        std::max<size_t>(2, options.memory_bytes / block_size - 1);
+    ThreadPool* pool = options.pool;
+    // Chunks read ahead per wave: bounds transient memory at wave * M.
+    const size_t wave = pool != nullptr ? pool->num_threads() : 1;
 
-  // --- Run formation ---
-  // The reader is one serial stream; chunks are cut every `run_records`
-  // records regardless of thread count, then each chunk of a wave is sorted
-  // and written to its (pre-allocated) run file on the pool.
-  std::vector<std::string> runs;
-  {
-    MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader,
-                           RecordReader<T>::Make(env, input_name));
-    // Slots are pre-sized so a chunk's sort/write task can start the moment
-    // the chunk is cut — reading chunk i+1 overlaps sorting chunk i —
-    // without later fills invalidating references held by tasks. The
-    // buffers live across waves (clear() keeps capacity, so the hot loop
-    // does not reallocate M bytes per run), and each wave's group is
-    // declared after them: on an early error return the group joins
-    // (TaskGroup destructor) before the slots are destroyed.
-    std::vector<std::vector<T>> chunks(wave);
-    std::vector<std::string> names(wave);
-    bool more = true;
-    while (more) {
-      size_t filled = 0;
-      TaskGroup group(pool);
-      for (size_t i = 0; i < wave && more; ++i) {
-        std::vector<T>& chunk = chunks[i];
-        chunk.clear();
-        chunk.reserve(std::min<uint64_t>(run_records, reader.remaining()));
-        T rec{};
-        while (chunk.size() < run_records) {
-          Status st = reader.Read(&rec);
-          if (st.code() == Status::Code::kNotFound) {
-            more = false;
-            break;
+    // --- Run formation ---
+    // The reader is one serial stream; chunks are cut every `run_records`
+    // records regardless of thread count, then each chunk of a wave is
+    // sorted and written to its (pre-allocated) run file on the pool.
+    std::vector<std::string> runs;
+    {
+      MAXRS_ASSIGN_OR_RETURN(RecordReader<T> reader,
+                             RecordReader<T>::Make(env, input_name));
+      // Slots are pre-sized so a chunk's sort/write task can start the
+      // moment the chunk is cut — reading chunk i+1 overlaps sorting chunk
+      // i — without later fills invalidating references held by tasks. The
+      // buffers live across waves (clear() keeps capacity, so the hot loop
+      // does not reallocate M bytes per run), and each wave's group is
+      // declared after them: on an early error return the group joins
+      // (TaskGroup destructor) before the slots are destroyed.
+      std::vector<std::vector<T>> chunks(wave);
+      std::vector<std::string> names(wave);
+      bool more = true;
+      while (more) {
+        size_t filled = 0;
+        TaskGroup group(pool);
+        for (size_t i = 0; i < wave && more; ++i) {
+          std::vector<T>& chunk = chunks[i];
+          chunk.clear();
+          chunk.reserve(std::min<uint64_t>(run_records, reader.remaining()));
+          T rec{};
+          while (chunk.size() < run_records) {
+            Status st = reader.Read(&rec);
+            if (st.code() == Status::Code::kNotFound) {
+              more = false;
+              break;
+            }
+            MAXRS_RETURN_IF_ERROR(st);
+            chunk.push_back(rec);
           }
-          MAXRS_RETURN_IF_ERROR(st);
-          chunk.push_back(rec);
+          if (chunk.empty()) break;
+          names[i] = temps.NewName("run");
+          ++filled;
+          group.Run([&env, &chunk, &name = names[i], &less]() -> Status {
+            std::sort(chunk.begin(), chunk.end(), less);
+            return WriteRecordFile(env, name, chunk);
+          });
         }
-        if (chunk.empty()) break;
-        names[i] = temps.NewName("run");
-        ++filled;
-        group.Run([&env, &chunk, &name = names[i], &less]() -> Status {
-          std::sort(chunk.begin(), chunk.end(), less);
-          return WriteRecordFile(env, name, chunk);
-        });
+        MAXRS_RETURN_IF_ERROR(group.Wait());
+        for (size_t i = 0; i < filled; ++i) {
+          runs.push_back(std::move(names[i]));
+        }
       }
-      MAXRS_RETURN_IF_ERROR(group.Wait());
-      for (size_t i = 0; i < filled; ++i) runs.push_back(std::move(names[i]));
     }
-  }
-  if (info != nullptr) info->initial_runs = runs.size();
+    if (info != nullptr) info->initial_runs = runs.size();
 
-  if (runs.empty()) {
-    // Empty input: emit an empty (but valid) output file.
-    MAXRS_ASSIGN_OR_RETURN(RecordWriter<T> writer,
-                           RecordWriter<T>::Make(env, output_name));
-    return writer.Finish();
-  }
+    if (runs.empty()) {
+      // Empty input: emit an empty (but valid) output file.
+      MAXRS_ASSIGN_OR_RETURN(RecordWriter<T> writer,
+                             RecordWriter<T>::Make(env, output_name));
+      return writer.Finish();
+    }
 
-  // --- Merge passes --- (the shared fan-in-bounded multi-pass merge; the
-  // serve layer's per-query shard merge reuses the same primitive)
-  uint64_t passes = 0;
-  MAXRS_RETURN_IF_ERROR(MergeSortedParts<T>(env, temps, std::move(runs),
-                                            output_name, less, fan_in, pool,
-                                            &passes));
-  if (info != nullptr) info->merge_passes = passes;
-  return Status::OK();
+    // --- Merge passes --- (the shared fan-in-bounded multi-pass merge; the
+    // serve layer's per-query shard merge reuses the same primitive)
+    uint64_t passes = 0;
+    MAXRS_RETURN_IF_ERROR(MergeSortedParts<T>(env, temps, std::move(runs),
+                                              output_name, less, fan_in, pool,
+                                              &passes));
+    if (info != nullptr) info->merge_passes = passes;
+    return Status::OK();
+  }();
+  // On any error, sweep every run and intermediate merge file this sort
+  // named, so a failed sort leaves nothing behind in the Env.
+  if (!sorted.ok()) temps.ReleaseAll();
+  return sorted;
 }
 
 /// Merges already-sorted part files into `output_name` holding at most

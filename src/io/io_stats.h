@@ -31,13 +31,6 @@ struct IoStatsSnapshot {
   /// block transfer, so neither contributes to total().
   uint64_t shards_pruned = 0;
   uint64_t bound_skips = 0;
-  /// Source-shard scans *not performed* because batched execution
-  /// (serve/maxrs_server.cc) shared one scan across several queries: a
-  /// batch of k queries records (k - 1) shares per scan it runs. Like
-  /// `shards_pruned` this is a decision counter, not a transfer — it is
-  /// excluded from total() and annotates why blocks_read is lower than k
-  /// serial executions (docs/IO_MODEL.md, "Batched shared scans").
-  uint64_t scans_shared = 0;
 
   uint64_t total() const { return blocks_read + blocks_written; }
 
@@ -47,8 +40,7 @@ struct IoStatsSnapshot {
             reads_retried - other.reads_retried,
             writes_retried - other.writes_retried,
             shards_pruned - other.shards_pruned,
-            bound_skips - other.bound_skips,
-            scans_shared - other.scans_shared};
+            bound_skips - other.bound_skips};
   }
 };
 
@@ -85,9 +77,6 @@ class IoStats {
   void RecordBoundSkip(uint64_t shards) {
     bound_skips_.fetch_add(shards, std::memory_order_relaxed);
   }
-  void RecordScansShared(uint64_t scans) {
-    scans_shared_.fetch_add(scans, std::memory_order_relaxed);
-  }
 
   IoStatsSnapshot Snapshot() const {
     return {blocks_read_.load(std::memory_order_relaxed),
@@ -95,8 +84,7 @@ class IoStats {
             reads_retried_.load(std::memory_order_relaxed),
             writes_retried_.load(std::memory_order_relaxed),
             shards_pruned_.load(std::memory_order_relaxed),
-            bound_skips_.load(std::memory_order_relaxed),
-            scans_shared_.load(std::memory_order_relaxed)};
+            bound_skips_.load(std::memory_order_relaxed)};
   }
 
   void Reset() {
@@ -106,7 +94,6 @@ class IoStats {
     writes_retried_.store(0, std::memory_order_relaxed);
     shards_pruned_.store(0, std::memory_order_relaxed);
     bound_skips_.store(0, std::memory_order_relaxed);
-    scans_shared_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -116,7 +103,6 @@ class IoStats {
   std::atomic<uint64_t> writes_retried_{0};
   std::atomic<uint64_t> shards_pruned_{0};
   std::atomic<uint64_t> bound_skips_{0};
-  std::atomic<uint64_t> scans_shared_{0};
 };
 
 }  // namespace maxrs

@@ -145,8 +145,6 @@ std::string FormatResponse(const QueryResponse& response) {
   out += FormatDouble(response.result.total_weight);
   out += ' ';
   out += ServedFromName(response.served_from);
-  out += ' ';
-  out += std::to_string(response.batch_size);
   out += '\n';
   return out;
 }
@@ -172,15 +170,12 @@ std::string FormatStats(const ServerCounters& counters,
       << " shed=" << counters.shed << " degraded=" << counters.degraded
       << " deadlines=" << counters.deadlines
       << " corruptions=" << counters.corruptions
-      << " batches=" << counters.batches
-      << " batched_queries=" << counters.batched_queries
       << " blocks_read=" << io.blocks_read
       << " blocks_written=" << io.blocks_written
       << " reads_retried=" << io.reads_retried
       << " writes_retried=" << io.writes_retried
       << " shards_pruned=" << io.shards_pruned
-      << " bound_skips=" << io.bound_skips
-      << " scans_shared=" << io.scans_shared << "\n";
+      << " bound_skips=" << io.bound_skips << "\n";
   return out.str();
 }
 
@@ -218,15 +213,12 @@ Status ParseStats(const std::string& line, ServerCounters* counters,
     else if (key == "degraded") counters->degraded = v;
     else if (key == "deadlines") counters->deadlines = v;
     else if (key == "corruptions") counters->corruptions = v;
-    else if (key == "batches") counters->batches = v;
-    else if (key == "batched_queries") counters->batched_queries = v;
     else if (key == "blocks_read") io->blocks_read = v;
     else if (key == "blocks_written") io->blocks_written = v;
     else if (key == "reads_retried") io->reads_retried = v;
     else if (key == "writes_retried") io->writes_retried = v;
     else if (key == "shards_pruned") io->shards_pruned = v;
     else if (key == "bound_skips") io->bound_skips = v;
-    else if (key == "scans_shared") io->scans_shared = v;
     // Unknown keys: ignored on purpose (forward compatibility).
   }
   return Status::OK();

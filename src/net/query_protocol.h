@@ -3,7 +3,7 @@
 // '\n'-terminated response line per command, strictly in command order).
 //
 //   MAXRS <w> <h> [deadline_ms=N]
-//       -> OK <x> <y> <weight> <served_from> <batch_size>
+//       -> OK <x> <y> <weight> <served_from>
 //   STATS -> STATS k=v k=v ...      (ServerCounters + aggregate IoStats)
 //   PING  -> PONG
 //   QUIT  -> BYE                    (then the server closes the connection)
@@ -58,7 +58,7 @@ struct Command {
 Result<Command> ParseCommand(const std::string& line);
 
 /// Formats a successful query response:
-/// `OK <x> <y> <weight> <served_from> <batch_size>\n` with %.17g doubles
+/// `OK <x> <y> <weight> <served_from>\n` with %.17g doubles
 /// (round-trip exact) and served_from spelled cache|dedup|executed.
 std::string FormatResponse(const QueryResponse& response);
 

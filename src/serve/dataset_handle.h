@@ -150,7 +150,7 @@ class DatasetHandle {
 
   /// The S-1 interior shard boundaries (shards()[k].x_range.lo for k >= 1),
   /// precomputed once at Ingest/Open: every per-query routing pass needs
-  /// them, and batched execution hands one copy to many queries at once.
+  /// them.
   const std::vector<double>& interior_bounds() const {
     return interior_bounds_;
   }

@@ -5,10 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
-#include <functional>
-#include <numeric>
 #include <optional>
-#include <thread>
 
 #include "core/division.h"
 #include "core/merge_sweep.h"
@@ -22,34 +19,31 @@ namespace maxrs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared-scan execution: the x-slab shards are the top-level division, and
-// the k >= 1 queries of one batch execute off ONE routing pass per source
-// shard. The y-file scan computes all k transforms per object and routes
-// each clipped piece to the (at most two) partially covered shards, plus
-// one SpanRecord for the fully covered shards between; the x-file scan
-// emits all k queries' left (x - w/2) and right (x + w/2) edges, routed by
-// value. Every routed record travels through a RecordChannel
-// (io/record_stream.h), and each target solve (core_internal::
-// SolveSlabStream) starts the moment the piece channels of its column have
-// their first heads — while the routing passes are still running. Each
-// target solve emits its shard's tuples into one more channel, and once
-// every solve has joined, one cross-shard MergeSweep per query merges those
-// channels straight into the answer tracker: neither a shard's tuples nor
-// the root's become a file (unless a slab channel spills past its cap).
+// Query execution: the x-slab shards are the top-level division, and each
+// query executes off ONE routing pass per source shard. The y-file scan
+// transforms every object and routes each clipped piece to the (at most
+// two) partially covered shards, plus one SpanRecord for the fully covered
+// shards between; the x-file scan emits every object's left (x - w/2) and
+// right (x + w/2) edge, routed by value. Every routed record travels
+// through a RecordChannel (io/record_stream.h), and each target solve
+// (core_internal::SolveSlabStream) starts the moment the piece channels of
+// its column have their first heads — while the routing passes are still
+// running. Each target solve emits its shard's tuples into one more
+// channel, and once every solve has returned, one cross-shard MergeSweep
+// merges those channels straight into the answer tracker: neither a
+// shard's tuples nor the root's become a file (unless a slab channel
+// spills past its cap).
 //
-// Per query the record streams a target consumer merges are fixed by the
-// data and the rect alone: piece rows are filtered subsequences of the
-// y-sorted scan under the query's monotone transform, and the two edge
-// half-rows are each monotone shifts of the x-sorted scan — their 2S-way
-// EdgeXLess merge is the same x-sorted edge stream whatever the batch,
-// because EdgeRecord is a single double under a total order (cmp-equal =>
-// byte-equal, and min-of-heads merging is associative). So every query's
-// answer is independent of its batch-mates; only the scan I/O is paid once
-// and reported per query as an amortized equal share (docs/IO_MODEL.md,
-// "Batched shared scans").
+// The record streams a target consumer merges are fixed by the data and
+// the rect alone: piece rows are filtered subsequences of the y-sorted scan
+// under the query's monotone transform, and the two edge half-rows are each
+// monotone shifts of the x-sorted scan — their 2S-way EdgeXLess merge is
+// one x-sorted edge stream, because EdgeRecord is a single double under a
+// total order (cmp-equal => byte-equal, and min-of-heads merging is
+// associative).
 //
 // Liveness protocol (record_stream.h, "Threading"): channel producers never
-// block and are submitted to the FIFO pool BEFORE every consumer, so a
+// block and are submitted to the FIFO pool BEFORE the consumers run, so a
 // parked consumer always has running producers destined to close its
 // channels. Producers are raw pool submissions joined by a latch, NOT
 // TaskGroup tasks: a group no-ops queued tasks after its first error, and a
@@ -57,16 +51,7 @@ namespace {
 // already running.
 // ---------------------------------------------------------------------------
 
-// Index of the shard whose half-open x-range contains `v`. `bounds` holds
-// the S-1 interior shard boundaries; callers clamp into the last shard for
-// values at/above its lower bound (mirroring division.cc's ChildOf —
-// clipped extents may end exactly on a slab's upper bound).
-size_t ShardOf(const std::vector<double>& bounds, double v) {
-  return static_cast<size_t>(
-      std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
-}
-
-// One-shot join latch for the raw producer submissions of one batch.
+// One-shot join latch for the raw producer submissions of one query.
 class JoinLatch {
  public:
   explicit JoinLatch(size_t count) : remaining_(count) {}
@@ -144,78 +129,62 @@ Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
   return st;
 }
 
-// One query of a batch, in batch order.
-struct BatchQuery {
-  double width = 0.0;
-  double height = 0.0;
-  const CancelToken* cancel = nullptr;
-};
-
-// All channels of one k-query batch: per query an S x S piece grid, TWO
-// S x S edge grids — the shared x-file scan emits left and right edges
-// into separate channels because their interleaving in scan order is not
-// sorted, while each half on its own is — S span channels, and S slab
-// channels carrying each target shard's tuples to the combine. Grids are
-// producer-major: source s feeds row s, target t drains column t. Created
-// eagerly on the batch worker so spill names are allocated in one
-// deterministic order (query-major); a channel that never receives a
-// record holds no buffer and creates no file.
-class BatchChannels {
+// All channels of one query: an S x S piece grid, TWO S x S edge grids —
+// the x-file scan emits left and right edges into separate channels
+// because their interleaving in scan order is not sorted, while each half
+// on its own is — S span channels, and S slab channels carrying each target
+// shard's tuples to the combine. Grids are producer-major: source s feeds
+// row s, target t drains column t. Created eagerly on the query's worker so
+// spill names are allocated in one deterministic order; a channel that
+// never receives a record holds no buffer and creates no file.
+class QueryChannels {
  public:
-  BatchChannels(Env& env, TempFileManager& temps, size_t num_queries,
-                size_t num_shards, size_t cap_bytes)
+  QueryChannels(Env& env, TempFileManager& temps, size_t num_shards,
+                size_t cap_bytes)
       : num_shards_(num_shards), cap_bytes_(cap_bytes) {
-    pieces_.reserve(num_queries * num_shards * num_shards);
-    edges_left_.reserve(num_queries * num_shards * num_shards);
-    edges_right_.reserve(num_queries * num_shards * num_shards);
-    spans_.reserve(num_queries * num_shards);
-    slabs_.reserve(num_queries * num_shards);
-    for (size_t q = 0; q < num_queries; ++q) {
-      const std::string qtag = "b" + std::to_string(q) + "_";
-      for (size_t s = 0; s < num_shards; ++s) {
-        const std::string tag = std::to_string(s);
-        for (size_t t = 0; t < num_shards; ++t) {
-          const std::string cell = tag + "_" + std::to_string(t);
-          pieces_.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-              env, temps.NewName(qtag + "chp" + cell), cap_bytes));
-          edges_left_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-              env, temps.NewName(qtag + "chl" + cell), cap_bytes));
-          edges_right_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-              env, temps.NewName(qtag + "chr" + cell), cap_bytes));
-        }
-        spans_.push_back(std::make_unique<RecordChannel<SpanRecord>>(
-            env, temps.NewName(qtag + "chs" + tag), cap_bytes));
-        slabs_.push_back(std::make_unique<RecordChannel<SlabTuple>>(
-            env, temps.NewName(qtag + "cht" + tag), cap_bytes));
+    pieces_.reserve(num_shards * num_shards);
+    edges_left_.reserve(num_shards * num_shards);
+    edges_right_.reserve(num_shards * num_shards);
+    spans_.reserve(num_shards);
+    slabs_.reserve(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      const std::string tag = std::to_string(s);
+      for (size_t t = 0; t < num_shards; ++t) {
+        const std::string cell = tag + "_" + std::to_string(t);
+        pieces_.push_back(std::make_unique<RecordChannel<PieceRecord>>(
+            env, temps.NewName("chp" + cell), cap_bytes));
+        edges_left_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
+            env, temps.NewName("chl" + cell), cap_bytes));
+        edges_right_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
+            env, temps.NewName("chr" + cell), cap_bytes));
       }
+      spans_.push_back(std::make_unique<RecordChannel<SpanRecord>>(
+          env, temps.NewName("chs" + tag), cap_bytes));
+      slabs_.push_back(std::make_unique<RecordChannel<SlabTuple>>(
+          env, temps.NewName("cht" + tag), cap_bytes));
     }
   }
 
-  RecordChannel<PieceRecord>* piece(size_t q, size_t s, size_t t) {
-    return pieces_[(q * num_shards_ + s) * num_shards_ + t].get();
+  RecordChannel<PieceRecord>* piece(size_t s, size_t t) {
+    return pieces_[s * num_shards_ + t].get();
   }
-  RecordChannel<EdgeRecord>* edge_left(size_t q, size_t s, size_t t) {
-    return edges_left_[(q * num_shards_ + s) * num_shards_ + t].get();
+  RecordChannel<EdgeRecord>* edge_left(size_t s, size_t t) {
+    return edges_left_[s * num_shards_ + t].get();
   }
-  RecordChannel<EdgeRecord>* edge_right(size_t q, size_t s, size_t t) {
-    return edges_right_[(q * num_shards_ + s) * num_shards_ + t].get();
+  RecordChannel<EdgeRecord>* edge_right(size_t s, size_t t) {
+    return edges_right_[s * num_shards_ + t].get();
   }
-  RecordChannel<SpanRecord>* span(size_t q, size_t s) {
-    return spans_[q * num_shards_ + s].get();
-  }
+  RecordChannel<SpanRecord>* span(size_t s) { return spans_[s].get(); }
 
-  // The tuples of query q's target shard t. Read only after every solve
-  // of the query has joined, so the channel is closed and the read never
-  // blocks.
-  RecordSource<SlabTuple>* solved_tuples(size_t q, size_t t) {
-    return slabs_[q * num_shards_ + t].get();
-  }
+  // The tuples of target shard t. Read only after every solve has
+  // returned, so the channel is closed and the read never blocks.
+  RecordSource<SlabTuple>* solved_tuples(size_t t) { return slabs_[t].get(); }
 
-  // Solves query q's target shard t from every source row, in ascending
-  // order — the canonical merge order — into the shard's slab channel, and
-  // closes that channel with the solve's final status on every path. The
-  // solve's own division channels share the batch's cap.
-  Status SolveTarget(Env& env, TempFileManager& temps, size_t q, size_t t,
+  // Solves target shard t from every source row, in ascending order — the
+  // canonical merge order — into the shard's slab channel, and closes that
+  // channel with the solve's final status on every path. The solve's own
+  // division channels share the query's cap.
+  Status SolveTarget(Env& env, TempFileManager& temps, size_t t,
                      const Interval& slab, const MaxRSOptions& options,
                      MaxRSStats* stats) {
     std::vector<RecordSource<PieceRecord>*> piece_column;
@@ -223,11 +192,11 @@ class BatchChannels {
     piece_column.reserve(num_shards_);
     edge_column.reserve(2 * num_shards_);
     for (size_t s = 0; s < num_shards_; ++s) {
-      piece_column.push_back(piece(q, s, t));
-      edge_column.push_back(edge_left(q, s, t));
-      edge_column.push_back(edge_right(q, s, t));
+      piece_column.push_back(piece(s, t));
+      edge_column.push_back(edge_left(s, t));
+      edge_column.push_back(edge_right(s, t));
     }
-    RecordChannel<SlabTuple>* out = slabs_[q * num_shards_ + t].get();
+    RecordChannel<SlabTuple>* out = slabs_[t].get();
     return out->Close(SolveTargetShardColumns(
         env, temps, std::move(piece_column), std::move(edge_column), slab,
         options, cap_bytes_, stats, out));
@@ -244,81 +213,62 @@ class BatchChannels {
 };
 
 // Phase A for source shard `source`: ONE pass over the shard's y-file
-// routes every query's pieces and spans (division.cc pass 3 with the shard
+// routes the query's pieces and spans (division.cc pass 3 with the shard
 // grid as the cut, shared via division_internal::RoutePiece), then ONE pass
-// over its x-file emits every query's left and right edges into their
+// over its x-file emits the query's left and right edges into their
 // half-row channels. The piece/span pass closes its sinks before the edge
 // pass starts, so target solves whose piece streams are complete can probe
 // and begin solving while this source still routes edges. Every channel of
-// this source's rows — k * (S piece + 2S edge + 1 span) — is closed exactly
-// once on every path: an unclosed channel would park its consumer forever.
-// The scan stops with kDeadlineExceeded once EVERY query riding it has
-// expired — one query's deadline must not abort its batch-mates' routing,
-// but a scan nobody will consume is pure waste (for a lone query, this is
-// its deadline).
-Status RouteSourceShard(Env& env, BatchChannels& channels,
+// this source's rows — S piece + 2S edge + 1 span — is closed exactly once
+// on every path: an unclosed channel would park its consumer forever. Both
+// scans stop with kDeadlineExceeded once the query is cancelled or past its
+// deadline.
+Status RouteSourceShard(Env& env, QueryChannels& channels,
                         const std::vector<ShardInfo>& shards,
                         const std::vector<double>& bounds,
                         const std::vector<Interval>& ranges, size_t source,
-                        const std::vector<BatchQuery>& queries) {
+                        const MaxRSOptions& options) {
   const size_t num_shards = shards.size();
-  const size_t k = queries.size();
-
-  auto all_expired = [&]() -> Status {
-    for (const BatchQuery& query : queries) {
-      if (CheckCancel(query.cancel).ok()) return Status::OK();
-    }
-    return Status::DeadlineExceeded(
-        "every query sharing the scan is cancelled or past its deadline");
-  };
   auto close_edges = [&](Status st) {
     std::vector<RecordSink<EdgeRecord>*> sinks;
-    sinks.reserve(2 * k * num_shards);
-    for (size_t q = 0; q < k; ++q) {
-      for (size_t t = 0; t < num_shards; ++t) {
-        sinks.push_back(channels.edge_left(q, source, t));
-        sinks.push_back(channels.edge_right(q, source, t));
-      }
+    sinks.reserve(2 * num_shards);
+    for (size_t t = 0; t < num_shards; ++t) {
+      sinks.push_back(channels.edge_left(source, t));
+      sinks.push_back(channels.edge_right(source, t));
     }
     return CloseAllSinks<EdgeRecord>(sinks, std::move(st));
   };
 
-  // Pass 1: the shared y-file scan — all k transforms per object.
+  // Pass 1: the y-file scan.
   Status piece_status = [&]() -> Status {
     MAXRS_ASSIGN_OR_RETURN(
         RecordReader<SpatialObject> reader,
         RecordReader<SpatialObject>::Make(env, shards[source].y_file));
+    auto emit_piece = [&](size_t target, const PieceRecord& piece) {
+      return channels.piece(source, target)->Append(piece);
+    };
+    auto emit_span = [&](const SpanRecord& span) {
+      return channels.span(source)->Append(span);
+    };
     SpatialObject o{};
     while (reader.Next(&o)) {
-      MAXRS_RETURN_IF_ERROR(all_expired());
-      for (size_t q = 0; q < k; ++q) {
-        auto emit_piece = [&](size_t target, const PieceRecord& piece) {
-          return channels.piece(q, source, target)->Append(piece);
-        };
-        auto emit_span = [&](const SpanRecord& span) {
-          return channels.span(q, source)->Append(span);
-        };
-        const PieceRecord p =
-            TransformObject(o, queries[q].width, queries[q].height);
-        MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
-            bounds, ranges, p, emit_piece, emit_span));
-      }
+      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+      const PieceRecord p =
+          TransformObject(o, options.rect_width, options.rect_height);
+      MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
+          bounds, ranges, p, emit_piece, emit_span));
     }
     return reader.final_status();
   }();
   {
     std::vector<RecordSink<PieceRecord>*> piece_sinks;
-    std::vector<RecordSink<SpanRecord>*> span_sinks;
-    piece_sinks.reserve(k * num_shards);
-    span_sinks.reserve(k);
-    for (size_t q = 0; q < k; ++q) {
-      for (size_t t = 0; t < num_shards; ++t) {
-        piece_sinks.push_back(channels.piece(q, source, t));
-      }
-      span_sinks.push_back(channels.span(q, source));
+    piece_sinks.reserve(num_shards);
+    for (size_t t = 0; t < num_shards; ++t) {
+      piece_sinks.push_back(channels.piece(source, t));
     }
     piece_status = CloseAllSinks<PieceRecord>(piece_sinks, piece_status);
-    piece_status = CloseAllSinks<SpanRecord>(span_sinks, piece_status);
+    piece_status = CloseAllSinks<SpanRecord>({channels.span(source)},
+                                             piece_status);
   }
   if (!piece_status.ok()) {
     // The edge pass is pointless now, but its sinks still must close so
@@ -327,81 +277,43 @@ Status RouteSourceShard(Env& env, BatchChannels& channels,
     return piece_status;
   }
 
-  // Pass 2: the shared x-file scan — every query's two edge shifts per
-  // object, routed by value. Edges of this shard's objects can land in any
-  // shard (a rect half-width shifts them arbitrarily far); each half-row
-  // stays x-sorted because it is a filtered monotone shift of this scan.
+  // Pass 2: the x-file scan — two edge shifts per object, routed by value.
+  // Edges of this shard's objects can land in any shard (a rect half-width
+  // shifts them arbitrarily far); each half-row stays x-sorted because it
+  // is a filtered monotone shift of this scan. A value at or above the last
+  // shard's lower bound clamps into it.
   Status edge_status = [&]() -> Status {
     MAXRS_ASSIGN_OR_RETURN(
         RecordReader<SpatialObject> reader,
         RecordReader<SpatialObject>::Make(env, shards[source].x_file));
+    auto shard_of = [&](double v) {
+      return std::min(division_internal::IndexOf(bounds, v), num_shards - 1);
+    };
+    const double half_w = options.rect_width / 2.0;
     SpatialObject o{};
     while (reader.Next(&o)) {
-      MAXRS_RETURN_IF_ERROR(all_expired());
-      for (size_t q = 0; q < k; ++q) {
-        const double half_w = queries[q].width / 2.0;
-        const double left = o.x - half_w;
-        const double right = o.x + half_w;
-        MAXRS_RETURN_IF_ERROR(
-            channels
-                .edge_left(q, source,
-                           std::min(ShardOf(bounds, left), num_shards - 1))
-                ->Append(EdgeRecord{left}));
-        MAXRS_RETURN_IF_ERROR(
-            channels
-                .edge_right(q, source,
-                            std::min(ShardOf(bounds, right), num_shards - 1))
-                ->Append(EdgeRecord{right}));
-      }
+      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+      const double left = o.x - half_w;
+      const double right = o.x + half_w;
+      MAXRS_RETURN_IF_ERROR(channels.edge_left(source, shard_of(left))
+                                ->Append(EdgeRecord{left}));
+      MAXRS_RETURN_IF_ERROR(channels.edge_right(source, shard_of(right))
+                                ->Append(EdgeRecord{right}));
     }
     return reader.final_status();
   }();
   return close_edges(edge_status);
 }
 
-// Runs `task(q)` for every query whose status in `per_query` is still OK
-// and folds its error in: query 0 inline on the calling (batch worker)
-// thread — a lone query runs its whole solve chain without a pool hop — and
-// every other query in its OWN TaskGroup, because a group no-ops its queued
-// tasks after the first error and one query's failure must never stop a
-// batch-mate's work.
-void ForEachLiveQuery(ThreadPool* pool, std::vector<Status>* per_query,
-                      const std::function<Status(size_t)>& task) {
-  const size_t k = per_query->size();
-  std::vector<std::unique_ptr<TaskGroup>> groups(k);
-  for (size_t q = 1; q < k; ++q) {
-    if (!(*per_query)[q].ok()) continue;
-    groups[q] = std::make_unique<TaskGroup>(pool);
-    groups[q]->Run([&task, q] { return task(q); });
-  }
-  if ((*per_query)[0].ok()) (*per_query)[0] = task(0);
-  for (size_t q = 1; q < k; ++q) {
-    if (groups[q] != nullptr) (*per_query)[q] = groups[q]->Wait();
-  }
-}
-
-// Folds the first routing failure into every still-OK query: the scan was
-// shared, so every query genuinely read from the failed pass.
-void FoldRoutingFailure(const std::vector<Status>& producer_status,
-                        std::vector<Status>* per_query) {
-  for (const Status& routed : producer_status) {
-    if (routed.ok()) continue;
-    for (Status& st : *per_query) {
-      if (st.ok()) st = routed;
-    }
-    return;
-  }
-}
-
-// Phase C of query q, once every solve of q has joined: drain the span
-// channels of every source row (all closed by now — they act as
-// deterministic buffers) into one SpanYLess-merged span file, and run the
-// cross-shard MergeSweep over every shard range from the shards' slab
-// channels straight into the answer tracker. A single-shard dataset has no
-// cross-shard combine: its one shard's tuples are the root. Stats fold the
-// per-shard blocks (an empty shard's untouched block folds as zeros).
+// Phase C, once every solve has returned: drain the span channels of every
+// source row (all closed by now — they act as deterministic buffers) into
+// one SpanYLess-merged span file, and run the cross-shard MergeSweep over
+// every shard range from the shards' slab channels straight into the
+// answer tracker. A single-shard dataset has no cross-shard combine: its
+// one shard's tuples are the root. Stats fold the per-shard blocks (an
+// empty shard's untouched block folds as zeros).
 Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
-                                  BatchChannels& channels, size_t q,
+                                  QueryChannels& channels,
                                   const std::vector<Interval>& ranges,
                                   const std::vector<MaxRSStats>& shard_stats,
                                   uint64_t num_objects,
@@ -413,7 +325,7 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
       [&tracker](const SlabTuple& t) { tracker.Visit(t); });
   std::vector<RecordSource<SlabTuple>*> children(num_shards);
   for (size_t t = 0; t < num_shards; ++t) {
-    children[t] = channels.solved_tuples(q, t);
+    children[t] = channels.solved_tuples(t);
   }
   if (num_shards == 1) {
     SlabTuple t{};
@@ -428,7 +340,7 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
       std::vector<RecordSource<SpanRecord>*> span_sources;
       span_sources.reserve(num_shards);
       for (size_t s = 0; s < num_shards; ++s) {
-        span_sources.push_back(channels.span(q, s));
+        span_sources.push_back(channels.span(s));
       }
       MergingSource<SpanRecord, decltype(&SpanYLess)> spans(
           std::move(span_sources), &SpanYLess);
@@ -464,65 +376,6 @@ Result<MaxRSResult> CombineShards(Env& env, TempFileManager& temps,
     result.stats.total_spans += num_spans;
   }
   return {std::move(result)};
-}
-
-// The amortized per-query share of a batch's I/O delta: every counter is
-// split into k equal integer shares with the remainder spread one block at
-// a time over the first (counter mod k) queries in `rank` order — ranks
-// are assigned by ascending canonical cache key, so the split is
-// independent of batch formation order and the shares sum exactly to the
-// batch total (docs/IO_MODEL.md, "Batched shared scans"). k = 1 is the
-// identity.
-IoStatsSnapshot BatchIoShare(const IoStatsSnapshot& total, uint64_t k,
-                             uint64_t rank) {
-  auto share = [&](uint64_t v) { return v / k + (rank < v % k ? 1 : 0); };
-  IoStatsSnapshot out;
-  out.blocks_read = share(total.blocks_read);
-  out.blocks_written = share(total.blocks_written);
-  out.reads_retried = share(total.reads_retried);
-  out.writes_retried = share(total.writes_retried);
-  out.shards_pruned = share(total.shards_pruned);
-  out.bound_skips = share(total.bound_skips);
-  out.scans_shared = share(total.scans_shared);
-  return out;
-}
-
-// Stamps every successful result of a batch with its amortized stats: the
-// BatchIoShare of the batch's I/O delta since `io_before` (ranked by
-// ascending canonical dimension bits), the batch wall time, and
-// batch_size = k. Failed slots keep their error; if any query failed, every
-// scratch file the batch's manager named is swept (successful queries
-// already released theirs), so repeated failures cannot grow the Env.
-void FinishBatch(Env& env, TempFileManager& temps,
-                 const IoStatsSnapshot& io_before, const Stopwatch& timer,
-                 const std::vector<BatchQuery>& queries,
-                 std::vector<Result<MaxRSResult>>* results) {
-  const IoStatsSnapshot delta = env.stats().Snapshot() - io_before;
-  const size_t k = queries.size();
-  std::vector<size_t> order(k);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const uint64_t wa = CanonicalDimensionBits(queries[a].width);
-    const uint64_t wb = CanonicalDimensionBits(queries[b].width);
-    if (wa != wb) return wa < wb;
-    return CanonicalDimensionBits(queries[a].height) <
-           CanonicalDimensionBits(queries[b].height);
-  });
-  std::vector<uint64_t> rank(k, 0);
-  for (size_t i = 0; i < k; ++i) rank[order[i]] = i;
-  const double wall_seconds = timer.ElapsedSeconds();
-  bool any_failed = false;
-  for (size_t q = 0; q < k; ++q) {
-    if (!(*results)[q].ok()) {
-      any_failed = true;
-      continue;
-    }
-    MaxRSStats& stats = (*results)[q].value().stats;
-    stats.io = BatchIoShare(delta, k, rank[q]);
-    stats.batch_size = k;
-    stats.wall_seconds = wall_seconds;
-  }
-  if (any_failed) temps.ReleaseAll();
 }
 
 }  // namespace
@@ -660,7 +513,6 @@ Status MaxRSServer::ValidateSpec(const QuerySpec& spec) {
 
 QueryResponse MaxRSServer::MakeResponse(MaxRSResult result, ServedFrom served) {
   QueryResponse response;
-  response.batch_size = result.stats.batch_size;
   if (served == ServedFrom::kExecuted) response.io = result.stats.io;
   response.served_from = served;
   response.result = std::move(result);
@@ -706,11 +558,9 @@ std::future<Result<QueryResponse>> MaxRSServer::SubmitInternal(
     if (it != pending_.end()) {
       // Attach a waiter promise while the entry exists — CompleteRequest
       // moves the list out under this same lock, so the promise cannot be
-      // orphaned. Queue-jump signal for the batch former: this leader now
-      // has one more caller waiting on it.
+      // orphaned.
       it->second->waiters.emplace_back();
       future = it->second->waiters.back().get_future();
-      it->second->followers.fetch_add(1, std::memory_order_relaxed);
       *dedup = true;
     } else {
       if (std::optional<MaxRSResult> hit = CacheLookup(key)) {
@@ -808,115 +658,14 @@ Result<MaxRSResult> MaxRSServer::Submit(double rect_width, double rect_height) {
 }
 
 void MaxRSServer::WorkerLoop() {
-  while (true) {
-    std::vector<std::shared_ptr<Request>> batch = FormBatch();
-    if (batch.empty()) return;  // queue closed and drained
-    ExecuteBatch(std::move(batch));
-  }
-}
-
-bool MaxRSServer::ShapeCompatible(const Request& anchor,
-                                  const Request& candidate) {
-  // Rects within this aspect band share a scan profitably: a batch-mate
-  // whose width dwarfs the anchor's would route most of its pieces across
-  // many shards while the anchor's stay local, and the shared channels
-  // would mostly carry one query's traffic.
-  constexpr double kBatchShapeRatio = 8.0;
-  return candidate.width <= anchor.width * kBatchShapeRatio &&
-         anchor.width <= candidate.width * kBatchShapeRatio &&
-         candidate.height <= anchor.height * kBatchShapeRatio &&
-         anchor.height <= candidate.height * kBatchShapeRatio;
-}
-
-std::vector<std::shared_ptr<MaxRSServer::Request>> MaxRSServer::FormBatch() {
-  const size_t batch_max =
-      std::min<size_t>(std::max<size_t>(1, options_.batch_max), 64);
-  std::vector<std::shared_ptr<Request>> candidates;
-
-  auto take_staged = [&] {
-    std::lock_guard<std::mutex> lock(staging_mu_);
-    while (!staged_.empty() && candidates.size() < 2 * batch_max) {
-      candidates.push_back(std::move(staged_.front()));
-      staged_.pop_front();
-    }
-  };
-  auto try_pop = [&]() -> bool {
-    std::shared_ptr<Request> request;
-    if (!queue_.TryPop(&request)) return false;
+  std::shared_ptr<Request> request;
+  while (queue_.Pop(&request)) {  // false = closed and drained
     {
       std::lock_guard<std::mutex> lock(counters_mu_);
       ++queued_dequeued_;
     }
-    candidates.push_back(std::move(request));
-    return true;
-  };
-
-  take_staged();
-  if (candidates.empty()) {
-    // Nothing deferred from an earlier formation: block for the next
-    // request. Pop returning false means closed AND drained — but a peer
-    // worker may have re-staged requests after our check above, so sweep
-    // the staging deque once more before declaring shutdown.
-    std::shared_ptr<Request> request;
-    if (queue_.Pop(&request)) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++queued_dequeued_;
-      }
-      candidates.push_back(std::move(request));
-    } else {
-      take_staged();
-      if (candidates.empty()) return {};
-    }
+    Execute(std::move(request));
   }
-
-  if (batch_max > 1) {
-    // Drain whatever is instantaneously queued (up to twice the batch size
-    // so the priority sort below has alternatives), then wait out the
-    // batch window for late arrivals. Polling keeps the MPMC queue's
-    // simple contract; 500us is far below any real query's runtime.
-    const auto window_end =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(
-            std::max<int64_t>(0, options_.batch_window_ms));
-    while (candidates.size() < 2 * batch_max) {
-      if (try_pop()) continue;
-      if (candidates.size() >= batch_max) break;
-      if (std::chrono::steady_clock::now() >= window_end) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  }
-  if (candidates.size() == 1) return candidates;
-
-  // Leaders with followers jump the queue: every follower is a caller
-  // blocked on that leader's future, so serving it first unblocks the
-  // most work. stable_sort keeps FIFO order among equals.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const std::shared_ptr<Request>& a,
-                      const std::shared_ptr<Request>& b) {
-                     return a->followers.load(std::memory_order_relaxed) >
-                            b->followers.load(std::memory_order_relaxed);
-                   });
-  std::vector<std::shared_ptr<Request>> batch;
-  std::vector<std::shared_ptr<Request>> deferred;
-  batch.push_back(candidates[0]);
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (batch.size() < batch_max && ShapeCompatible(*batch[0], *candidates[i])) {
-      batch.push_back(std::move(candidates[i]));
-    } else {
-      deferred.push_back(std::move(candidates[i]));
-    }
-  }
-  if (!deferred.empty()) {
-    // Back to the FRONT of the staging deque in their drained order:
-    // deferred requests are older than anything still in the MPMC queue,
-    // so the next formation must see them first.
-    std::lock_guard<std::mutex> lock(staging_mu_);
-    for (size_t i = deferred.size(); i-- > 0;) {
-      staged_.push_front(std::move(deferred[i]));
-    }
-  }
-  return batch;
 }
 
 void MaxRSServer::CompleteRequest(const std::shared_ptr<Request>& request,
@@ -980,57 +729,32 @@ void MaxRSServer::FailRequest(const std::shared_ptr<Request>& request,
   request->promise.set_value(Result<QueryResponse>(refused));
 }
 
-void MaxRSServer::ExecuteBatch(std::vector<std::shared_ptr<Request>> batch) {
+void MaxRSServer::Execute(std::shared_ptr<Request> request) {
   // A request whose deadline elapsed while it queued fails now, before it
-  // can claim a slot in the shared scan or touch the Env at all.
-  std::vector<std::shared_ptr<Request>> live;
-  live.reserve(batch.size());
-  for (std::shared_ptr<Request>& request : batch) {
-    const Status expired = CheckCancel(&request->cancel);
-    if (!expired.ok()) {
-      CompleteRequest(request, expired);
-    } else {
-      live.push_back(std::move(request));
+  // touches the Env at all.
+  const Status expired = CheckCancel(&request->cancel);
+  if (!expired.ok()) {
+    CompleteRequest(request, expired);
+    return;
+  }
+  Result<MaxRSResult> result = ExecuteQuery(*request);
+  if (!result.ok() && result.status().is_retryable()) {
+    // Graceful degradation, one shot: a query that failed with a retryable
+    // (transient) error — Env retries already exhausted — re-runs once
+    // through the same executor before the failure reaches the client; its
+    // stats are the rerun's. Terminal errors (kCorruption,
+    // kDeadlineExceeded) are never re-run: the rerun would read the same
+    // bad bytes or re-exceed the deadline.
+    {
+      std::lock_guard<std::mutex> lock(counters_mu_);
+      ++counters_.degraded;
     }
+    result = ExecuteQuery(*request);
   }
-  if (live.empty()) return;
-
-  auto execute = [&](const std::vector<std::shared_ptr<Request>>& requests) {
-    std::vector<Result<MaxRSResult>> results(
-        requests.size(),
-        Result<MaxRSResult>(Status::Unavailable("batch slot unset")));
-    ExecuteBatchStreaming(requests, &results);
-    return results;
-  };
-
-  std::vector<Result<MaxRSResult>> results = execute(live);
-  if (live.size() > 1) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.batches;
-    counters_.batched_queries += live.size();
-  }
-  for (size_t q = 0; q < live.size(); ++q) {
-    if (!results[q].ok() && results[q].status().is_retryable()) {
-      // Graceful degradation, one shot: a query that failed with a
-      // retryable (transient) error — Env retries already exhausted —
-      // re-runs once, ALONE, through the same executor before the failure
-      // reaches the client; its batch-mates' results are unaffected, and
-      // its stats are the solo rerun's (batch_size 1, un-amortized I/O).
-      // Terminal errors (kCorruption, kDeadlineExceeded) are never re-run:
-      // the rerun would read the same bad bytes or re-exceed the deadline.
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.degraded;
-      }
-      results[q] = std::move(execute({live[q]})[0]);
-    }
-    CompleteRequest(live[q], std::move(results[q]));
-  }
+  CompleteRequest(request, std::move(result));
 }
 
-void MaxRSServer::ExecuteBatchStreaming(
-    const std::vector<std::shared_ptr<Request>>& batch,
-    std::vector<Result<MaxRSResult>>* results) {
+Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
   Env& env = *exec_env_;
   TempFileManager temps(env, options_.work_prefix);
   const IoStatsSnapshot io_before = env.stats().Snapshot();
@@ -1040,21 +764,11 @@ void MaxRSServer::ExecuteBatchStreaming(
   const size_t num_shards = shards.size();
   const std::vector<double>& bounds = dataset_.interior_bounds();
   const std::vector<Interval>& ranges = dataset_.slab_ranges();
-  const size_t k = batch.size();
-  std::vector<BatchQuery> queries(k);
-  std::vector<MaxRSOptions> query_options(k);
-  for (size_t q = 0; q < k; ++q) {
-    queries[q] = BatchQuery{batch[q]->width, batch[q]->height,
-                            &batch[q]->cancel};
-    query_options[q] =
-        MakeQueryOptions(batch[q]->width, batch[q]->height, &batch[q]->cancel);
-  }
+  const MaxRSOptions query_options =
+      MakeQueryOptions(request.width, request.height, &request.cancel);
 
-  std::vector<Status> per_query(k, Status::OK());
-  std::vector<std::vector<MaxRSStats>> shard_stats(
-      k, std::vector<MaxRSStats>(num_shards));
-  {
-    BatchChannels channels(env, temps, k, num_shards,
+  Result<MaxRSResult> result = [&]() -> Result<MaxRSResult> {
+    QueryChannels channels(env, temps, num_shards,
                            options_.stream_channel_bytes);
     // Phase A: every source routes once, submitted before any consumer.
     std::vector<Status> producer_status(num_shards);
@@ -1062,37 +776,42 @@ void MaxRSServer::ExecuteBatchStreaming(
     for (size_t s = 0; s < num_shards; ++s) {
       pool_->Submit([&, s] {
         producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                              ranges, s, queries);
+                                              ranges, s, query_options);
         routed.CountDown();
       });
     }
-    if (k > 1) env.stats().RecordScansShared((k - 1) * num_shards);
 
-    // Phase B: per query, every target shard in index order, each solve
-    // consuming its column while the sources still route.
-    ForEachLiveQuery(pool_.get(), &per_query, [&](size_t q) -> Status {
-      for (size_t t = 0; t < num_shards; ++t) {
-        MAXRS_RETURN_IF_ERROR(channels.SolveTarget(env, temps, q, t, ranges[t],
-                                                   query_options[q],
-                                                   &shard_stats[q][t]));
-      }
-      return Status::OK();
-    });
-    // A solve finishing does not imply its rows finished (rows close
-    // pieces before routing edges), so join every producer first.
-    routed.Wait();
-    FoldRoutingFailure(producer_status, &per_query);
-
-    // Phase C per query.
-    for (size_t q = 0; q < k; ++q) {
-      (*results)[q] =
-          per_query[q].ok()
-              ? CombineShards(env, temps, channels, q, ranges, shard_stats[q],
-                              dataset_.num_objects(), query_options[q])
-              : Result<MaxRSResult>(per_query[q]);
+    // Phase B: every target shard in index order, inline on this worker,
+    // each solve consuming its column while the sources still route.
+    std::vector<MaxRSStats> shard_stats(num_shards);
+    Status solved = Status::OK();
+    for (size_t t = 0; t < num_shards && solved.ok(); ++t) {
+      solved = channels.SolveTarget(env, temps, t, ranges[t], query_options,
+                                    &shard_stats[t]);
     }
-  }  // destroys the channels (and any spill files)
-  FinishBatch(env, temps, io_before, timer, queries, results);
+    // A solve finishing does not imply its rows finished (rows close
+    // pieces before routing edges), so join every producer first. A solve
+    // error stands; otherwise the first failed source's status does.
+    routed.Wait();
+    for (size_t s = 0; s < num_shards && solved.ok(); ++s) {
+      solved = producer_status[s];
+    }
+    MAXRS_RETURN_IF_ERROR(solved);
+
+    // Phase C.
+    return CombineShards(env, temps, channels, ranges, shard_stats,
+                         dataset_.num_objects(), query_options);
+  }();  // destroys the channels (and any spill files)
+
+  if (!result.ok()) {
+    // Sweep every scratch file the query's manager named, so repeated
+    // failures cannot grow the Env.
+    temps.ReleaseAll();
+    return result;
+  }
+  result.value().stats.io = env.stats().Snapshot() - io_before;
+  result.value().stats.wall_seconds = timer.ElapsedSeconds();
+  return result;
 }
 
 }  // namespace maxrs

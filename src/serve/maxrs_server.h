@@ -9,28 +9,26 @@
 // slot instead of executing again), otherwise enqueues the request on a
 // bounded MPMC queue (util/mpmc_queue.h) and blocks on (or returns) its
 // future. A QuerySpec may override the deadline per query.
-// `num_workers` dedicated worker threads pop requests — up to `batch_max`
-// shape-compatible ones at a time — and execute them as one batch. A lone
-// query is simply a batch of one: there is exactly one executor. The
-// x-slab shards ARE the top-level division of the paper's distribution
-// sweep:
+// `num_workers` dedicated worker threads each pop one request at a time
+// and execute it; every execution is exactly one query. The x-slab shards
+// ARE the top-level division of the paper's distribution sweep:
 //
 //   route       per source shard, ONE pass over its y-sorted objects
-//               transforms every query's pieces and routes them by extent —
+//               transforms the query's pieces and routes them by extent —
 //               clipped parts into the (at most two) partially covered
 //               shards, one SpanRecord for the fully covered shards
 //               between — and ONE pass over its x-sorted objects routes
-//               every query's vertical edges by value      — linear passes
-//   solve       per query and target shard, merge the incoming piece
-//               streams and run division + plane-sweep *inside the shard*
+//               the vertical edges by value                — linear passes
+//   solve       per target shard, merge the incoming piece streams and run
+//               division + plane-sweep *inside the shard*
 //               (core_internal::SolveSlabStream), emitting the shard's
 //               tuples into a slab channel          — O(shard) per task
-//               Every source routes once per batch and every shard is
+//               Every source routes once per query and every shard is
 //               solved, in index order; the aggregate shard index is not
 //               consulted (docs/ARCHITECTURE.md, "Aggregate shard index").
-//   combine     per query, once its solves have joined, one cross-shard
-//               MergeSweep over the S slab channels and the boundary span
-//               file, straight into the answer tracker — one linear sweep
+//   combine     once the solves have returned, one cross-shard MergeSweep
+//               over the S slab channels and the boundary span file,
+//               straight into the answer tracker         — one linear sweep
 //
 // Route and solve overlap: routed records travel through bounded in-memory
 // channels (io/record_stream.h), each target solve starts on its first
@@ -38,26 +36,23 @@
 // span file, a channel that exceeds its memory cap, or a shard that
 // overflows its base case — no shard or root slab-file is ever written.
 // No external sort runs per query; only rect-dependent transform, merge,
-// and division/merge-sweep work does. Per-shard solves are scheduled with a deterministic fan-in
-// (results land in slots indexed by shard), so answers and block counts are
-// independent of worker count, batch composition, schedule, and cache
-// state. Answers equal one-shot RunExactMaxRS bit for bit whenever weight
-// sums are exact in double arithmetic (integer-valued weights — the common
-// case); with arbitrary real weights the per-shard division tree may group
-// floating-point additions differently than the one-shot tree, so sums can
-// differ in the last ulp.
+// and division/merge-sweep work does. Per-shard results land in slots
+// indexed by shard, so answers and block counts are independent of worker
+// count, schedule, and cache state. Answers equal one-shot RunExactMaxRS
+// bit for bit whenever weight sums are exact in double arithmetic
+// (integer-valued weights — the common case); with arbitrary real weights
+// the per-shard division tree may group floating-point additions
+// differently than the one-shot tree, so sums can differ in the last ulp.
 //
 // See docs/ARCHITECTURE.md ("The serve layer") for the design rationale
 // and docs/IO_MODEL.md for the per-query I/O accounting.
 #ifndef MAXRS_SERVE_MAXRS_SERVER_H_
 #define MAXRS_SERVE_MAXRS_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <future>
 #include <limits>
 #include <list>
@@ -150,24 +145,6 @@ struct MaxRSServerOptions {
   /// consumer timing, so block counts stay schedule-independent.
   size_t stream_channel_bytes = 1 << 20;
 
-  /// Maximum number of distinct in-flight queries one worker may drain
-  /// from the queue and execute as a single shared-scan batch: one pass
-  /// over each source shard's object order routes pieces and edges for
-  /// every query in the batch at once, so the scan I/O is paid once and
-  /// reported per query as an amortized equal share (docs/IO_MODEL.md,
-  /// "Batched shared scans"). Answers are bit-identical to submitting the
-  /// same queries one at a time. 1 (the default) executes every query as a
-  /// batch of one. Clamped to [1, 64].
-  size_t batch_max = 1;
-
-  /// How long a forming batch may wait for the queue to supply up to
-  /// `batch_max` queries before executing what it has. 0 (the default)
-  /// never waits: the worker takes whatever is instantaneously queued, so
-  /// an idle server still serves single queries at unbatched latency. A
-  /// positive window trades first-query latency for batch fullness —
-  /// tests and the bench use it to make batch composition deterministic.
-  int64_t batch_window_ms = 0;
-
   /// Shared read cache over the dataset's immutable files (shard files,
   /// manifest, aggregate index): when > 0, all query workers fetch those
   /// blocks through one BufferPool of this many bytes (io/pooled_env.h).
@@ -198,9 +175,9 @@ struct ServerCounters {
   uint64_t cache_rejects = 0;   ///< Results refused by the admission policy.
   uint64_t shed = 0;            ///< Refused with kUnavailable: queue full
                                 ///< past the admission budget.
-  uint64_t degraded = 0;        ///< Queries re-run once, alone, through
-                                ///< the same executor after a retryable
-                                ///< failure (graceful degradation).
+  uint64_t degraded = 0;        ///< Queries re-run once through the same
+                                ///< executor after a retryable failure
+                                ///< (graceful degradation).
   uint64_t deadlines = 0;       ///< Queries that returned kDeadlineExceeded:
                                 ///< executions aborted by an expired token,
                                 ///< and deduplicated followers whose own
@@ -208,10 +185,6 @@ struct ServerCounters {
                                 ///< still in flight.
   uint64_t corruptions = 0;     ///< Executions aborted by kCorruption
                                 ///< (checksum mismatch, truncated file).
-  uint64_t batches = 0;         ///< Shared-scan batches executed (two or
-                                ///< more distinct queries off one routing
-                                ///< scan per source shard).
-  uint64_t batched_queries = 0; ///< Queries executed inside those batches.
 };
 
 /// One MaxRS query as submitted by a caller: the rectangle dimensions plus
@@ -244,19 +217,16 @@ enum class ServedFrom {
 /// One answered query: the MaxRS result plus the serving metadata the
 /// legacy Result<MaxRSResult> surface could not express.
 struct QueryResponse {
-  /// The answer, bit-identical at any shard/worker/batch/cache
-  /// configuration (result.stats describes the execution that produced it).
+  /// The answer, bit-identical at any shard/worker/cache configuration
+  /// (result.stats describes the execution that produced it).
   /// Equal to one-shot RunExactMaxRS bit for bit when weight sums are exact
   /// in double arithmetic; with non-integer weights the total may differ
   /// from one-shot in the last ulp (see the header comment).
   MaxRSResult result;
   /// Block I/O performed on behalf of THIS submission: the execution's
-  /// per-query (batch-amortized) share for kExecuted, all zeros for kCache
-  /// and kDedup — a cache hit or follower attach transfers no blocks.
+  /// transfers for kExecuted, all zeros for kCache and kDedup — a cache
+  /// hit or follower attach transfers no blocks.
   IoStatsSnapshot io;
-  /// Shared-scan batch size of the execution that produced the answer
-  /// (1 = unbatched); carried from result.stats for cache/dedup serves.
-  uint64_t batch_size = 1;
   /// How this submission was served; see ServedFrom.
   ServedFrom served_from = ServedFrom::kExecuted;
 };
@@ -290,7 +260,7 @@ class MaxRSServer {
   Result<QueryResponse> Submit(const QuerySpec& spec);
 
   /// Submit without blocking: returns the future the server holds
-  /// internally, so callers (the net layer, batch-hungry clients) can
+  /// internally, so callers (the net layer, pipelining clients) can
   /// pipeline many in-flight queries without one thread each. Completion
   /// contract: EVERY returned future completes — with the response, with
   /// the spec/admission error (an invalid spec or a shed query yields an
@@ -358,11 +328,6 @@ class MaxRSServer {
     // exists, and CompleteRequest moves the list out under the same lock
     // when it erases the entry — so no attach can race a fulfillment.
     std::vector<std::promise<Result<QueryResponse>>> waiters;
-    // Deduplicated submissions attached to this leader so far: the batch
-    // former's queue-jump priority (a leader many callers wait on is
-    // served before a leader nobody joined). Atomic: bumped by follower
-    // Submits while the batch former reads it.
-    std::atomic<uint64_t> followers{0};
   };
 
   /// Canonical-bit-pattern cache key; queries are cached per distinct
@@ -389,8 +354,7 @@ class MaxRSServer {
   /// The one validation point for every submission path.
   static Status ValidateSpec(const QuerySpec& spec);
   /// Builds the response for a result served a given way: io is the
-  /// execution's per-query share for kExecuted and zeroed otherwise,
-  /// batch_size is carried from the result's stats.
+  /// execution's transfers for kExecuted and zeroed otherwise.
   static QueryResponse MakeResponse(MaxRSResult result, ServedFrom served);
   /// The shared submission path behind Submit/SubmitAsync: validation,
   /// cache lookup, dedup attach-or-lead, bounded admission. Reports
@@ -402,31 +366,17 @@ class MaxRSServer {
   MaxRSOptions MakeQueryOptions(double width, double height,
                                 const CancelToken* cancel = nullptr) const;
   void WorkerLoop();
-  /// Batch former: takes one request from the staging deque or the queue
-  /// (blocking), then — when batch_max > 1 — drains further distinct
-  /// in-flight requests, waiting up to batch_window_ms to fill the batch.
-  /// Candidates are ordered by attached-follower count (a leader many
-  /// callers wait on jumps the queue, FIFO among ties) and the batch keeps
-  /// only rects shape-compatible with the highest-priority one; the rest
-  /// are staged for the next batch. Empty result = shut down and drained.
-  std::vector<std::shared_ptr<Request>> FormBatch();
-  /// Whether `candidate` may share a batch with `anchor`: width and height
-  /// each within kBatchShapeRatio of the anchor's, so routing fan-out
-  /// stays comparable across the batch.
-  static bool ShapeCompatible(const Request& anchor, const Request& candidate);
-  /// The one dispatch point: runs one formed batch (k >= 1) end to end and
-  /// fulfills every promise. Fails requests that expired in the queue,
-  /// re-runs a query that failed with a retryable error once, alone,
-  /// through the same executor (counted in `degraded`), and completes
-  /// every request.
-  void ExecuteBatch(std::vector<std::shared_ptr<Request>> batch);
-  /// The executor: shared-scan execution of `batch` (all k >= 1 queries
-  /// off one routing pass per source shard), solving every shard of every
-  /// query. Results land in `results` slots parallel to `batch`.
-  void ExecuteBatchStreaming(
-      const std::vector<std::shared_ptr<Request>>& batch,
-      std::vector<Result<MaxRSResult>>* results);
-  /// Post-execution bookkeeping of every executed request: counters, cache admission (on the canonical key), publish-then-erase
+  /// The one dispatch point: runs one popped request end to end and
+  /// fulfills its promises. Fails a request that expired in the queue,
+  /// re-runs a query that failed with a retryable error once through the
+  /// same executor (counted in `degraded`), and completes the request.
+  void Execute(std::shared_ptr<Request> request);
+  /// The executor: one routing pass per source shard, every shard solved,
+  /// one cross-shard combine. On failure every scratch file the query
+  /// named is swept from the Env.
+  Result<MaxRSResult> ExecuteQuery(const Request& request);
+  /// Post-execution bookkeeping of every executed request: counters, cache
+  /// admission (on the canonical key), publish-then-erase
   /// of the pending slot, and fulfillment of the leader promise (served_from
   /// kExecuted) and every attached follower promise (kDedup).
   void CompleteRequest(const std::shared_ptr<Request>& request,
@@ -459,12 +409,10 @@ class MaxRSServer {
   // and can fail the promise — otherwise deduplicated followers waiting on
   // the shared future would see a broken promise.
   MpmcQueue<std::shared_ptr<Request>> queue_;
-  // Workers are dedicated threads, NOT pool tasks: the pool is reserved
-  // for per-query shard subtasks. A worker loop parked in queue_.Pop on
-  // the pool would deadlock help-while-wait (a query's Wait could steal a
-  // not-yet-claimed worker-loop task and park inside it forever), and
-  // separating them lets idle pool threads run another query's shard
-  // subtasks instead of sitting in Pop.
+  // Workers are dedicated threads, NOT pool tasks: the pool runs only the
+  // routing producers, which never block. A worker parked in queue_.Pop,
+  // or in a shard solve waiting on a channel head, would otherwise hold a
+  // pool thread that the producers it waits on need.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::thread> worker_threads_;
   bool shut_down_ = false;
@@ -486,12 +434,6 @@ class MaxRSServer {
   mutable std::mutex pending_mu_;
   std::unordered_map<CacheKey, std::shared_ptr<Request>, CacheKeyHash>
       pending_;
-
-  // Requests drained from the queue during batch formation but deferred
-  // (shape-incompatible with their batch's anchor, or past batch_max):
-  // served first, FIFO, by the next FormBatch on any worker.
-  std::mutex staging_mu_;
-  std::deque<std::shared_ptr<Request>> staged_;
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/exact_maxrs.h"
 #include "datagen/dataset_io.h"
 #include "io/external_sort.h"
@@ -97,13 +103,15 @@ TEST_P(ExactMaxRSFaultTest, SurfacesFaultsAtEveryStage) {
   options.base_case_max_pieces = 64;
 
   // The fault must surface as a Status at the caller, never crash a
-  // worker. (The channel-based division is covered by the one-shard leg of
+  // worker, and the failed run must sweep every scratch file it made.
+  // (The channel-based division is covered by the one-shard leg of
   // StreamingSpillFaultTest below.)
   env.ArmAfter(GetParam());
   auto result = RunExactMaxRS(env, "data", options);
   env.Disarm();
   ASSERT_FALSE(result.ok()) << "fault at op " << GetParam() << " swallowed";
   EXPECT_EQ(result.status().code(), Status::Code::kIOError);
+  EXPECT_EQ(base->ListFiles(), std::vector<std::string>{"data"});
 }
 
 // Operation indices chosen to land in: dataset read, transform writes, sort
@@ -167,8 +175,8 @@ TEST(StreamingSpillFaultTest, SpillFaultSurfacesAtSubmitWithoutWedgingServer) {
 }
 
 TEST(FaultRecoveryTest, RerunAfterFaultSucceeds) {
-  // After a failed run, the Env may hold leftover scratch files, but a fresh
-  // run must still produce the correct answer.
+  // A failed run leaves no scratch files behind, and a fresh run still
+  // produces the correct answer.
   auto base = NewMemEnv(512);
   auto objects = testing::RandomIntObjects(800, 300, 9);
   ASSERT_TRUE(WriteDataset(*base, "data", objects).ok());
@@ -184,6 +192,7 @@ TEST(FaultRecoveryTest, RerunAfterFaultSucceeds) {
   auto failed = RunExactMaxRS(env, "data", options);
   EXPECT_FALSE(failed.ok());
   env.Disarm();
+  EXPECT_EQ(base->ListFiles(), std::vector<std::string>{"data"});
 
   auto retry = RunExactMaxRS(env, "data", options);
   ASSERT_TRUE(retry.ok());
@@ -191,6 +200,132 @@ TEST(FaultRecoveryTest, RerunAfterFaultSucceeds) {
   auto want = RunExactMaxRS(*clean_env, objects, options);
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(retry->total_weight, want->total_weight);
+}
+
+// Delegating Env that fails exactly one operation — the k-th counted
+// read/write from construction — with retryable kUnavailable (FaultEnv
+// injects terminal kIOError; the degradation path needs the retryable
+// flavor).
+class UnavailableOnceEnv : public Env {
+ public:
+  UnavailableOnceEnv(Env& base, uint64_t fail_after)
+      : base_(&base), remaining_(fail_after) {}
+
+  Result<std::unique_ptr<BlockFile>> Create(const std::string& name) override {
+    return Wrap(base_->Create(name));
+  }
+  Result<std::unique_ptr<BlockFile>> Open(const std::string& name) override {
+    return Wrap(base_->Open(name));
+  }
+  Status Delete(const std::string& name) override {
+    return base_->Delete(name);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  bool Exists(const std::string& name) const override {
+    return base_->Exists(name);
+  }
+  std::vector<std::string> ListFiles() const override {
+    return base_->ListFiles();
+  }
+  size_t block_size() const override { return base_->block_size(); }
+  IoStats& stats() override { return base_->stats(); }
+
+  bool ShouldFail() {
+    uint64_t current = remaining_.load(std::memory_order_relaxed);
+    while (true) {
+      if (current == 0) return false;
+      if (remaining_.compare_exchange_weak(current, current - 1,
+                                           std::memory_order_relaxed)) {
+        return current == 1;
+      }
+    }
+  }
+
+ private:
+  class File : public BlockFile {
+   public:
+    File(std::unique_ptr<BlockFile> base, UnavailableOnceEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status ReadBlock(uint64_t index, void* buf) override {
+      if (env_->ShouldFail()) {
+        return Status::Unavailable("injected transient fault");
+      }
+      return base_->ReadBlock(index, buf);
+    }
+    Status WriteBlock(uint64_t index, const void* buf) override {
+      if (env_->ShouldFail()) {
+        return Status::Unavailable("injected transient fault");
+      }
+      return base_->WriteBlock(index, buf);
+    }
+    uint64_t NumBlocks() const override { return base_->NumBlocks(); }
+    Status Truncate(uint64_t num_blocks) override {
+      return base_->Truncate(num_blocks);
+    }
+    size_t block_size() const override { return base_->block_size(); }
+    const std::string& name() const override { return base_->name(); }
+
+   private:
+    std::unique_ptr<BlockFile> base_;
+    UnavailableOnceEnv* env_;
+  };
+
+  Result<std::unique_ptr<BlockFile>> Wrap(
+      Result<std::unique_ptr<BlockFile>> file) {
+    if (!file.ok()) return file;
+    return {std::make_unique<File>(std::move(file).value(), this)};
+  }
+
+  Env* base_;
+  std::atomic<uint64_t> remaining_;
+};
+
+TEST(DegradedRerunTest, RetryableFaultReRunsTheQueryOnceAndAnswersExactly) {
+  // A retryable (kUnavailable) fault that fails a query's execution makes
+  // the server re-run that query once through the same executor: the
+  // caller still gets the exact answer, and `degraded` counts the rerun.
+  auto base = NewMemEnv(1024);
+  ASSERT_TRUE(WriteDataset(*base, "data",
+                           testing::RandomIntObjects(2500, 1000, 41,
+                                                     /*random_weights=*/true))
+                  .ok());
+  DatasetHandleOptions ingest;
+  ingest.shard_count = 3;
+  ingest.memory_bytes = 64 * 1024;
+  auto handle = DatasetHandle::Ingest(*base, "data", ingest);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  MaxRSServerOptions options;
+  options.memory_bytes = 64 * 1024;
+  options.cache_entries = 0;  // every submission executes
+  const std::vector<std::pair<double, double>> rects = {
+      {100.0, 100.0}, {120.0, 180.0}, {150.0, 75.0}, {200.0, 200.0},
+      {250.0, 130.0}, {300.0, 90.0},  {350.0, 220.0}, {400.0, 160.0}};
+
+  std::vector<MaxRSResult> expected;
+  {
+    MaxRSServer server(*base, *handle, options);
+    for (const auto& rect : rects) {
+      auto r = server.Submit(rect.first, rect.second);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected.push_back(*r);
+    }
+  }
+
+  UnavailableOnceEnv flaky(*base, /*fail_after=*/40);
+  MaxRSServer server(flaky, *handle, options);
+  for (size_t i = 0; i < rects.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    auto r = server.Submit(rects[i].first, rects[i].second);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->total_weight, expected[i].total_weight);
+    EXPECT_EQ(r->location, expected[i].location);
+    EXPECT_EQ(r->region, expected[i].region);
+  }
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.degraded, 1u);
+  EXPECT_EQ(counters.failed, 0u);
 }
 
 }  // namespace

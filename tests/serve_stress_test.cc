@@ -309,9 +309,8 @@ TEST(ServeStressTest, ExpiredDeadlinesFailCleanlyWithDeadlineExceeded) {
 }
 
 TEST(ServeStressTest, ExpiredLoneQueryStopsItsRoutingScan) {
-  // Regression for the shared-scan executor: a lone query is a batch of one,
-  // and its routing scan must stop at the query's deadline like every other
-  // loop it reaches. The query is wedged on the gate past its deadline,
+  // A query's routing scan must stop at the query's deadline like every
+  // other loop it reaches. The query is wedged on the gate past its deadline,
   // then released; it must fail with kDeadlineExceeded having read fewer
   // blocks than the same query run to completion — and less than half of
   // one routing scan, which a scan that never polled the token would read

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -588,6 +589,60 @@ TEST(ServeTest, WarmQueryPerformsZeroBlockTransfers) {
   EXPECT_EQ(counters.executed, 1u);
 }
 
+TEST(ServeTest, BufferPoolKeepsAnswersAndCutsRepeatedShardReads) {
+  // buffer_pool_bytes > 0 routes every dataset-file read through one shared
+  // PooledEnv. With the result cache off, each pass executes every rect:
+  // the pooled server must answer bit-identically to a pool-less one, and
+  // its second pass must find the shard blocks in the pool and move fewer
+  // counted blocks than its first.
+  auto env = MakeEnvWithDataset(nullptr);
+  auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));
+  ASSERT_TRUE(handle.ok());
+  const std::vector<std::pair<double, double>> rects = {
+      {100, 150}, {250, 80}, {60, 300}, {400, 400}, {180, 180}};
+
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    MaxRSServerOptions options = ServerOptions(workers);
+    options.cache_entries = 0;
+    std::vector<MaxRSResult> expected;
+    {
+      MaxRSServer plain(*env, *handle, options);
+      for (const auto& rect : rects) {
+        auto r = plain.Submit(rect.first, rect.second);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        expected.push_back(*r);
+      }
+    }
+
+    options.buffer_pool_bytes = 4 << 20;  // holds every shard file
+    MaxRSServer pooled(*env, *handle, options);
+    uint64_t pass_blocks[2] = {0, 0};
+    for (uint64_t& blocks : pass_blocks) {
+      const IoStatsSnapshot before = env->stats().Snapshot();
+      std::vector<std::future<Result<QueryResponse>>> futures;
+      for (const auto& rect : rects) {
+        QuerySpec spec;
+        spec.width = rect.first;
+        spec.height = rect.second;
+        futures.push_back(pooled.SubmitAsync(spec));
+      }
+      for (size_t i = 0; i < rects.size(); ++i) {
+        SCOPED_TRACE("rect " + std::to_string(i));
+        Result<QueryResponse> got = futures[i].get();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->served_from, ServedFrom::kExecuted);
+        ExpectBitIdentical(got->result, expected[i]);
+      }
+      blocks = (env->stats().Snapshot() - before).total();
+    }
+    EXPECT_GT(pass_blocks[0], 0u);
+    EXPECT_LT(pass_blocks[1], pass_blocks[0]);
+    EXPECT_GT(pooled.pool_stats().hits, 0u);
+    EXPECT_EQ(pooled.counters().executed, 2 * rects.size());
+  }
+}
+
 TEST(ServeTest, LruEvictsLeastRecentlyUsedRect) {
   auto env = MakeEnvWithDataset(nullptr);
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(2));
@@ -879,7 +934,7 @@ TEST(ServeTest, QuerySpecSubmitReportsServedFromAndPerQueryIo) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->served_from, ServedFrom::kExecuted);
   EXPECT_GT(cold->io.total(), 0u);  // an execution really moved blocks
-  EXPECT_GE(cold->batch_size, 1u);
+  EXPECT_EQ(cold->io.total(), cold->result.stats.io.total());
 
   auto warm = server.Submit(spec);
   ASSERT_TRUE(warm.ok());
