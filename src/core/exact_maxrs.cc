@@ -199,15 +199,18 @@ class Driver {
   /// have repeated its predecessor, which the answer trackers coalesce.
   Status StreamBaseCase(std::vector<PieceRecord> pieces, const Interval& slab,
                         RecordSink<SlabTuple>* out) {
-    const SlabTuple* last = nullptr;
-    for (const SlabTuple& t : PlaneSweep(pieces, slab, options_.objective)) {
-      if (last != nullptr && SameBits(t.x_lo, last->x_lo) &&
-          SameBits(t.x_hi, last->x_hi) && SameBits(t.sum, last->sum)) {
-        continue;
-      }
-      MAXRS_RETURN_IF_ERROR(out->Append(t));
-      last = &t;
-    }
+    bool any = false;
+    SlabTuple last{};
+    MAXRS_RETURN_IF_ERROR(VisitPlaneSweep(
+        pieces, slab, options_.objective, [&](const SlabTuple& t) {
+          if (any && SameBits(t.x_lo, last.x_lo) &&
+              SameBits(t.x_hi, last.x_hi) && SameBits(t.sum, last.sum)) {
+            return Status::OK();
+          }
+          any = true;
+          last = t;
+          return out->Append(t);
+        }));
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_->base_cases;
     return Status::OK();
@@ -418,9 +421,11 @@ Status VisitRootTuples(Env& env, const std::string& object_file,
       if (clip(&piece)) pieces.push_back(piece);
     }
     MAXRS_RETURN_IF_ERROR(objects.final_status());
-    for (const SlabTuple& t : PlaneSweep(pieces, root_slab, options.objective)) {
-      visit(t);
-    }
+    MAXRS_RETURN_IF_ERROR(VisitPlaneSweep(pieces, root_slab, options.objective,
+                                          [&visit](const SlabTuple& t) {
+                                            visit(t);
+                                            return Status::OK();
+                                          }));
     stats->base_cases += 1;
     return Status::OK();
   }
@@ -514,9 +519,13 @@ MaxRSResult ExactMaxRSInMemory(const std::vector<SpatialObject>& objects,
     pieces.push_back(TransformObject(o, rect_width, rect_height));
   }
   core_internal::TopTupleTracker tracker(1);
-  for (const SlabTuple& t : PlaneSweep(pieces, Interval{-kInf, kInf})) {
-    tracker.Visit(t);
-  }
+  const Status swept = VisitPlaneSweep(
+      pieces, Interval{-kInf, kInf}, SweepObjective::kMaximize,
+      [&tracker](const SlabTuple& t) {
+        tracker.Visit(t);
+        return Status::OK();
+      });
+  MAXRS_CHECK(swept.ok());
   MaxRSResult result = core_internal::BestResult(tracker);
   result.stats.input_objects = objects.size();
   result.stats.base_cases = 1;

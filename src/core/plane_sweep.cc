@@ -91,7 +91,21 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
                                   const Interval& slab,
                                   SweepObjective objective) {
   std::vector<SlabTuple> out;
-  if (pieces.empty()) return out;
+  out.reserve(2 * pieces.size());  // at most one tuple per event
+  const Status st =
+      VisitPlaneSweep(pieces, slab, objective, [&out](const SlabTuple& t) {
+        out.push_back(t);
+        return Status::OK();
+      });
+  MAXRS_CHECK(st.ok());
+  return out;
+}
+
+Status VisitPlaneSweep(
+    const std::vector<PieceRecord>& pieces, const Interval& slab,
+    SweepObjective objective,
+    const std::function<Status(const SlabTuple&)>& visit) {
+  if (pieces.empty()) return Status::OK();
 
   // Total order (not just by y): events tied on y are applied to the tree
   // in one canonical sequence, which makes the emitted tuples a pure
@@ -151,7 +165,6 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
   // Elementary intervals [xs[t], xs[t+1]).
   const size_t num_elem = xs.size() - 1;
 
-  out.reserve(events.size());  // at most one tuple per event
   SegmentTree tree(num_elem);
   size_t i = 0;
   while (i < events.size()) {
@@ -165,9 +178,10 @@ std::vector<SlabTuple> PlaneSweep(const std::vector<PieceRecord>& pieces,
     const MaxRun run = objective == SweepObjective::kMaximize
                            ? tree.MaxInterval()
                            : tree.MinInterval();
-    out.push_back(SlabTuple{y, xs[run.first], xs[run.last + 1], run.value});
+    MAXRS_RETURN_IF_ERROR(
+        visit(SlabTuple{y, xs[run.first], xs[run.last + 1], run.value}));
   }
-  return out;
+  return Status::OK();
 }
 
 size_t BestTupleIndex(const std::vector<SlabTuple>& tuples) {

@@ -12,14 +12,18 @@
 // answers from its memo without searching (core/segment_tree.h), and the
 // recursion's base case forwards only the tuples that change (Algorithm 2
 // line 9 needs no more, since a slab-file tuple holds until the next one).
-// PlaneSweep itself returns every tuple, one per event y.
+// PlaneSweep itself returns every tuple, one per event y; VisitPlaneSweep
+// hands the same tuples to a callback, so a caller that keeps only a few of
+// them never holds the tuple vector.
 #ifndef MAXRS_CORE_PLANE_SWEEP_H_
 #define MAXRS_CORE_PLANE_SWEEP_H_
 
+#include <functional>
 #include <vector>
 
 #include "core/records.h"
 #include "geom/geometry.h"
+#include "util/status.h"
 
 namespace maxrs {
 
@@ -50,6 +54,13 @@ enum class SweepObjective { kMaximize, kMinimize };
 std::vector<SlabTuple> PlaneSweep(
     const std::vector<PieceRecord>& pieces, const Interval& slab,
     SweepObjective objective = SweepObjective::kMaximize);
+
+/// PlaneSweep without the output vector: calls `visit` on each tuple
+/// PlaneSweep would return, in the same order and with the same bits.
+/// Stops at, and returns, the first error `visit` returns.
+Status VisitPlaneSweep(const std::vector<PieceRecord>& pieces,
+                       const Interval& slab, SweepObjective objective,
+                       const std::function<Status(const SlabTuple&)>& visit);
 
 /// Convenience for standalone use and tests: the best tuple of a slab-file,
 /// i.e. the tuple opening the stratum that contains the max-region.

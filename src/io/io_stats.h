@@ -23,14 +23,16 @@ struct IoStatsSnapshot {
   /// checksummed blocks").
   uint64_t reads_retried = 0;
   uint64_t writes_retried = 0;
-  /// Work *avoided* by a serve-time filter: `shards_pruned` counts shards
-  /// never routed or solved, `bound_skips` shards whose routed input was
-  /// discarded unsolved. The serve executor routes and solves every shard,
-  /// so it records neither today; the counters, their recorders and their
-  /// wire keys stay for the next filter that skips work. Neither is a
-  /// block transfer, so neither contributes to total().
+  /// Work *avoided* by a serve-time filter. `objects_filtered` counts the
+  /// objects the serve layer's threshold filter (serve/density_bound.h)
+  /// dropped in a routing scan: they became no piece, span or edge.
+  /// `shards_pruned` and `bound_skips` counted shards skipped by a shard
+  /// branch-and-bound the executor no longer has; nothing records them, and
+  /// they stay only because the benchmark harness reads them. None of the
+  /// three is a block transfer, so none contributes to total().
   uint64_t shards_pruned = 0;
   uint64_t bound_skips = 0;
+  uint64_t objects_filtered = 0;
 
   uint64_t total() const { return blocks_read + blocks_written; }
 
@@ -40,7 +42,8 @@ struct IoStatsSnapshot {
             reads_retried - other.reads_retried,
             writes_retried - other.writes_retried,
             shards_pruned - other.shards_pruned,
-            bound_skips - other.bound_skips};
+            bound_skips - other.bound_skips,
+            objects_filtered - other.objects_filtered};
   }
 };
 
@@ -77,6 +80,9 @@ class IoStats {
   void RecordBoundSkip(uint64_t shards) {
     bound_skips_.fetch_add(shards, std::memory_order_relaxed);
   }
+  void RecordObjectsFiltered(uint64_t objects) {
+    objects_filtered_.fetch_add(objects, std::memory_order_relaxed);
+  }
 
   IoStatsSnapshot Snapshot() const {
     return {blocks_read_.load(std::memory_order_relaxed),
@@ -84,7 +90,8 @@ class IoStats {
             reads_retried_.load(std::memory_order_relaxed),
             writes_retried_.load(std::memory_order_relaxed),
             shards_pruned_.load(std::memory_order_relaxed),
-            bound_skips_.load(std::memory_order_relaxed)};
+            bound_skips_.load(std::memory_order_relaxed),
+            objects_filtered_.load(std::memory_order_relaxed)};
   }
 
   void Reset() {
@@ -94,6 +101,7 @@ class IoStats {
     writes_retried_.store(0, std::memory_order_relaxed);
     shards_pruned_.store(0, std::memory_order_relaxed);
     bound_skips_.store(0, std::memory_order_relaxed);
+    objects_filtered_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -103,6 +111,7 @@ class IoStats {
   std::atomic<uint64_t> writes_retried_{0};
   std::atomic<uint64_t> shards_pruned_{0};
   std::atomic<uint64_t> bound_skips_{0};
+  std::atomic<uint64_t> objects_filtered_{0};
 };
 
 }  // namespace maxrs

@@ -47,6 +47,16 @@ std::string ShardXName(const std::string& prefix, size_t index) {
   return prefix + "/shard_" + std::to_string(index) + "_x";
 }
 
+// The density bound of a dataset with known bounds, from its shard y-files
+// (DensityBound::Build; null when the data is not eligible).
+Result<std::shared_ptr<const DensityBound>> BuildDensityBound(
+    Env& env, const std::vector<ShardInfo>& shards, const Rect& bounds) {
+  std::vector<std::string> y_files;
+  y_files.reserve(shards.size());
+  for (const ShardInfo& info : shards) y_files.push_back(info.y_file);
+  return DensityBound::Build(env, y_files, bounds);
+}
+
 size_t DeriveShardCount(uint64_t num_objects, const DatasetHandleOptions& options,
                         size_t block_size) {
   size_t requested = options.shard_count;
@@ -70,7 +80,8 @@ size_t DeriveShardCount(uint64_t num_objects, const DatasetHandleOptions& option
 Status IngestInto(Env& env, const std::string& object_file,
                   const DatasetHandleOptions& options, uint64_t num_objects,
                   std::vector<ShardInfo>* shards, Rect* bounds,
-                  std::vector<ShardAgg>* aggs) {
+                  std::vector<ShardAgg>* aggs,
+                  std::shared_ptr<const DensityBound>* density) {
   const std::string& prefix = options.prefix;
   TempFileManager temps(env, prefix + "_ingest");
   const std::string y_sorted = temps.NewName("objects_y");
@@ -186,6 +197,13 @@ Status IngestInto(Env& env, const std::string& object_file,
       }
     }
 
+    // The density bound reads the shard y-files just written, before the
+    // manifest publishes them, so a failed scan rolls the ingest back.
+    if (num_objects > 0) {
+      MAXRS_ASSIGN_OR_RETURN(*density,
+                             BuildDensityBound(env, *shards, *bounds));
+    }
+
     // The aggregate index is written (and Finish()ed) *before* the
     // manifest that describes it, so a published manifest never names a
     // missing index — a crash in between leaves an orphan index file under
@@ -260,7 +278,8 @@ Result<DatasetHandle> DatasetHandle::Ingest(Env& env,
   handle.has_bounds_ = num_objects > 0;
   std::vector<ShardAgg> aggs;
   Status st = IngestInto(env, object_file, options, num_objects,
-                         &handle.shards_, &handle.bounds_, &aggs);
+                         &handle.shards_, &handle.bounds_, &aggs,
+                         &handle.density_bound_);
   if (!st.ok()) {
     // Roll back partially written shard files AND a partially written
     // temp manifest (Create happens before the appends, so the file can
@@ -347,6 +366,11 @@ Result<DatasetHandle> DatasetHandle::Open(Env& env, const std::string& prefix) {
     return Status::Corruption("manifest of '" + prefix +
                               "' is inconsistent with its shard counts");
   }
+  if (handle.has_bounds_) {
+    MAXRS_ASSIGN_OR_RETURN(handle.density_bound_,
+                           BuildDensityBound(env, handle.shards_,
+                                             handle.bounds_));
+  }
   if (have_index_descriptor) {
     // A promised aggregate index that fails to open or validate degrades
     // the handle, never the dataset: the handle opens with a null index
@@ -412,6 +436,7 @@ Status DatasetHandle::Drop() {
   // A crashed ingest may have left an unpublished temp manifest behind.
   note(env_->Delete(TempManifestName(prefix_)));
   agg_index_.reset();
+  density_bound_.reset();
   shards_.clear();
   num_objects_ = 0;
   has_bounds_ = false;

@@ -32,6 +32,7 @@
 #include "index/shard_agg_index.h"
 #include "io/env.h"
 #include "io/io_stats.h"
+#include "serve/density_bound.h"
 #include "util/status.h"
 
 namespace maxrs {
@@ -139,7 +140,9 @@ class DatasetHandle {
                                       const DatasetHandleOptions& options);
 
   /// Re-attaches to a dataset ingested earlier under `prefix` in `env` by
-  /// reading its manifest. Verifies the shard files exist.
+  /// reading its manifest. Verifies the shard files exist, and rebuilds the
+  /// density bound from one pair of scans over the shard y-files, so a
+  /// y-file that cannot be read fails Open.
   static Result<DatasetHandle> Open(Env& env, const std::string& prefix);
 
   /// Deletes the shard files and the manifest. The handle is dead after.
@@ -184,6 +187,13 @@ class DatasetHandle {
   /// never reads it, so a null index changes no answer and no block count.
   const ShardAggIndex* agg_index() const { return agg_index_.get(); }
 
+  /// The threshold filter's summed-area table and probe set, derived from
+  /// the shard y-files at Ingest and at Open and never persisted; nullptr
+  /// when the dataset has no bounds (empty, or a version-1 manifest) or is
+  /// not eligible (see DensityBound::Build). MaxRSServer filters every
+  /// query's routing scans with it; a null bound keeps every object.
+  const DensityBound* density_bound() const { return density_bound_.get(); }
+
   /// Why agg_index() is null when the manifest promised one: kCorruption /
   /// kNotFound / kNotSupported from opening the index file. OK when the
   /// index is present, and OK for pre-v3 manifests (nothing was promised).
@@ -207,6 +217,7 @@ class DatasetHandle {
   Rect bounds_;
   std::shared_ptr<ShardAggIndex> agg_index_;
   Status index_status_;
+  std::shared_ptr<const DensityBound> density_bound_;
 };
 
 }  // namespace maxrs

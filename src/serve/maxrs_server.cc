@@ -216,17 +216,20 @@ class QueryChannels {
 // routes the query's pieces and spans (division.cc pass 3 with the shard
 // grid as the cut, shared via division_internal::RoutePiece), then ONE pass
 // over its x-file emits the query's left and right edges into their
-// half-row channels. The piece/span pass closes its sinks before the edge
-// pass starts, so target solves whose piece streams are complete can probe
-// and begin solving while this source still routes edges. Every channel of
-// this source's rows — S piece + 2S edge + 1 span — is closed exactly once
-// on every path: an unclosed channel would park its consumer forever. Both
-// scans stop with kDeadlineExceeded once the query is cancelled or past its
-// deadline.
+// half-row channels. Both scans route only the objects `filter` keeps, so
+// what is routed is exactly the survivor dataset; the y-file scan counts
+// the dropped ones in IoStats::objects_filtered. The piece/span pass closes
+// its sinks before the edge pass starts, so target solves whose piece
+// streams are complete can probe and begin solving while this source still
+// routes edges. Every channel of this source's rows — S piece + 2S edge +
+// 1 span — is closed exactly once on every path: an unclosed channel would
+// park its consumer forever. Both scans stop with kDeadlineExceeded once
+// the query is cancelled or past its deadline.
 Status RouteSourceShard(Env& env, QueryChannels& channels,
                         const std::vector<ShardInfo>& shards,
                         const std::vector<double>& bounds,
                         const std::vector<Interval>& ranges, size_t source,
+                        const ObjectFilter& filter,
                         const MaxRSOptions& options) {
   const size_t num_shards = shards.size();
   auto close_edges = [&](Status st) {
@@ -251,13 +254,19 @@ Status RouteSourceShard(Env& env, QueryChannels& channels,
       return channels.span(source)->Append(span);
     };
     SpatialObject o{};
+    uint64_t filtered = 0;
     while (reader.Next(&o)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+      if (!filter.Keep(o)) {
+        ++filtered;
+        continue;
+      }
       const PieceRecord p =
           TransformObject(o, options.rect_width, options.rect_height);
       MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
           bounds, ranges, p, emit_piece, emit_span));
     }
+    env.stats().RecordObjectsFiltered(filtered);
     return reader.final_status();
   }();
   {
@@ -293,6 +302,7 @@ Status RouteSourceShard(Env& env, QueryChannels& channels,
     SpatialObject o{};
     while (reader.Next(&o)) {
       MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
+      if (!filter.Keep(o)) continue;
       const double left = o.x - half_w;
       const double right = o.x + half_w;
       MAXRS_RETURN_IF_ERROR(channels.edge_left(source, shard_of(left))
@@ -766,6 +776,9 @@ Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
   const std::vector<Interval>& ranges = dataset_.slab_ranges();
   const MaxRSOptions query_options =
       MakeQueryOptions(request.width, request.height, &request.cancel);
+  // The query's threshold, from the resident probe set (no I/O).
+  const ObjectFilter filter(dataset_.density_bound(), request.width,
+                            request.height);
 
   Result<MaxRSResult> result = [&]() -> Result<MaxRSResult> {
     QueryChannels channels(env, temps, num_shards,
@@ -776,7 +789,8 @@ Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
     for (size_t s = 0; s < num_shards; ++s) {
       pool_->Submit([&, s] {
         producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                              ranges, s, query_options);
+                                              ranges, s, filter,
+                                              query_options);
         routed.CountDown();
       });
     }

@@ -13,6 +13,11 @@
 // and execute it; every execution is exactly one query. The x-slab shards
 // ARE the top-level division of the paper's distribution sweep:
 //
+//   filter      once per query, in memory: tau = the exact answer over
+//               the dataset's resident probe set (serve/density_bound.h);
+//               both routing scans below skip every object whose
+//               summed-area bound is below tau, which no optimal
+//               placement covers                         — no I/O
 //   route       per source shard, ONE pass over its y-sorted objects
 //               transforms the query's pieces and routes them by extent —
 //               clipped parts into the (at most two) partially covered

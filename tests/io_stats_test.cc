@@ -66,6 +66,20 @@ TEST(IoStatsTest, RetryCountersAreSeparateFromTransferCounters) {
   EXPECT_EQ(stats.Snapshot().writes_retried, 0u);
 }
 
+TEST(IoStatsTest, ObjectsFilteredIsNotABlockTransfer) {
+  IoStats stats;
+  stats.RecordRead(2);
+  stats.RecordObjectsFiltered(40);
+  const IoStatsSnapshot snap = stats.Snapshot();
+  EXPECT_EQ(snap.objects_filtered, 40u);
+  EXPECT_EQ(snap.total(), 2u);
+
+  stats.RecordObjectsFiltered(5);
+  EXPECT_EQ((stats.Snapshot() - snap).objects_filtered, 5u);
+  stats.Reset();
+  EXPECT_EQ(stats.Snapshot().objects_filtered, 0u);
+}
+
 TEST(IoStatsTest, SnapshotIsAPointInTimeCopy) {
   IoStats stats;
   stats.RecordRead(1);

@@ -183,7 +183,9 @@ TEST(QueryProtocolTest, StatsRoundTripIgnoringUnknownKeys) {
   IoStatsSnapshot io{};
   io.blocks_read = 1234;
   io.blocks_written = 567;
+  io.objects_filtered = 89012;
   std::string frame = FormatStats(counters, io);
+  EXPECT_NE(frame.find(" objects_filtered=89012"), std::string::npos);
   // Unknown keys are skipped: a newer server's, and counters an older
   // server still sends.
   frame.insert(frame.size() - 1, " future_key=99 retired_counter=4");
@@ -197,6 +199,7 @@ TEST(QueryProtocolTest, StatsRoundTripIgnoringUnknownKeys) {
   EXPECT_EQ(parsed_counters.shed, counters.shed);
   EXPECT_EQ(parsed_io.blocks_read, io.blocks_read);
   EXPECT_EQ(parsed_io.blocks_written, io.blocks_written);
+  EXPECT_EQ(parsed_io.objects_filtered, io.objects_filtered);
   ServerCounters ignored;
   IoStatsSnapshot ignored_io{};
   EXPECT_FALSE(ParseStats("PONG", &ignored, &ignored_io).ok());
