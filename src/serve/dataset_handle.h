@@ -80,15 +80,18 @@ struct DatasetHandleOptions {
 };
 
 /// One x-slab shard: the objects whose x lies in `x_range`, stored twice —
-/// once in ObjectYLess order (piece-stream source) and once in ObjectXLess
-/// order (edge-stream source).
+/// once in ObjectYLess order (piece-stream source, scanned by every query)
+/// and once in ObjectXLess order (edge-stream source, read only by a query
+/// shard that overflows its base case and divides).
 struct ShardInfo {
   /// Half-open slab [lo, hi); the first shard's lo is -inf and the last
   /// shard's hi is +inf, so every finite x routes to exactly one shard.
   Interval x_range{-kInf, kInf};
   /// Record file of the shard's objects in ObjectYLess order.
   std::string y_file;
-  /// Record file of the shard's objects in ObjectXLess order.
+  /// Record file of the shard's objects in ObjectXLess order; read only
+  /// by the edge provider of a dividing query shard whose edge windows
+  /// hold this shard.
   std::string x_file;
   /// Object count of the shard (identical in both files).
   uint64_t num_objects = 0;
@@ -191,7 +194,8 @@ class DatasetHandle {
   /// the shard y-files at Ingest and at Open and never persisted; nullptr
   /// when the dataset has no bounds (empty, or a version-1 manifest) or is
   /// not eligible (see DensityBound::Build). MaxRSServer filters every
-  /// query's routing scans with it; a null bound keeps every object.
+  /// query's routing and edge scans with it; a null bound keeps every
+  /// object.
   const DensityBound* density_bound() const { return density_bound_.get(); }
 
   /// Why agg_index() is null when the manifest promised one: kCorruption /

@@ -129,9 +129,9 @@ class DensityBound {
   std::vector<SpatialObject> probe_;
 };
 
-/// The per-query object predicate of the routing scans: keeps o iff
-/// Bound(o) >= tau. A default-constructed filter (no DensityBound) keeps
-/// every object through the same code.
+/// The per-query object predicate of the routing scans and of a dividing
+/// shard's edge scans: keeps o iff Bound(o) >= tau. A default-constructed
+/// filter (no DensityBound) keeps every object through the same code.
 class ObjectFilter {
  public:
   /// Keeps everything.

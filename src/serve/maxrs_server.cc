@@ -20,27 +20,24 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Query execution: the x-slab shards are the top-level division, and each
-// query executes off ONE routing pass per source shard. The y-file scan
+// query executes off ONE routing pass per source shard: the y-file scan
 // transforms every object and routes each clipped piece to the (at most
 // two) partially covered shards, plus one SpanRecord for the fully covered
-// shards between; the x-file scan emits every object's left (x - w/2) and
-// right (x + w/2) edge, routed by value. Every routed record travels
-// through a RecordChannel (io/record_stream.h), and each target solve
+// shards between. Every routed record travels through a RecordChannel
+// (io/record_stream.h), and each target solve
 // (core_internal::SolveSlabStream) starts the moment the piece channels of
 // its column have their first heads — while the routing passes are still
 // running. Each target solve emits its shard's tuples into one more
 // channel, and once every solve has returned, one cross-shard MergeSweep
 // merges those channels straight into the answer tracker: neither a
 // shard's tuples nor the root's become a file (unless a slab channel
-// spills past its cap).
+// spills past its cap). A piece row is a filtered subsequence of the
+// y-sorted scan under the query's monotone transform, so what a target
+// merges is fixed by the data and the rect alone.
 //
-// The record streams a target consumer merges are fixed by the data and
-// the rect alone: piece rows are filtered subsequences of the y-sorted scan
-// under the query's monotone transform, and the two edge half-rows are each
-// monotone shifts of the x-sorted scan — their 2S-way EdgeXLess merge is
-// one x-sorted edge stream, because EdgeRecord is a single double under a
-// total order (cmp-equal => byte-equal, and min-of-heads merging is
-// associative).
+// The x-files are read only by a shard that overflows its base case (the
+// paper needs a slab's edges only to divide it, Sec. 5), on its solving
+// worker: see ShardEdgeSource.
 //
 // Liveness protocol (record_stream.h, "Threading"): channel producers never
 // block and are submitted to the FIFO pool BEFORE the consumers run, so a
@@ -72,91 +69,98 @@ class JoinLatch {
   size_t remaining_;
 };
 
-// Phase B for one target shard: merge the piece channels of its column on
-// the fly and solve the shard via the streaming recursion, appending its
-// tuples to `out`. The edge stream is claimed lazily: only a shard that
-// overflows its base case ever drains its edge column (into one scratch
-// file, since the division's bounds pass reads the edges twice); a
-// base-case shard abandons the column untouched — what those channels
-// buffered or spilled is a pure function of the routed records, so block
-// counts stay deterministic. Callers pass every source row in ascending
-// order (the canonical merge order), with each row's two sorted edge
-// half-streams.
-Status SolveTargetShardColumns(Env& env, TempFileManager& temps,
-                               std::vector<RecordSource<PieceRecord>*>
-                                   piece_column,
-                               std::vector<RecordSource<EdgeRecord>*>
-                                   edge_column,
-                               const Interval& slab,
-                               const MaxRSOptions& options,
-                               size_t channel_bytes, MaxRSStats* stats,
-                               RecordSink<SlabTuple>* out) {
-  MergingSource<PieceRecord, decltype(&PieceYLess)> pieces(
-      std::move(piece_column), &PieceYLess);
-
-  // Probe the first record: a shard no piece overlaps (fully spanned
-  // shards are handled by the cross-shard sweep's upSum) emits no tuples
-  // without ever invoking the solver, and leaves its stats block untouched.
-  PieceRecord first{};
-  Status probe = pieces.Read(&first);
-  if (probe.code() == Status::Code::kNotFound) return Status::OK();
-  MAXRS_RETURN_IF_ERROR(probe);
-  PrependedSource<PieceRecord> stream({first}, &pieces);
-
-  std::string edge_file;  // set iff the provider runs (base-case overflow)
-  core_internal::EdgeFileProvider edge_provider =
-      [&]() -> Result<std::string> {
-    MergingSource<EdgeRecord, decltype(&EdgeXLess)> edges(
-        std::move(edge_column), &EdgeXLess);
-    edge_file = temps.NewName("q_edges");
-    MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
-                           RecordWriter<EdgeRecord>::Make(env, edge_file));
-    EdgeRecord e{};
-    while (edges.Next(&e)) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
-      MAXRS_RETURN_IF_ERROR(writer.Append(e));
+// The edges that one shift of the objects (-w/2: left edges, +w/2: right
+// edges) lands in target shard t, x-sorted: the shifted x of each kept
+// object whose value routes to t (a value at or above the last shard's
+// lower bound clamps into it). x -> shard_of(x + shift) is monotone and the
+// sources' slabs are disjoint and ascending, so only the sources
+// [next_, end_) whose shifted slab ends bracket t can contribute; they are
+// read in ascending order, and the stream ends at the first value past t.
+// The left and right streams' EdgeXLess merge is the shard's edge file:
+// EdgeRecord is one double under a total order, so that file is the same
+// bytes however the edges reach it.
+class ShardEdgeSource final : public RecordSource<EdgeRecord> {
+ public:
+  ShardEdgeSource(Env& env, const DatasetHandle& dataset, size_t target,
+                  double shift, const ObjectFilter& filter,
+                  const CancelToken* cancel)
+      : env_(env), dataset_(dataset), target_(target), shift_(shift),
+        filter_(filter), cancel_(cancel) {
+    for (size_t s = 0; s < dataset.shards().size(); ++s) {
+      const Interval& slab = dataset.shards()[s].x_range;
+      if (ShardOf(slab.hi + shift) < target) next_ = s + 1;
+      if (ShardOf(slab.lo + shift) <= target) end_ = s + 1;
     }
-    MAXRS_RETURN_IF_ERROR(edges.final_status());
-    MAXRS_RETURN_IF_ERROR(writer.Finish());
-    return {edge_file};
-  };
+  }
 
-  Status st = core_internal::SolveSlabStream(
-      env, temps, &stream, edge_provider, /*release_input=*/[] {}, slab,
-      options, channel_bytes, /*pool=*/nullptr, stats, out);
-  // The provider's creator owns the drained edge file (exact_maxrs.h).
-  if (!edge_file.empty()) temps.Release(edge_file);
-  return st;
-}
+  Status Read(EdgeRecord* out) override {
+    while (true) {
+      if (!reader_.has_value()) {
+        if (next_ >= end_) return Status::NotFound("end of stream");
+        MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> reader,
+                               RecordReader<SpatialObject>::Make(
+                                   env_, dataset_.shards()[next_++].x_file));
+        reader_.emplace(std::move(reader));
+      }
+      SpatialObject o{};
+      Status st = reader_->Read(&o);
+      if (st.code() == Status::Code::kNotFound) {
+        reader_.reset();
+        continue;
+      }
+      MAXRS_RETURN_IF_ERROR(st);
+      MAXRS_RETURN_IF_ERROR(CheckCancel(cancel_));
+      const double x = o.x + shift_;
+      const size_t shard = ShardOf(x);
+      if (shard > target_) {  // every later edge lands further right
+        reader_.reset();
+        next_ = end_;
+        return Status::NotFound("end of stream");
+      }
+      if (shard == target_ && filter_.Keep(o)) {
+        out->x = x;
+        return Status::OK();
+      }
+    }
+  }
 
-// All channels of one query: an S x S piece grid, TWO S x S edge grids —
-// the x-file scan emits left and right edges into separate channels
-// because their interleaving in scan order is not sorted, while each half
-// on its own is — S span channels, and S slab channels carrying each target
-// shard's tuples to the combine. Grids are producer-major: source s feeds
-// row s, target t drains column t. Created eagerly on the query's worker so
-// spill names are allocated in one deterministic order; a channel that
-// never receives a record holds no buffer and creates no file.
+ private:
+  size_t ShardOf(double v) const {
+    return std::min(division_internal::IndexOf(dataset_.interior_bounds(), v),
+                    dataset_.shards().size() - 1);
+  }
+
+  Env& env_;
+  const DatasetHandle& dataset_;
+  size_t target_;
+  double shift_;
+  const ObjectFilter& filter_;
+  const CancelToken* cancel_;
+  size_t next_ = 0;
+  size_t end_ = 0;
+  std::optional<RecordReader<SpatialObject>> reader_;
+};
+
+// All channels of one query: an S x S piece grid, S span channels, and S
+// slab channels carrying each target shard's tuples to the combine. The
+// grid is producer-major: source s feeds row s, target t drains column t.
+// Created eagerly on the query's worker so spill names are allocated in
+// one deterministic order; a channel that never receives a record holds no
+// buffer and creates no file.
 class QueryChannels {
  public:
   QueryChannels(Env& env, TempFileManager& temps, size_t num_shards,
                 size_t cap_bytes)
       : num_shards_(num_shards), cap_bytes_(cap_bytes) {
     pieces_.reserve(num_shards * num_shards);
-    edges_left_.reserve(num_shards * num_shards);
-    edges_right_.reserve(num_shards * num_shards);
     spans_.reserve(num_shards);
     slabs_.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       const std::string tag = std::to_string(s);
       for (size_t t = 0; t < num_shards; ++t) {
-        const std::string cell = tag + "_" + std::to_string(t);
         pieces_.push_back(std::make_unique<RecordChannel<PieceRecord>>(
-            env, temps.NewName("chp" + cell), cap_bytes));
-        edges_left_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-            env, temps.NewName("chl" + cell), cap_bytes));
-        edges_right_.push_back(std::make_unique<RecordChannel<EdgeRecord>>(
-            env, temps.NewName("chr" + cell), cap_bytes));
+            env, temps.NewName("chp" + tag + "_" + std::to_string(t)),
+            cap_bytes));
       }
       spans_.push_back(std::make_unique<RecordChannel<SpanRecord>>(
           env, temps.NewName("chs" + tag), cap_bytes));
@@ -168,85 +172,94 @@ class QueryChannels {
   RecordChannel<PieceRecord>* piece(size_t s, size_t t) {
     return pieces_[s * num_shards_ + t].get();
   }
-  RecordChannel<EdgeRecord>* edge_left(size_t s, size_t t) {
-    return edges_left_[s * num_shards_ + t].get();
-  }
-  RecordChannel<EdgeRecord>* edge_right(size_t s, size_t t) {
-    return edges_right_[s * num_shards_ + t].get();
-  }
   RecordChannel<SpanRecord>* span(size_t s) { return spans_[s].get(); }
 
   // The tuples of target shard t. Read only after every solve has
   // returned, so the channel is closed and the read never blocks.
   RecordSource<SlabTuple>* solved_tuples(size_t t) { return slabs_[t].get(); }
 
-  // Solves target shard t from every source row, in ascending order — the
-  // canonical merge order — into the shard's slab channel, and closes that
-  // channel with the solve's final status on every path. The solve's own
-  // division channels share the query's cap.
-  Status SolveTarget(Env& env, TempFileManager& temps, size_t t,
-                     const Interval& slab, const MaxRSOptions& options,
+  // Phase B for target shard t: merges the piece channels of its column on
+  // the fly, in ascending source order (the canonical merge order), and
+  // solves the shard via the streaming recursion into its slab channel,
+  // which it closes with the solve's final status on every path. The
+  // solve's own division channels share the query's cap. Only a shard that
+  // overflows its base case runs the edge provider, which merges its left
+  // and right ShardEdgeSources into one scratch file (the division's
+  // bounds pass reads the edges twice).
+  Status SolveTarget(Env& env, TempFileManager& temps,
+                     const DatasetHandle& dataset, size_t t,
+                     const ObjectFilter& filter, const MaxRSOptions& options,
                      MaxRSStats* stats) {
-    std::vector<RecordSource<PieceRecord>*> piece_column;
-    std::vector<RecordSource<EdgeRecord>*> edge_column;
-    piece_column.reserve(num_shards_);
-    edge_column.reserve(2 * num_shards_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      piece_column.push_back(piece(s, t));
-      edge_column.push_back(edge_left(s, t));
-      edge_column.push_back(edge_right(s, t));
-    }
+    std::vector<RecordSource<PieceRecord>*> column;
+    for (size_t s = 0; s < num_shards_; ++s) column.push_back(piece(s, t));
+    MergingSource<PieceRecord, decltype(&PieceYLess)> pieces(
+        std::move(column), &PieceYLess);
     RecordChannel<SlabTuple>* out = slabs_[t].get();
-    return out->Close(SolveTargetShardColumns(
-        env, temps, std::move(piece_column), std::move(edge_column), slab,
-        options, cap_bytes_, stats, out));
+
+    // Probe the first record: a shard no piece overlaps (fully spanned
+    // shards are handled by the cross-shard sweep's upSum) emits no tuples
+    // without ever invoking the solver, and leaves its stats block
+    // untouched.
+    PieceRecord first{};
+    Status probe = pieces.Read(&first);
+    if (!probe.ok()) {
+      const bool empty = probe.code() == Status::Code::kNotFound;
+      return out->Close(empty ? Status::OK() : probe);
+    }
+    PrependedSource<PieceRecord> stream({first}, &pieces);
+
+    std::string edge_file;  // set iff the provider runs
+    core_internal::EdgeFileProvider edge_provider =
+        [&]() -> Result<std::string> {
+      const double half_w = options.rect_width / 2.0;
+      ShardEdgeSource left(env, dataset, t, -half_w, filter, options.cancel);
+      ShardEdgeSource right(env, dataset, t, half_w, filter, options.cancel);
+      MergingSource<EdgeRecord, decltype(&EdgeXLess)> edges({&left, &right},
+                                                            &EdgeXLess);
+      edge_file = temps.NewName("q_edges");
+      MAXRS_ASSIGN_OR_RETURN(RecordWriter<EdgeRecord> writer,
+                             RecordWriter<EdgeRecord>::Make(env, edge_file));
+      EdgeRecord e{};
+      while (edges.Next(&e)) MAXRS_RETURN_IF_ERROR(writer.Append(e));
+      MAXRS_RETURN_IF_ERROR(edges.final_status());
+      MAXRS_RETURN_IF_ERROR(writer.Finish());
+      return {edge_file};
+    };
+    Status st = core_internal::SolveSlabStream(
+        env, temps, &stream, edge_provider, /*release_input=*/[] {},
+        dataset.shards()[t].x_range, options, cap_bytes_, /*pool=*/nullptr,
+        stats, out);
+    // The provider's creator owns the drained edge file (exact_maxrs.h).
+    if (!edge_file.empty()) temps.Release(edge_file);
+    return out->Close(st);
   }
 
  private:
   size_t num_shards_;
   size_t cap_bytes_;
   std::vector<std::unique_ptr<RecordChannel<PieceRecord>>> pieces_;
-  std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_left_;
-  std::vector<std::unique_ptr<RecordChannel<EdgeRecord>>> edges_right_;
   std::vector<std::unique_ptr<RecordChannel<SpanRecord>>> spans_;
   std::vector<std::unique_ptr<RecordChannel<SlabTuple>>> slabs_;
 };
 
 // Phase A for source shard `source`: ONE pass over the shard's y-file
 // routes the query's pieces and spans (division.cc pass 3 with the shard
-// grid as the cut, shared via division_internal::RoutePiece), then ONE pass
-// over its x-file emits the query's left and right edges into their
-// half-row channels. Both scans route only the objects `filter` keeps, so
-// what is routed is exactly the survivor dataset; the y-file scan counts
-// the dropped ones in IoStats::objects_filtered. The piece/span pass closes
-// its sinks before the edge pass starts, so target solves whose piece
-// streams are complete can probe and begin solving while this source still
-// routes edges. Every channel of this source's rows — S piece + 2S edge +
-// 1 span — is closed exactly once on every path: an unclosed channel would
-// park its consumer forever. Both scans stop with kDeadlineExceeded once
-// the query is cancelled or past its deadline.
+// grid as the cut, shared via division_internal::RoutePiece). The scan
+// routes only the objects `filter` keeps, so what is routed is exactly the
+// survivor dataset, and counts the dropped ones in
+// IoStats::objects_filtered. Every channel of this source's row — S piece
+// + 1 span — is closed exactly once on every path: an unclosed channel
+// would park its consumer forever. The scan stops with kDeadlineExceeded
+// once the query is cancelled or past its deadline.
 Status RouteSourceShard(Env& env, QueryChannels& channels,
-                        const std::vector<ShardInfo>& shards,
-                        const std::vector<double>& bounds,
-                        const std::vector<Interval>& ranges, size_t source,
+                        const DatasetHandle& dataset, size_t source,
                         const ObjectFilter& filter,
                         const MaxRSOptions& options) {
-  const size_t num_shards = shards.size();
-  auto close_edges = [&](Status st) {
-    std::vector<RecordSink<EdgeRecord>*> sinks;
-    sinks.reserve(2 * num_shards);
-    for (size_t t = 0; t < num_shards; ++t) {
-      sinks.push_back(channels.edge_left(source, t));
-      sinks.push_back(channels.edge_right(source, t));
-    }
-    return CloseAllSinks<EdgeRecord>(sinks, std::move(st));
-  };
-
-  // Pass 1: the y-file scan.
-  Status piece_status = [&]() -> Status {
-    MAXRS_ASSIGN_OR_RETURN(
-        RecordReader<SpatialObject> reader,
-        RecordReader<SpatialObject>::Make(env, shards[source].y_file));
+  const size_t num_shards = dataset.shards().size();
+  Status st = [&]() -> Status {
+    const std::string& y_file = dataset.shards()[source].y_file;
+    MAXRS_ASSIGN_OR_RETURN(RecordReader<SpatialObject> reader,
+                           RecordReader<SpatialObject>::Make(env, y_file));
     auto emit_piece = [&](size_t target, const PieceRecord& piece) {
       return channels.piece(source, target)->Append(piece);
     };
@@ -264,55 +277,18 @@ Status RouteSourceShard(Env& env, QueryChannels& channels,
       const PieceRecord p =
           TransformObject(o, options.rect_width, options.rect_height);
       MAXRS_RETURN_IF_ERROR(division_internal::RoutePiece(
-          bounds, ranges, p, emit_piece, emit_span));
+          dataset.interior_bounds(), dataset.slab_ranges(), p, emit_piece,
+          emit_span));
     }
     env.stats().RecordObjectsFiltered(filtered);
     return reader.final_status();
   }();
-  {
-    std::vector<RecordSink<PieceRecord>*> piece_sinks;
-    piece_sinks.reserve(num_shards);
-    for (size_t t = 0; t < num_shards; ++t) {
-      piece_sinks.push_back(channels.piece(source, t));
-    }
-    piece_status = CloseAllSinks<PieceRecord>(piece_sinks, piece_status);
-    piece_status = CloseAllSinks<SpanRecord>({channels.span(source)},
-                                             piece_status);
+  std::vector<RecordSink<PieceRecord>*> piece_sinks;
+  for (size_t t = 0; t < num_shards; ++t) {
+    piece_sinks.push_back(channels.piece(source, t));
   }
-  if (!piece_status.ok()) {
-    // The edge pass is pointless now, but its sinks still must close so
-    // consumers blocked on edge heads observe the error instead of hanging.
-    (void)close_edges(piece_status);
-    return piece_status;
-  }
-
-  // Pass 2: the x-file scan — two edge shifts per object, routed by value.
-  // Edges of this shard's objects can land in any shard (a rect half-width
-  // shifts them arbitrarily far); each half-row stays x-sorted because it
-  // is a filtered monotone shift of this scan. A value at or above the last
-  // shard's lower bound clamps into it.
-  Status edge_status = [&]() -> Status {
-    MAXRS_ASSIGN_OR_RETURN(
-        RecordReader<SpatialObject> reader,
-        RecordReader<SpatialObject>::Make(env, shards[source].x_file));
-    auto shard_of = [&](double v) {
-      return std::min(division_internal::IndexOf(bounds, v), num_shards - 1);
-    };
-    const double half_w = options.rect_width / 2.0;
-    SpatialObject o{};
-    while (reader.Next(&o)) {
-      MAXRS_RETURN_IF_ERROR(CheckCancel(options.cancel));
-      if (!filter.Keep(o)) continue;
-      const double left = o.x - half_w;
-      const double right = o.x + half_w;
-      MAXRS_RETURN_IF_ERROR(channels.edge_left(source, shard_of(left))
-                                ->Append(EdgeRecord{left}));
-      MAXRS_RETURN_IF_ERROR(channels.edge_right(source, shard_of(right))
-                                ->Append(EdgeRecord{right}));
-    }
-    return reader.final_status();
-  }();
-  return close_edges(edge_status);
+  st = CloseAllSinks<PieceRecord>(piece_sinks, std::move(st));
+  return CloseAllSinks<SpanRecord>({channels.span(source)}, std::move(st));
 }
 
 // Phase C, once every solve has returned: drain the span channels of every
@@ -770,10 +746,7 @@ Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
   const IoStatsSnapshot io_before = env.stats().Snapshot();
   Stopwatch timer;
 
-  const std::vector<ShardInfo>& shards = dataset_.shards();
-  const size_t num_shards = shards.size();
-  const std::vector<double>& bounds = dataset_.interior_bounds();
-  const std::vector<Interval>& ranges = dataset_.slab_ranges();
+  const size_t num_shards = dataset_.shards().size();
   const MaxRSOptions query_options =
       MakeQueryOptions(request.width, request.height, &request.cancel);
   // The query's threshold, from the resident probe set (no I/O).
@@ -788,9 +761,8 @@ Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
     JoinLatch routed(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       pool_->Submit([&, s] {
-        producer_status[s] = RouteSourceShard(env, channels, shards, bounds,
-                                              ranges, s, filter,
-                                              query_options);
+        producer_status[s] = RouteSourceShard(env, channels, dataset_, s,
+                                              filter, query_options);
         routed.CountDown();
       });
     }
@@ -800,12 +772,12 @@ Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
     std::vector<MaxRSStats> shard_stats(num_shards);
     Status solved = Status::OK();
     for (size_t t = 0; t < num_shards && solved.ok(); ++t) {
-      solved = channels.SolveTarget(env, temps, t, ranges[t], query_options,
-                                    &shard_stats[t]);
+      solved = channels.SolveTarget(env, temps, dataset_, t, filter,
+                                    query_options, &shard_stats[t]);
     }
-    // A solve finishing does not imply its rows finished (rows close
-    // pieces before routing edges), so join every producer first. A solve
-    // error stands; otherwise the first failed source's status does.
+    // The producers use the channels until they return, so join them
+    // first. A solve error stands; otherwise the first failed source's
+    // status does.
     routed.Wait();
     for (size_t s = 0; s < num_shards && solved.ok(); ++s) {
       solved = producer_status[s];
@@ -813,8 +785,8 @@ Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
     MAXRS_RETURN_IF_ERROR(solved);
 
     // Phase C.
-    return CombineShards(env, temps, channels, ranges, shard_stats,
-                         dataset_.num_objects(), query_options);
+    return CombineShards(env, temps, channels, dataset_.slab_ranges(),
+                         shard_stats, dataset_.num_objects(), query_options);
   }();  // destroys the channels (and any spill files)
 
   if (!result.ok()) {

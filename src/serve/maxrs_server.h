@@ -15,19 +15,21 @@
 //
 //   filter      once per query, in memory: tau = the exact answer over
 //               the dataset's resident probe set (serve/density_bound.h);
-//               both routing scans below skip every object whose
-//               summed-area bound is below tau, which no optimal
-//               placement covers                         — no I/O
+//               the scans below skip every object whose summed-area
+//               bound is below tau, which no optimal placement
+//               covers                                   — no I/O
 //   route       per source shard, ONE pass over its y-sorted objects
 //               transforms the query's pieces and routes them by extent —
 //               clipped parts into the (at most two) partially covered
 //               shards, one SpanRecord for the fully covered shards
-//               between — and ONE pass over its x-sorted objects routes
-//               the vertical edges by value                — linear passes
+//               between                                   — linear passes
 //   solve       per target shard, merge the incoming piece streams and run
 //               division + plane-sweep *inside the shard*
 //               (core_internal::SolveSlabStream), emitting the shard's
-//               tuples into a slab channel          — O(shard) per task
+//               tuples into a slab channel; only a shard that overflows
+//               its base case reads edges, from the x-sorted objects of
+//               the sources whose shifted slabs reach
+//               it                                   — O(shard) per task
 //               Every source routes once per query and every shard is
 //               solved, in index order; the aggregate shard index is not
 //               consulted (docs/ARCHITECTURE.md, "Aggregate shard index").

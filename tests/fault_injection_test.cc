@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -326,6 +330,188 @@ TEST(DegradedRerunTest, RetryableFaultReRunsTheQueryOnceAndAnswersExactly) {
   const ServerCounters counters = server.counters();
   EXPECT_EQ(counters.degraded, 1u);
   EXPECT_EQ(counters.failed, 0u);
+}
+
+// Delegating Env that calls `hook(name)` before every block read of a file
+// Open()ed under one of the `watched` names; a non-OK hook status fails
+// that read without touching storage.
+class ReadHookEnv : public Env {
+ public:
+  using Hook = std::function<Status(const std::string& name)>;
+
+  ReadHookEnv(Env& base, std::vector<std::string> watched, Hook hook)
+      : base_(&base), watched_(std::move(watched)), hook_(std::move(hook)) {}
+
+  Result<std::unique_ptr<BlockFile>> Create(const std::string& name) override {
+    return base_->Create(name);
+  }
+  Result<std::unique_ptr<BlockFile>> Open(const std::string& name) override {
+    auto file = base_->Open(name);
+    if (!file.ok() ||
+        std::find(watched_.begin(), watched_.end(), name) == watched_.end()) {
+      return file;
+    }
+    return {std::make_unique<File>(std::move(file).value(), &hook_)};
+  }
+  Status Delete(const std::string& name) override {
+    return base_->Delete(name);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  bool Exists(const std::string& name) const override {
+    return base_->Exists(name);
+  }
+  std::vector<std::string> ListFiles() const override {
+    return base_->ListFiles();
+  }
+  size_t block_size() const override { return base_->block_size(); }
+  IoStats& stats() override { return base_->stats(); }
+
+ private:
+  class File : public BlockFile {
+   public:
+    File(std::unique_ptr<BlockFile> base, const Hook* hook)
+        : base_(std::move(base)), hook_(hook) {}
+    Status ReadBlock(uint64_t index, void* buf) override {
+      MAXRS_RETURN_IF_ERROR((*hook_)(base_->name()));
+      return base_->ReadBlock(index, buf);
+    }
+    Status WriteBlock(uint64_t index, const void* buf) override {
+      return base_->WriteBlock(index, buf);
+    }
+    uint64_t NumBlocks() const override { return base_->NumBlocks(); }
+    Status Truncate(uint64_t num_blocks) override {
+      return base_->Truncate(num_blocks);
+    }
+    size_t block_size() const override { return base_->block_size(); }
+    const std::string& name() const override { return base_->name(); }
+
+   private:
+    std::unique_ptr<BlockFile> base_;
+    const Hook* hook_;
+  };
+
+  Env* base_;
+  std::vector<std::string> watched_;
+  Hook hook_;
+};
+
+TEST(LazyEdgeReadTest, XFileFaultInADividingShardIsClassified) {
+  // Only a shard that overflows its base case reads x-files, through its
+  // edge provider on the solving worker. One read fault there surfaces as
+  // a classified error: a permanent one (kIOError) fails the query, a
+  // retryable one (kUnavailable) goes through the degraded re-run and
+  // answers exactly. Either way the base Env keeps only the dataset files.
+  auto base = NewMemEnv(1024);
+  ASSERT_TRUE(WriteDataset(*base, "data",
+                           testing::RandomIntObjects(2500, 1000, 43,
+                                                     /*random_weights=*/true))
+                  .ok());
+  DatasetHandleOptions ingest;
+  ingest.shard_count = 3;
+  ingest.memory_bytes = 64 * 1024;
+  auto handle = DatasetHandle::Ingest(*base, "data", ingest);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  MaxRSOptions one_shot_options;
+  one_shot_options.rect_width = 100;
+  one_shot_options.rect_height = 100;
+  one_shot_options.memory_bytes = 64 * 1024;
+  auto want = RunExactMaxRS(*base, "data", one_shot_options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const std::vector<std::string> dataset_files = base->ListFiles();
+
+  MaxRSServerOptions options;
+  options.memory_bytes = 64 * 1024;
+  options.cache_entries = 0;
+  options.fanout = 3;
+  options.base_case_max_pieces = 64;
+  {
+    MaxRSServer healthy(*base, *handle, options);
+    auto r = healthy.Submit(100, 100);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GT(r->stats.merges, 1u) << "some shard must divide";
+  }
+
+  for (const Status& fault :
+       {Status::IOError("injected permanent fault"),
+        Status::Unavailable("injected transient fault")}) {
+    SCOPED_TRACE(fault.ToString());
+    std::atomic<uint64_t> reads{0};
+    ReadHookEnv env(*base, {handle->shards()[1].x_file},
+                    [&](const std::string&) {
+                      return reads.fetch_add(1) == 0 ? fault : Status::OK();
+                    });
+    MaxRSServer server(env, *handle, options);
+    auto r = server.Submit(100, 100);
+    EXPECT_GT(reads.load(), 0u);
+    const ServerCounters counters = server.counters();
+    if (fault.is_retryable()) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->total_weight, want->total_weight);
+      EXPECT_EQ(r->location, want->location);
+      EXPECT_EQ(r->region, want->region);
+      EXPECT_EQ(counters.degraded, 1u);
+      EXPECT_EQ(counters.failed, 0u);
+    } else {
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), Status::Code::kIOError);
+      EXPECT_EQ(counters.degraded, 0u);
+      EXPECT_EQ(counters.failed, 1u);
+    }
+    server.Shutdown();
+    EXPECT_EQ(base->ListFiles(), dataset_files);
+  }
+}
+
+TEST(LazyEdgeReadTest, DeadlineInsideTheEdgeScanStopsIt) {
+  // One shard with a 64-piece base case: the solve divides, so its edge
+  // provider scans the shard's x-file. The first read of that file parks
+  // until the query's deadline has passed; the scan must then stop with
+  // kDeadlineExceeded instead of reading the file through.
+  auto base = NewMemEnv(512);
+  ASSERT_TRUE(
+      WriteDataset(*base, "data", testing::RandomIntObjects(1500, 500, 7))
+          .ok());
+  DatasetHandleOptions ingest;
+  ingest.shard_count = 1;
+  ingest.memory_bytes = 1 << 13;
+  auto handle = DatasetHandle::Ingest(*base, "data", ingest);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const std::string& x_file = handle->shards()[0].x_file;
+  auto file = base->Open(x_file);
+  ASSERT_TRUE(file.ok());
+  const uint64_t x_blocks = (*file)->NumBlocks();
+  ASSERT_GT(x_blocks, 20u);
+
+  constexpr int64_t kDeadlineMs = 500;
+  std::chrono::steady_clock::time_point start;
+  std::atomic<uint64_t> reads{0};
+  ReadHookEnv env(*base, {x_file}, [&](const std::string&) {
+    if (reads.fetch_add(1) == 0) {
+      std::this_thread::sleep_until(
+          start + std::chrono::milliseconds(kDeadlineMs + 100));
+    }
+    return Status::OK();
+  });
+  MaxRSServerOptions options;
+  options.memory_bytes = 1 << 13;
+  options.cache_entries = 0;
+  options.fanout = 3;
+  options.base_case_max_pieces = 64;
+  MaxRSServer server(env, *handle, options);
+  QuerySpec spec;
+  spec.width = 24;
+  spec.height = 24;
+  spec.deadline_ms = kDeadlineMs;
+  start = std::chrono::steady_clock::now();
+  auto r = server.Submit(spec);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kDeadlineExceeded);
+  EXPECT_GT(reads.load(), 0u) << "the deadline passed before the edge scan";
+  EXPECT_LT(reads.load(), x_blocks / 2);
+  server.Shutdown();
+  EXPECT_EQ(server.counters().deadlines, 1u);
 }
 
 }  // namespace

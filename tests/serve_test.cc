@@ -505,31 +505,30 @@ TEST(ServeTest, ColdQuerySkipsTheSortPhase) {
   EXPECT_GT(cold_io, 0u);
 }
 
-TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
+TEST(ServeTest, ColdQueryPaysOnlyTheYFileScansAndTheSpanFile) {
   // Pins the exact per-query serve cost (docs/IO_MODEL.md): with every
   // shard inside its base case and a rect narrower than every shard (so no
-  // piece spans a whole shard), a cold lone query reads each shard file
+  // piece spans a whole shard), a cold lone query reads each shard's y-file
   // once and the empty span file twice (MergeSweep's bottom and top
-  // readers), and writes only that span file. The shard tuples and the
-  // root sweep travel through memory: no slab-file, no root file. The
-  // handle carries its aggregate index, which the executor does not read.
+  // readers), and writes only that span file. No x-file is read: only a
+  // shard that divides needs its edges. The shard tuples and the root
+  // sweep travel through memory: no slab-file, no root file. The handle
+  // carries its aggregate index, which the executor does not read.
   std::vector<SpatialObject> objects;
   auto env = MakeEnvWithDataset(&objects);
   auto handle = DatasetHandle::Ingest(*env, kDatasetFile, IngestOptions(4));
   ASSERT_TRUE(handle.ok());
   constexpr double kWidth = 100;
   constexpr double kHeight = 150;
-  uint64_t shard_blocks = 0;
+  uint64_t y_file_blocks = 0;
   for (const ShardInfo& shard : handle->shards()) {
     const double extent = shard.x_range.hi - shard.x_range.lo;
     if (std::isfinite(extent)) {
       ASSERT_LT(kWidth, extent);
     }
-    for (const std::string& name : {shard.y_file, shard.x_file}) {
-      auto file = env->Open(name);
-      ASSERT_TRUE(file.ok());
-      shard_blocks += (*file)->NumBlocks();
-    }
+    auto file = env->Open(shard.y_file);
+    ASSERT_TRUE(file.ok());
+    y_file_blocks += (*file)->NumBlocks();
   }
   uint64_t span_blocks = 0;
   {
@@ -551,7 +550,7 @@ TEST(ServeTest, ColdQueryPaysOnlyTheRoutingScansAndTheSpanFile) {
   ExpectBitIdentical(*cold, *one_shot);
   EXPECT_EQ(cold->stats.total_spans, 0u);
   EXPECT_EQ(cold->stats.merges, 1u);  // only the cross-shard MergeSweep
-  EXPECT_EQ(cold->stats.io.blocks_read, shard_blocks + 2 * span_blocks);
+  EXPECT_EQ(cold->stats.io.blocks_read, y_file_blocks + 2 * span_blocks);
   EXPECT_EQ(cold->stats.io.blocks_written, span_blocks);
 
   // The worst case: with a zero channel cap every routed record and every
