@@ -3,8 +3,9 @@
 // (every query executes the full per-query pipeline, "serve_cold") and
 // warm (every query is an LRU hit, "serve_warm") — at 1/2/8 workers,
 // emitted as BENCH_serve.json. A clustered round re-runs the cold workload
-// on a weight-skewed dataset ("serve_cold_clustered"). Together with
-// BENCH_micro.json this is the repo's machine-readable perf
+// on a weight-skewed dataset ("serve_cold_clustered"), and again with a
+// base case small enough that its shards divide ("serve_cold_dividing").
+// Together with BENCH_micro.json this is the repo's machine-readable perf
 // trajectory (docs/BENCHMARKING.md; compare_bench.py --plot renders it).
 //
 // Flags:
@@ -177,51 +178,75 @@ int main(int argc, char** argv) {
   // Clustered round: the same cold serve pipeline on the skewed dataset.
   // The workload mixes selective rects with one full-extent rect (whose
   // window reaches every shard), and the weights must match across worker
-  // counts.
+  // counts. It runs twice: with the derived base case, where no shard
+  // divides ("serve_cold_clustered"), and with a 2048-piece base case,
+  // where the cluster's shards overflow it, divide and read their edge
+  // windows from the x-files ("serve_cold_dividing"). Division never
+  // changes an answer, so both check against one reference.
+  struct ClusteredRound {
+    const char* algo;
+    const char* label;
+    uint64_t base_case_max_pieces;  // 0 derives from M
+  };
+  const ClusteredRound clustered_rounds[] = {
+      {"serve_cold_clustered", "cold_clust", 0},
+      {"serve_cold_dividing", "cold_divide", 2048}};
   const auto clustered = MakeClustered(n, seed);
   auto clustered_rects = MakeWorkload(num_queries);
   clustered_rects[0] = {1e6, 1e6};
   std::vector<double> clustered_reference;
-  for (uint64_t t : thread_counts) {
-    const size_t workers = static_cast<size_t>(t);
-    auto env = NewMemEnv(kBlockSize);
-    MAXRS_CHECK_OK(WriteDataset(*env, "dataset", clustered));
+  std::vector<uint64_t> undivided_io;  // per worker count, first round
+  for (const ClusteredRound& round : clustered_rounds) {
+    for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
+      const size_t workers = static_cast<size_t>(thread_counts[ti]);
+      auto env = NewMemEnv(kBlockSize);
+      MAXRS_CHECK_OK(WriteDataset(*env, "dataset", clustered));
 
-    DatasetHandleOptions ingest_options;
-    ingest_options.shard_count = shard_count;
-    ingest_options.memory_bytes = kBufferSynthetic;
-    ingest_options.num_threads = workers;
-    auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
-    MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
+      DatasetHandleOptions ingest_options;
+      ingest_options.shard_count = shard_count;
+      ingest_options.memory_bytes = kBufferSynthetic;
+      ingest_options.num_threads = workers;
+      auto handle = DatasetHandle::Ingest(*env, "dataset", ingest_options);
+      MAXRS_CHECK_MSG(handle.ok(), "ingest failed");
 
-    MaxRSServerOptions options;
-    options.num_workers = workers;
-    options.memory_bytes = kBufferSynthetic;
-    options.cache_entries = 0;  // cold by construction
-    options.cache_max_extent_fraction = 1.0;
-    MaxRSServer server(*env, *handle, options);
-    const IoStatsSnapshot before = env->stats().Snapshot();
-    double wall = 0.0;
-    const std::vector<double> weights =
-        RunRound(server, clustered_rects, workers, &wall);
-    const uint64_t io = (env->stats().Snapshot() - before).total();
-    if (clustered_reference.empty()) {
-      clustered_reference = weights;
-    } else {
-      MAXRS_CHECK_MSG(weights == clustered_reference,
-                      "worker count changed a clustered result");
+      MaxRSServerOptions options;
+      options.num_workers = workers;
+      options.memory_bytes = kBufferSynthetic;
+      options.base_case_max_pieces = round.base_case_max_pieces;
+      options.cache_entries = 0;  // cold by construction
+      options.cache_max_extent_fraction = 1.0;
+      MaxRSServer server(*env, *handle, options);
+      const IoStatsSnapshot before = env->stats().Snapshot();
+      double wall = 0.0;
+      const std::vector<double> weights =
+          RunRound(server, clustered_rects, workers, &wall);
+      const uint64_t io = (env->stats().Snapshot() - before).total();
+      if (clustered_reference.empty()) {
+        clustered_reference = weights;
+      } else {
+        MAXRS_CHECK_MSG(weights == clustered_reference,
+                        "worker count or base case changed a clustered "
+                        "result");
+      }
+      // A dividing shard reads edge windows on top of the undivided
+      // round's scans; no extra blocks means no shard divided.
+      if (round.base_case_max_pieces == 0) {
+        undivided_io.push_back(io);
+      } else {
+        MAXRS_CHECK_MSG(io > undivided_io[ti], "no clustered shard divided");
+      }
+
+      const double per_query =
+          wall / static_cast<double>(clustered_rects.size());
+      std::printf("%-12s%10zu%12.1f%14.6f%16" PRIu64 "%16" PRIu64 "\n",
+                  round.label, workers,
+                  wall > 0.0
+                      ? static_cast<double>(clustered_rects.size()) / wall
+                      : 0.0,
+                  per_query, io / clustered_rects.size(), io);
+      records.push_back({"bench_serve", round.algo, "clustered", n, workers,
+                         kBufferSynthetic, per_query, io, weights[0]});
     }
-
-    const double per_query =
-        wall / static_cast<double>(clustered_rects.size());
-    std::printf("%-12s%10zu%12.1f%14.6f%16" PRIu64 "%16" PRIu64 "\n",
-                "cold_clust", workers,
-                wall > 0.0
-                    ? static_cast<double>(clustered_rects.size()) / wall
-                    : 0.0,
-                per_query, io / clustered_rects.size(), io);
-    records.push_back({"bench_serve", "serve_cold_clustered", "clustered", n,
-                       workers, kBufferSynthetic, per_query, io, weights[0]});
   }
 
   if (!WriteBenchJson(json_path, records)) return 1;

@@ -78,8 +78,6 @@ int main(int argc, char** argv) {
           "usage: maxrs_server_cli --input=points.csv --queries=WxH[,WxH...]\n"
           "       maxrs_server_cli --demo [--n=100000]\n"
           "flags: --workers=K --shards=S --repeat=R --cache=E --memory-kb=M\n"
-          "       --pool-kb=N (shared buffer pool over the dataset files;\n"
-          "                    0 = off)\n"
           "       --deadline_ms=D (per-query deadline; 0 = none)\n"
           "       --retry_budget=R (transient-fault retries per block op)\n"
           "       --chaos_seed=S (inject a seeded fault schedule at serve "
@@ -169,8 +167,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("cache", 16));
   server_options.deadline_ms =
       static_cast<int64_t>(flags.GetInt("deadline_ms", 0));
-  server_options.buffer_pool_bytes =
-      static_cast<size_t>(flags.GetInt("pool-kb", 0)) << 10;
   MaxRSServer server(*serve_env, *handle, server_options);
 
   std::printf("\n%-6s%14s%14s%24s%16s%14s\n", "round", "rect", "weight",
@@ -242,14 +238,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counters.corruptions),
               static_cast<unsigned long long>(io.reads_retried),
               static_cast<unsigned long long>(io.writes_retried));
-  if (server_options.buffer_pool_bytes > 0) {
-    const BufferPoolStats pool = server.pool_stats();
-    std::printf("buffer pool: %llu hits (free), %llu misses, "
-                "%llu evictions\n",
-                static_cast<unsigned long long>(pool.hits),
-                static_cast<unsigned long long>(pool.misses),
-                static_cast<unsigned long long>(pool.evictions));
-  }
   if (chaos != nullptr) {
     std::printf("chaos delivered: %llu transient, %llu permanent, "
                 "%llu bit flips, %llu torn writes\n",

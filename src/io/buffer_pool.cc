@@ -183,8 +183,8 @@ Result<size_t> BufferPool::GetVictim(std::unique_lock<std::mutex>& lock) {
   if (!free_frames_.empty() || !lru_.empty()) return take();
   if (pin_wait_ms_ > 0) {
     // Every frame is pinned by a concurrent reader. Wait (bounded) for an
-    // unpin rather than failing a transient: the pool is shared across query
-    // workers, and all-pinned is a momentary state, not a sizing error.
+    // unpin rather than failing a transient: the pool is shared across
+    // threads, and all-pinned is a momentary state, not a sizing error.
     const bool freed = frame_freed_.wait_for(
         lock, std::chrono::milliseconds(pin_wait_ms_),
         [&] { return !free_frames_.empty() || !lru_.empty(); });

@@ -5,13 +5,13 @@
 // miss is a counted block fetch and every dirty eviction a counted write
 // (see docs/IO_MODEL.md for how this composes with the stream layer).
 //
-// The pool is thread-safe: the serve layer shares one pool across all query
-// workers (io/pooled_env.h), so every state transition — lookup, victim
-// selection, the fetch I/O itself, unpin — happens under one mutex. Holding
-// the lock across the miss I/O is deliberate: it also provides the
-// happens-before ordering the Env contract requires for the single shared
-// BlockFile handle behind each pooled file. Frame payloads are stable
-// in memory while pinned, so PageHandle::data() needs no lock.
+// The pool is thread-safe: any number of threads may fetch through one
+// pool, so every state transition — lookup, victim selection, the fetch
+// I/O itself, unpin — happens under one mutex. Holding the lock across the
+// miss I/O is deliberate: it also provides the happens-before ordering the
+// Env contract requires when those threads share one BlockFile handle.
+// Frame payloads are stable in memory while pinned, so PageHandle::data()
+// needs no lock.
 #ifndef MAXRS_IO_BUFFER_POOL_H_
 #define MAXRS_IO_BUFFER_POOL_H_
 

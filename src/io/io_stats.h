@@ -26,10 +26,10 @@ struct IoStatsSnapshot {
   /// Work *avoided* by a serve-time filter. `objects_filtered` counts the
   /// objects the serve layer's threshold filter (serve/density_bound.h)
   /// dropped in a routing scan: they became no piece, span or edge.
-  /// `shards_pruned` and `bound_skips` counted shards skipped by a shard
-  /// branch-and-bound the executor no longer has; nothing records them, and
-  /// they stay only because the benchmark harness reads them. None of the
-  /// three is a block transfer, so none contributes to total().
+  /// `shards_pruned` and `bound_skips` are always 0: they counted shards
+  /// skipped by a shard branch-and-bound the executor no longer has, and
+  /// stay only because the benchmark harness reads them. None of the three
+  /// is a block transfer, so none contributes to total().
   uint64_t shards_pruned = 0;
   uint64_t bound_skips = 0;
   uint64_t objects_filtered = 0;
@@ -74,12 +74,6 @@ class IoStats {
   void RecordWriteRetry(uint64_t blocks) {
     writes_retried_.fetch_add(blocks, std::memory_order_relaxed);
   }
-  void RecordShardsPruned(uint64_t shards) {
-    shards_pruned_.fetch_add(shards, std::memory_order_relaxed);
-  }
-  void RecordBoundSkip(uint64_t shards) {
-    bound_skips_.fetch_add(shards, std::memory_order_relaxed);
-  }
   void RecordObjectsFiltered(uint64_t objects) {
     objects_filtered_.fetch_add(objects, std::memory_order_relaxed);
   }
@@ -89,8 +83,8 @@ class IoStats {
             blocks_written_.load(std::memory_order_relaxed),
             reads_retried_.load(std::memory_order_relaxed),
             writes_retried_.load(std::memory_order_relaxed),
-            shards_pruned_.load(std::memory_order_relaxed),
-            bound_skips_.load(std::memory_order_relaxed),
+            /*shards_pruned=*/0,
+            /*bound_skips=*/0,
             objects_filtered_.load(std::memory_order_relaxed)};
   }
 
@@ -99,8 +93,6 @@ class IoStats {
     blocks_written_.store(0, std::memory_order_relaxed);
     reads_retried_.store(0, std::memory_order_relaxed);
     writes_retried_.store(0, std::memory_order_relaxed);
-    shards_pruned_.store(0, std::memory_order_relaxed);
-    bound_skips_.store(0, std::memory_order_relaxed);
     objects_filtered_.store(0, std::memory_order_relaxed);
   }
 
@@ -109,8 +101,6 @@ class IoStats {
   std::atomic<uint64_t> blocks_written_{0};
   std::atomic<uint64_t> reads_retried_{0};
   std::atomic<uint64_t> writes_retried_{0};
-  std::atomic<uint64_t> shards_pruned_{0};
-  std::atomic<uint64_t> bound_skips_{0};
   std::atomic<uint64_t> objects_filtered_{0};
 };
 

@@ -174,8 +174,6 @@ std::string FormatStats(const ServerCounters& counters,
       << " blocks_written=" << io.blocks_written
       << " reads_retried=" << io.reads_retried
       << " writes_retried=" << io.writes_retried
-      << " shards_pruned=" << io.shards_pruned
-      << " bound_skips=" << io.bound_skips
       << " objects_filtered=" << io.objects_filtered << "\n";
   return out.str();
 }
@@ -218,8 +216,6 @@ Status ParseStats(const std::string& line, ServerCounters* counters,
     else if (key == "blocks_written") io->blocks_written = v;
     else if (key == "reads_retried") io->reads_retried = v;
     else if (key == "writes_retried") io->writes_retried = v;
-    else if (key == "shards_pruned") io->shards_pruned = v;
-    else if (key == "bound_skips") io->bound_skips = v;
     else if (key == "objects_filtered") io->objects_filtered = v;
     // Unknown keys: ignored on purpose (forward compatibility).
   }

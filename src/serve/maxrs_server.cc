@@ -377,15 +377,6 @@ MaxRSServer::MaxRSServer(Env& env, const DatasetHandle& dataset,
       // (same rationale as the core layer's num_threads validation).
       pool_(std::make_unique<ThreadPool>(std::min<size_t>(
           std::max<size_t>(1, options.num_workers), 1024))) {
-  // Shared buffer pool over the dataset's immutable files, before the
-  // workers start: they read exec_env_ unsynchronized.
-  if (options_.buffer_pool_bytes > 0) {
-    pooled_env_ = std::make_unique<PooledEnv>(
-        env_, options_.buffer_pool_bytes, options_.buffer_pool_pin_wait_ms);
-    pooled_env_->AddPooledPrefix(dataset_.prefix());
-  }
-  exec_env_ = pooled_env_ != nullptr ? static_cast<Env*>(pooled_env_.get())
-                                     : &env_;
   // Reject a bad configuration now (stored; every Submit returns it),
   // rather than paying a full per-shard derivation pass per doomed query
   // before the core validation finally fires.
@@ -741,7 +732,7 @@ void MaxRSServer::Execute(std::shared_ptr<Request> request) {
 }
 
 Result<MaxRSResult> MaxRSServer::ExecuteQuery(const Request& request) {
-  Env& env = *exec_env_;
+  Env& env = env_;
   TempFileManager temps(env, options_.work_prefix);
   const IoStatsSnapshot io_before = env.stats().Snapshot();
   Stopwatch timer;

@@ -74,7 +74,6 @@
 
 #include "core/exact_maxrs.h"
 #include "io/env.h"
-#include "io/pooled_env.h"
 #include "serve/dataset_handle.h"
 #include "util/cancel.h"
 #include "util/mpmc_queue.h"
@@ -151,22 +150,6 @@ struct MaxRSServerOptions {
   /// spill decision is a pure function of the bytes produced, never of
   /// consumer timing, so block counts stay schedule-independent.
   size_t stream_channel_bytes = 1 << 20;
-
-  /// Shared read cache over the dataset's immutable files (shard files,
-  /// manifest, aggregate index): when > 0, all query workers fetch those
-  /// blocks through one BufferPool of this many bytes (io/pooled_env.h).
-  /// A pool hit performs no counted I/O, so hot shard-header and index
-  /// blocks are read from storage once — not once per query. 0 (the
-  /// default) bypasses the pool entirely: every read is a counted Env
-  /// block transfer, preserving the exact per-query I/O accounting the
-  /// committed baselines and equivalence tests pin down.
-  size_t buffer_pool_bytes = 0;
-
-  /// Forwarded to the shared BufferPool: how long one block fetch may wait
-  /// for a frame when every frame is momentarily pinned by other workers
-  /// (io/buffer_pool.h). Past the bound the fetch — and the query — fails
-  /// with ResourceExhausted, which signals an undersized pool.
-  uint64_t buffer_pool_pin_wait_ms = 1000;
 
   /// Env namespace prefix for per-query scratch files.
   std::string work_prefix = "maxrs_serve";
@@ -292,13 +275,6 @@ class MaxRSServer {
   /// Traffic counters (point-in-time copy).
   ServerCounters counters() const;
 
-  /// Shared buffer-pool statistics; all zeros when buffer_pool_bytes == 0
-  /// (no pool exists).
-  BufferPoolStats pool_stats() const {
-    return pooled_env_ != nullptr ? pooled_env_->pool_stats()
-                                  : BufferPoolStats{};
-  }
-
   /// The cache admission predicate, decided on the *canonical* dimension
   /// values the cache key stores (CanonicalDimensionBits), never on the
   /// caller's raw bit patterns — so the decision is a pure function of the
@@ -403,13 +379,6 @@ class MaxRSServer {
   const DatasetHandle& dataset_;
   MaxRSServerOptions options_;
   Status config_status_;  // from construction; every Submit fails fast on it
-
-  // Set iff buffer_pool_bytes > 0: wraps env_ so dataset-file reads go
-  // through the shared pool. exec_env_ is what every executor uses — the
-  // pooled wrapper when present, env_ otherwise (scratch-file traffic
-  // passes through the wrapper untouched either way).
-  std::unique_ptr<PooledEnv> pooled_env_;
-  Env* exec_env_ = nullptr;
 
   // shared_ptr, not unique_ptr: on a Push refused by a closed queue the
   // queue drops its copy, but the submitting leader still owns the request

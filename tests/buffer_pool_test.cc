@@ -148,8 +148,8 @@ TEST_F(BufferPoolTest, MoveHandleTransfersPin) {
   EXPECT_TRUE(pool.Fetch(*file_, 1).ok());
 }
 
-// --- Concurrency battery: the serve layer shares one pool across all query
-// workers (io/pooled_env.h), so pin/evict/dirty transitions race across
+// --- Concurrency battery: the pool is thread-safe, so several threads may
+// fetch through one pool and its pin/evict/dirty transitions race across
 // threads by design. These suites run under the TSan CI job (`sanitize`
 // label): a missing lock or a write-back racing a re-fetch surfaces there
 // even when the assertions below happen to pass.

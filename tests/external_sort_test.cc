@@ -100,23 +100,23 @@ TEST(ExternalSortParallelTest, PoolMatchesSerialRunAndPassCounts) {
                                    ExternalSortOptions{1 << 10}, &serial_info)
                   .ok());
 
-  auto pooled_env = NewMemEnv(512);
-  ASSERT_TRUE(WriteRecordFile(*pooled_env, "in", records).ok());
+  auto threaded_env = NewMemEnv(512);
+  ASSERT_TRUE(WriteRecordFile(*threaded_env, "in", records).ok());
   ThreadPool pool(4);
-  ASSERT_TRUE(ExternalSort<KeyRec>(*pooled_env, "in", "out", KeyPayloadLess,
+  ASSERT_TRUE(ExternalSort<KeyRec>(*threaded_env, "in", "out", KeyPayloadLess,
                                    ExternalSortOptions{1 << 10, &pool},
                                    &pooled_info)
                   .ok());
 
   EXPECT_EQ(pooled_info.initial_runs, serial_info.initial_runs);
   EXPECT_EQ(pooled_info.merge_passes, serial_info.merge_passes);
-  EXPECT_EQ(pooled_env->stats().Snapshot().blocks_read,
+  EXPECT_EQ(threaded_env->stats().Snapshot().blocks_read,
             serial_env->stats().Snapshot().blocks_read);
-  EXPECT_EQ(pooled_env->stats().Snapshot().blocks_written,
+  EXPECT_EQ(threaded_env->stats().Snapshot().blocks_written,
             serial_env->stats().Snapshot().blocks_written);
 
   auto serial_out = ReadRecordFile<KeyRec>(*serial_env, "out");
-  auto pooled_out = ReadRecordFile<KeyRec>(*pooled_env, "out");
+  auto pooled_out = ReadRecordFile<KeyRec>(*threaded_env, "out");
   ASSERT_TRUE(serial_out.ok());
   ASSERT_TRUE(pooled_out.ok());
   ASSERT_EQ(serial_out->size(), pooled_out->size());

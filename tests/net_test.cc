@@ -186,9 +186,13 @@ TEST(QueryProtocolTest, StatsRoundTripIgnoringUnknownKeys) {
   io.objects_filtered = 89012;
   std::string frame = FormatStats(counters, io);
   EXPECT_NE(frame.find(" objects_filtered=89012"), std::string::npos);
+  EXPECT_EQ(frame.find("shards_pruned="), std::string::npos);
+  EXPECT_EQ(frame.find("bound_skips="), std::string::npos);
   // Unknown keys are skipped: a newer server's, and counters an older
   // server still sends.
-  frame.insert(frame.size() - 1, " future_key=99 retired_counter=4");
+  frame.insert(frame.size() - 1,
+               " future_key=99 retired_counter=4 shards_pruned=3"
+               " bound_skips=2");
   ServerCounters parsed_counters;
   IoStatsSnapshot parsed_io{};
   ASSERT_TRUE(ParseStats(frame, &parsed_counters, &parsed_io).ok());
@@ -200,6 +204,8 @@ TEST(QueryProtocolTest, StatsRoundTripIgnoringUnknownKeys) {
   EXPECT_EQ(parsed_io.blocks_read, io.blocks_read);
   EXPECT_EQ(parsed_io.blocks_written, io.blocks_written);
   EXPECT_EQ(parsed_io.objects_filtered, io.objects_filtered);
+  EXPECT_EQ(parsed_io.shards_pruned, 0u);
+  EXPECT_EQ(parsed_io.bound_skips, 0u);
   ServerCounters ignored;
   IoStatsSnapshot ignored_io{};
   EXPECT_FALSE(ParseStats("PONG", &ignored, &ignored_io).ok());
